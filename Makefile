@@ -8,6 +8,7 @@
 #   make daemon-smoke mwrepaird process-level smoke: job over HTTP, CLI byte-identity, SIGTERM drain
 #   make store       persistent-store gate: corruption recovery + warm-start determinism under -race, write-behind overhead bound
 #   make psample     concurrent-sampling gate: stream/alias determinism under -race + BENCH_PR9.json trio + 4x draw-throughput check
+#   make mwbench-check vet + short tests of the cmd/mwbench benchmark module (root ./... never reaches it)
 #   make scenarios   scenario-family gate: multi-hunk/drifting/adversarial calibration + drift determinism under -race + E12 JSON schema check
 #   make bench-psample regenerate BENCH_PR9.json (BenchmarkParallelSample trio at -benchtime 1s)
 #   make servebench  service-level smoke: repairbench closed-loop sweep vs an in-process daemon + BENCH_SERVE schema gate
@@ -24,7 +25,7 @@ GO ?= go
 BENCH_OUT ?= BENCH_PR7.json
 
 # The perf-trajectory benchmarks frozen into BENCH_PR2.json: the
-# BenchmarkSample primitive comparison (naive scan vs Fenwick vs batched),
+# BenchmarkSample primitive comparison (naive scan vs Fenwick),
 # the end-to-end learner cycle, the wrs draw/update microbenchmarks, and the
 # PR-1 cache hot-path benchmarks (sharded vs mutex, dedup).
 SAMPLING_BENCH = BenchmarkSample|BenchmarkSampleUpdateCycle|BenchmarkWRS|BenchmarkRunnerCacheHitThroughput|BenchmarkRunnerDuplicateProbeThroughput|BenchmarkAblationDedupCache
@@ -32,9 +33,9 @@ SAMPLING_BENCH = BenchmarkSample|BenchmarkSampleUpdateCycle|BenchmarkWRS|Benchma
 # Where `make servebench-full` writes the committed service-level record.
 SERVE_OUT ?= BENCH_SERVE.json
 
-.PHONY: ci vet build test race chaos trace daemon-smoke store psample scenarios bench-psample servebench servebench-full bench bench-smoke bench-probe bench-all
+.PHONY: ci vet build test race chaos trace daemon-smoke store psample mwbench-check scenarios bench-psample servebench servebench-full bench bench-smoke bench-probe bench-all
 
-ci: vet build race bench-smoke chaos trace daemon-smoke store psample scenarios servebench
+ci: vet build race bench-smoke chaos trace daemon-smoke store psample mwbench-check scenarios servebench
 
 vet:
 	$(GO) vet ./...
@@ -83,15 +84,22 @@ store:
 		./internal/store ./internal/testsuite ./internal/core ./internal/server
 	STORE_BENCH=1 $(GO) test -count=1 -run TestProbeWriteBehindOverheadGate .
 
-# Concurrent-sampling gate: the stream/alias determinism suite (parallel
-# build bit-identity, per-stream draw determinism under contention, the
-# byte-identical-trace check across worker counts) under the race
-# detector, then the committed BENCH_PR9.json record's schema + 4x
-# draw-throughput check.
+# Concurrent-sampling gate: the stream/alias determinism suite (alias
+# build against its closed forms, per-stream draw determinism under
+# contention, the byte-identical-trace check across worker counts) under
+# the race detector, then the committed BENCH_PR9.json record's schema +
+# 4x draw-throughput check.
 psample:
-	$(GO) test -race -run 'ParallelBuild|ConcurrentAlias|StreamSet|LockedFenwick|AliasReload|TraceByteIdentical|StreamRun|StreamLearners|StreamSample' \
+	$(GO) test -race -run 'AliasBuild|ConcurrentAlias|LockedFenwick|AliasReload|TraceByteIdentical|StreamRun|StreamLearners|StreamSample' \
 		./internal/wrs ./internal/mwu
 	$(GO) run ./cmd/benchjson -validate BENCH_PR9.json
+
+# The repo benchmark (cmd/mwbench) is a module of its own, so the root
+# vet/build/test targets never compile it; this keeps API changes in the
+# packages it imports from breaking it unnoticed. -short skips its
+# every-workload smoke run.
+mwbench-check:
+	cd cmd/mwbench && $(GO) vet ./... && $(GO) test -short ./...
 
 # Scenario-family gate: the multi-hunk/drifting/adversarial calibration
 # and validation suites (proper-subset proofs, drift-schedule invariants,
@@ -107,7 +115,7 @@ scenarios:
 
 # Regenerates the committed BENCH_PR9.json: the BenchmarkParallelSample
 # trio (mutex-guarded Fenwick vs lock-free frozen alias at k=16384 with 8
-# streams, plus the 8-worker parallel rebuild) at a fixed -benchtime.
+# streams, plus the sequential table rebuild) at a fixed -benchtime.
 bench-psample:
 	$(GO) test -run '^$$' -bench BenchmarkParallelSample -benchmem -benchtime 1s ./internal/wrs \
 		| $(GO) run ./cmd/benchjson -o BENCH_PR9.json

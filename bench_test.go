@@ -44,7 +44,7 @@ func runTableCell(b *testing.B, alg, ds string) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		seed := rng.New(uint64(0xBE7C + i))
-		learner, err := mwu.New(alg, d.Size, seed.Split())
+		learner, err := mwu.NewLearner(mwu.Config{Algorithm: alg, K: d.Size}, seed.Split())
 		if err != nil {
 			b.Skipf("%s on %s intractable: %v", alg, ds, err)
 		}

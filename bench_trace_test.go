@@ -35,7 +35,7 @@ func benchRunTraced(b *testing.B, tr *obs.Tracer) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		seed := rng.New(uint64(0x7ACE + i))
-		learner, err := mwu.New("standard", d.Size, seed.Split())
+		learner, err := mwu.NewLearner(mwu.Config{Algorithm: "standard", K: d.Size}, seed.Split())
 		if err != nil {
 			b.Fatal(err)
 		}

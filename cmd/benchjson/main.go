@@ -299,7 +299,7 @@ func validatePsample(path string) error {
 	const (
 		lockedName = "BenchmarkParallelSample/fenwick-locked/k=16384/streams=8"
 		aliasName  = "BenchmarkParallelSample/alias/k=16384/streams=8"
-		buildName  = "BenchmarkParallelSample/alias-build/k=16384/workers=8"
+		buildName  = "BenchmarkParallelSample/alias-build/k=16384"
 	)
 	for _, name := range []string{lockedName, aliasName, buildName} {
 		r, ok := byName[name]

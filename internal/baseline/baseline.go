@@ -156,7 +156,7 @@ func NewProblem(p *lang.Program, s *testsuite.Suite) *Problem {
 		for j, t := range pr.targets {
 			tw[j] = pr.weights[t]
 		}
-		tab, err := wrs.NewAliasChecked(tw)
+		tab, err := wrs.NewAlias(tw)
 		if err != nil {
 			// tw holds only the strictly-positive fault weights — a
 			// rejection here means the weighting scheme itself broke.

@@ -222,7 +222,7 @@ type Result struct {
 
 // repairOracle adapts (pool, suite) to the bandit.Oracle interface. Arm i
 // means "compose i+1 pool mutations". It is safe for concurrent probes and
-// captures the first repair seen.
+// captures the least repair seen under patchBefore's order.
 type repairOracle struct {
 	pl     *pool.Pool
 	runner *testsuite.Runner
@@ -251,9 +251,8 @@ func (o *repairOracle) Probe(arm int, r *rng.RNG) bandit.Reward {
 	}
 	if repair {
 		o.mu.Lock()
-		if o.patch == nil {
-			o.patch = muts
-			o.mutant = mutant
+		if o.patch == nil || patchBefore(muts, o.patch) {
+			o.patch, o.mutant = muts, mutant
 		}
 		o.mu.Unlock()
 		return 1
@@ -278,6 +277,30 @@ func (o *repairOracle) Probe(arm int, r *rng.RNG) bandit.Reward {
 		}
 		return 0
 	}
+}
+
+// patchBefore is the fixed total order over patches that picks the
+// reported repair: fewer mutations first, then the mutations compared in
+// order by position, operator and source. Every probe of a cycle finishes
+// before the driver stops the run, so the least repair of the cycle is the
+// same at any worker count, whereas the first to finish would depend on
+// goroutine scheduling.
+func patchBefore(a, b []mutation.Mutation) bool {
+	if len(a) != len(b) {
+		return len(a) < len(b)
+	}
+	for i := range a {
+		x, y := a[i], b[i]
+		switch {
+		case x.At != y.At:
+			return x.At < y.At
+		case x.Op != y.Op:
+			return x.Op < y.Op
+		case x.From != y.From:
+			return x.From < y.From
+		}
+	}
+	return false
 }
 
 // repair returns the captured repair, if any.

@@ -116,7 +116,7 @@ func TestRepairDeterministicUnderSeed(t *testing.T) {
 
 func TestRepairLearnerMismatchPanics(t *testing.T) {
 	sc, pl := smallScenario(t, 6)
-	learner := mwu.MustNew("standard", 3, rng.New(1)) // wrong arm count
+	learner := mwu.MustNewLearner(mwu.Config{Algorithm: "standard", K: 3}, rng.New(1)) // wrong arm count
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
@@ -193,4 +193,62 @@ func TestLearnedArmInRange(t *testing.T) {
 		t.Fatalf("learned arm %d out of [1,20]", res.LearnedArm)
 	}
 	_ = sc
+}
+
+// chainSource adds a spurious 7 to large inputs through a chain of
+// temporaries, so deleting any of the chain's five statements repairs it:
+// one cycle's probes often find several distinct repairs.
+const chainSource = `input n
+set acc = n
+if n < 100 goto ok
+set t0 = 7
+set t1 = t0
+set t2 = t1
+set t3 = t2
+set acc = acc + t3
+label ok
+print acc
+halt
+`
+
+// TestReportedPatchIndependentOfWorkers pins the reported patch when one
+// cycle holds several repairing probes: the oracle keeps the least repair
+// under a fixed order, not the first to finish, so a run at 8 workers
+// reports exactly the patch of a run at 1.
+func TestReportedPatchIndependentOfWorkers(t *testing.T) {
+	test := func(name string, n int64) testsuite.Test {
+		return testsuite.Test{Name: name, Input: []int64{n}, Want: []int64{n}}
+	}
+	sc, err := scenario.FromSource("chain", chainSource, &testsuite.Suite{
+		Positive: []testsuite.Test{test("p1", 1), test("p2", 3), test("p3", 99)},
+		Negative: []testsuite.Test{test("bug", 500)},
+	}, 24, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed := uint64(1); seed <= 24; seed++ {
+		pl := sc.BuildPool(2, rng.New(seed))
+		run := func(workers int) Result {
+			res, err := RepairWithAlgorithm(context.Background(), "standard", pl, sc.Suite,
+				rng.New(seed), Config{Workers: workers, MaxIter: 200})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Repaired {
+				t.Fatalf("seed %d, %d workers: no repair", seed, workers)
+			}
+			return res
+		}
+		if one, eight := patchID(run(1).Patch), patchID(run(8).Patch); one != eight {
+			t.Fatalf("seed %d: patch %s at 1 worker, %s at 8", seed, one, eight)
+		}
+	}
+}
+
+func patchID(muts []mutation.Mutation) string {
+	id := ""
+	for _, m := range muts {
+		id += m.ID() + " "
+	}
+	return id
 }

@@ -29,9 +29,6 @@ type CongestionConfig struct {
 	// paying), so the criterion is plurality, as for Distributed.
 	// Default 0.30.
 	Plurality float64
-	// BuildWorkers bounds the fan-out of the per-cycle alias-table
-	// rebuild; 0 builds inline.
-	BuildWorkers int
 }
 
 func (c *CongestionConfig) fill() {
@@ -96,7 +93,7 @@ func NewCongestion(cfg CongestionConfig, r *rng.RNG) *Congestion {
 		cfg:        cfg,
 		weights:    w,
 		loads:      make([]int, cfg.K),
-		sampler:    wrs.NewConcurrentAlias(wrs.NewStreamSet(r), cfg.Agents, cfg.BuildWorkers),
+		sampler:    wrs.NewConcurrentAlias(r, cfg.Agents),
 		leaderProb: 1 / float64(cfg.K),
 	}
 	// The shared weight vector plus the per-arm load tally.

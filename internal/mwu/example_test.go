@@ -23,9 +23,9 @@ func ExampleRun() {
 	// Output: choice: 2 converged: true
 }
 
-// ExampleNew shows the factory with the evaluation's parameter settings.
-func ExampleNew() {
-	learner, err := mwu.New("slate", 100, rng.New(1))
+// ExampleNewLearner shows the factory with the evaluation's parameter settings.
+func ExampleNewLearner() {
+	learner, err := mwu.NewLearner(mwu.Config{Algorithm: "slate", K: 100}, rng.New(1))
 	if err != nil {
 		panic(err)
 	}

@@ -1,7 +1,5 @@
 package mwu
 
-import "repro/internal/rng"
-
 // Names lists the learner names the factory accepts: the paper's three
 // realizations in presentation order, then the stream-API learners added
 // on top (optimistic-gradient MWU and constant-step congestion-game
@@ -9,26 +7,3 @@ import "repro/internal/rng"
 // default algorithm set, the server's job validation, the trace
 // byte-identity suite — extend automatically with this list.
 var Names = []string{"standard", "distributed", "slate", "optimistic", "congestion"}
-
-// New constructs a learner by name with the evaluation's parameter
-// settings (Sec. IV-B).
-//
-// Deprecated: use NewLearner with a Config (and functional Options) —
-// this wrapper survives so existing callers and seed tests keep
-// compiling, and delegates verbatim: New(name, k, r) is
-// NewLearner(Config{Algorithm: name, K: k}, r), bit-identical under a
-// fixed seed.
-func New(name string, k int, r *rng.RNG) (Learner, error) {
-	return NewLearner(Config{Algorithm: name, K: k}, r)
-}
-
-// MustNew is New for callers with known-tractable configurations.
-//
-// Deprecated: use MustNewLearner.
-func MustNew(name string, k int, r *rng.RNG) Learner {
-	l, err := New(name, k, r)
-	if err != nil {
-		panic(err)
-	}
-	return l
-}

@@ -12,7 +12,7 @@ import (
 
 func TestFactoryNames(t *testing.T) {
 	for _, name := range Names {
-		l, err := New(name, 100, rng.New(1))
+		l, err := NewLearner(Config{Algorithm: name, K: 100}, rng.New(1))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -26,7 +26,7 @@ func TestFactoryNames(t *testing.T) {
 }
 
 func TestFactoryUnknown(t *testing.T) {
-	if _, err := New("bogus", 10, rng.New(1)); err == nil {
+	if _, err := NewLearner(Config{Algorithm: "bogus", K: 10}, rng.New(1)); err == nil {
 		t.Fatal("unknown learner accepted")
 	}
 }
@@ -34,33 +34,33 @@ func TestFactoryUnknown(t *testing.T) {
 func TestFactoryStandardAgentScaling(t *testing.T) {
 	// Standard's agent count floors at 16 and tracks ceil(0.05k) above
 	// that, matching Slate's slate size for comparability (Sec. IV-B).
-	small := MustNew("standard", 64, rng.New(1))
+	small := MustNewLearner(Config{Algorithm: "standard", K: 64}, rng.New(1))
 	if small.Agents() != 16 {
 		t.Fatalf("agents(64) = %d, want floor 16", small.Agents())
 	}
-	big := MustNew("standard", 16384, rng.New(1))
+	big := MustNewLearner(Config{Algorithm: "standard", K: 16384}, rng.New(1))
 	if big.Agents() != 820 { // ceil(0.05·16384)
 		t.Fatalf("agents(16384) = %d, want 820", big.Agents())
 	}
-	slate := MustNew("slate", 16384, rng.New(1))
+	slate := MustNewLearner(Config{Algorithm: "slate", K: 16384}, rng.New(1))
 	if slate.Agents() != big.Agents() {
 		t.Fatalf("standard %d and slate %d agents should match at scale", big.Agents(), slate.Agents())
 	}
 }
 
 func TestFactoryDistributedIntractable(t *testing.T) {
-	if _, err := New("distributed", 16384, rng.New(1)); err == nil {
+	if _, err := NewLearner(Config{Algorithm: "distributed", K: 16384}, rng.New(1)); err == nil {
 		t.Fatal("distributed at 16384 should be intractable")
 	}
 }
 
-func TestMustNewPanics(t *testing.T) {
+func TestMustNewLearnerPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	MustNew("distributed", 16384, rng.New(1))
+	MustNewLearner(Config{Algorithm: "distributed", K: 16384}, rng.New(1))
 }
 
 func TestRunDefaultsMaxIter(t *testing.T) {

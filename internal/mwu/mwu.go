@@ -171,10 +171,10 @@ type Metrics struct {
 	DedupSuppressed int64
 	ShardContention int64
 	// SamplerContention counts concurrent draws that found a shared
-	// sampler lock held — zero for the lock-free frozen-alias path, and
-	// the serialization cost made visible for mutex-guarded samplers.
-	// Filled by the Run driver from the learner's Forkable sampler when
-	// it exposes a Contention() counter.
+	// sampler lock held. Every sampler the learners use draws lock-free
+	// (the frozen alias table), so nothing sets it and it is always zero;
+	// the field stays because cmd/mwbench, a separate module that
+	// compiles against this package, reads it.
 	SamplerContention int64
 	// WarmEntries and WarmHits mirror the runner's persistent-store
 	// warm-start accounting: cache entries preloaded from disk, and the
@@ -388,7 +388,6 @@ func Run(ctx context.Context, l Learner, o bandit.Oracle, seed *rng.RNG, cfg Run
 	}
 	partial, hasPartial := l.(PartialUpdater)
 	streamer, _ := l.(StreamSampler)
-	var lastSampler wrs.Forkable
 
 	if tr.Active() {
 		tr.Emit(obs.Event{Type: obs.TypeRunStart, Algo: l.Name(),
@@ -420,7 +419,6 @@ func Run(ctx context.Context, l Learner, o bandit.Oracle, seed *rng.RNG, cfg Run
 				res.Err = fmt.Errorf("mwu: freeze sampler (iter %d): %w", t, err)
 				break
 			}
-			lastSampler = sampler
 			arms, rewards, status = ev.sampleProbeAll(t, sampler, l.Agents())
 			if sampled {
 				emitProbes(tr, t, arms)
@@ -501,9 +499,6 @@ func Run(ctx context.Context, l Learner, o bandit.Oracle, seed *rng.RNG, cfg Run
 	res.LeaderProb = l.LeaderProb()
 	m := l.Metrics()
 	m.Faults.Merge(ev.stats)
-	if c, ok := lastSampler.(interface{ Contention() int64 }); ok {
-		m.SamplerContention = c.Contention()
-	}
 	res.CPUIterations = m.CPUIterations
 	res.Degraded = res.Cancelled || ev.stats.Missing > 0 || ev.stats.StalledCycles > 0
 	if tr.Active() {

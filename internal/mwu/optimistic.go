@@ -20,9 +20,6 @@ type OptimisticConfig struct {
 	// Tol is the convergence tolerance: converged when the leader's
 	// probability reaches 1 − Tol. Default 1e-5.
 	Tol float64
-	// BuildWorkers bounds the fan-out of the per-cycle alias-table
-	// rebuild; 0 builds inline.
-	BuildWorkers int
 }
 
 func (c *OptimisticConfig) fill() {
@@ -79,7 +76,7 @@ func NewOptimistic(cfg OptimisticConfig, r *rng.RNG) *Optimistic {
 		cfg:        cfg,
 		weights:    w,
 		lastGain:   make([]float64, cfg.K),
-		sampler:    wrs.NewConcurrentAlias(wrs.NewStreamSet(r), cfg.Agents, cfg.BuildWorkers),
+		sampler:    wrs.NewConcurrentAlias(r, cfg.Agents),
 		leaderProb: 1 / float64(cfg.K),
 	}
 	// The shared weight vector plus the per-arm gain memory.
@@ -97,8 +94,8 @@ func (o *Optimistic) K() int { return o.cfg.K }
 func (o *Optimistic) Agents() int { return o.cfg.Agents }
 
 // FreezeSampler implements StreamSampler: it rebuilds the frozen alias
-// table from the current weights (in place, fanned out across
-// BuildWorkers) and hands the driver the per-slot draw streams.
+// table in place from the current weights and hands the driver the
+// per-slot draw streams.
 func (o *Optimistic) FreezeSampler() (wrs.Forkable, error) {
 	if err := o.sampler.Reload(o.weights); err != nil {
 		return nil, err

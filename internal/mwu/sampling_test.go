@@ -65,15 +65,12 @@ func TestDistributedSampleOwned(t *testing.T) {
 
 // --- Fenwick-path sampling --------------------------------------------------
 
-// TestStandardFenwickPathRespectsWeights is the Fenwick-tree counterpart of
-// TestStandardSampleRespectsWeights: with many options and few agents the
-// learner draws by prefix descent on the tree, so a direct weight poke must
-// go through resync to be visible.
+// TestStandardFenwickPathRespectsWeights is the many-options counterpart
+// of TestStandardSampleRespectsWeights: the learner draws by prefix
+// descent on the tree, so a direct weight poke must go through resync to
+// be visible.
 func TestStandardFenwickPathRespectsWeights(t *testing.T) {
 	s := NewStandard(StandardConfig{K: 256, Agents: 4}, rng.New(45))
-	if !s.useFen {
-		t.Fatal("k=256, n=4 should select the Fenwick path")
-	}
 	heavy := 137
 	for i := range s.weights {
 		s.weights[i] = 0.001
@@ -212,22 +209,14 @@ func runPair(t *testing.T, name string, mk func() (Learner, Learner)) {
 func TestStandardRunMatchesNaiveBatchedPath(t *testing.T) {
 	runPair(t, "std-batched", func() (Learner, Learner) {
 		cfg := StandardConfig{K: 64, Agents: 16}
-		s := NewStandard(cfg, rng.New(310))
-		if s.useFen {
-			t.Fatal("expected batched path for k=64, n=16")
-		}
-		return s, naiveStandard{NewStandard(cfg, rng.New(310))}
+		return NewStandard(cfg, rng.New(310)), naiveStandard{NewStandard(cfg, rng.New(310))}
 	})
 }
 
 func TestStandardRunMatchesNaiveFenwickPath(t *testing.T) {
 	runPair(t, "std-fenwick", func() (Learner, Learner) {
 		cfg := StandardConfig{K: 1024, Agents: 16}
-		s := NewStandard(cfg, rng.New(311))
-		if !s.useFen {
-			t.Fatal("expected Fenwick path for k=1024, n=16")
-		}
-		return s, naiveStandard{NewStandard(cfg, rng.New(311))}
+		return NewStandard(cfg, rng.New(311)), naiveStandard{NewStandard(cfg, rng.New(311))}
 	})
 }
 

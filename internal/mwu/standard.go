@@ -69,9 +69,7 @@ type Standard struct {
 	sum       float64
 	rng       *rng.RNG
 	fen       *wrs.Fenwick // incrementally-maintained sampling index over weights
-	batch     wrs.Batcher
-	useFen    bool // draw via Fenwick descent instead of the batched scan
-	sinceSync int  // update cycles since the last exact resync
+	sinceSync int          // update cycles since the last exact resync
 	converged bool
 	metrics   Metrics
 }
@@ -92,34 +90,19 @@ func NewStandard(cfg StandardConfig, r *rng.RNG) *Standard {
 		sum:     float64(cfg.K),
 		rng:     r,
 		fen:     mustFenwick(w),
-		// Fenwick costs n·⌈log₂ k⌉ descents per cycle against the batched
-		// pass's k-element scan; pick whichever is cheaper for this shape.
-		// The batched path is additionally bit-identical to the historical
-		// per-agent Categorical loop, so small configurations (where it
-		// wins anyway) keep their exact fixed-seed trajectories.
-		useFen: cfg.Agents*log2ceil(cfg.K) < cfg.K,
 	}
 	s.metrics.MemoryFloats = int64(cfg.K) // the shared weight vector
 	return s
 }
 
 // mustFenwick builds the sampling index over freshly-initialized uniform
-// weights, which cannot be rejected by the checked constructor.
+// weights, which the constructor cannot reject.
 func mustFenwick(w []float64) *wrs.Fenwick {
-	fen, err := wrs.NewFenwickChecked(w)
+	fen, err := wrs.NewFenwick(w)
 	if err != nil {
 		panic(fmt.Sprintf("mwu: uniform init weights unsampleable: %v", err))
 	}
 	return fen
-}
-
-// log2ceil returns ⌈log₂ k⌉ for k ≥ 1.
-func log2ceil(k int) int {
-	b := 0
-	for 1<<b < k {
-		b++
-	}
-	return b
 }
 
 // Name implements Learner.
@@ -133,18 +116,12 @@ func (s *Standard) Agents() int { return s.cfg.Agents }
 
 // Sample draws one option per agent proportionally to the current weights
 // (Fig. 1's Sample step). Instead of the naive O(n·k) per-agent scan it
-// uses the cheaper of two sub-linear strategies: prefix descent on the
-// incrementally-maintained Fenwick tree (O(n·log k)) or a single batched
-// merge pass over the weights (O(k + n·log n)). The returned slice is
-// freshly allocated and owned by the caller.
+// descends the incrementally-maintained Fenwick tree, O(n·log k) per
+// cycle. The returned slice is freshly allocated and owned by the caller.
 func (s *Standard) Sample() []int {
 	arms := make([]int, s.cfg.Agents)
-	if s.useFen {
-		for j := range arms {
-			arms[j] = s.fen.Draw(s.rng)
-		}
-	} else {
-		s.batch.Draw(s.weights, s.rng, arms)
+	for j := range arms {
+		arms[j] = s.fen.Draw(s.rng)
 	}
 	return arms
 }
@@ -243,7 +220,11 @@ func (s *Standard) resync() {
 	for _, w := range s.weights {
 		s.sum += w
 	}
-	s.fen.Reload(s.weights)
+	if err := s.fen.Reload(s.weights); err != nil {
+		// Only a negative or NaN weight is rejected; positive update
+		// factors never produce one from positive weights.
+		panic(fmt.Sprintf("mwu: standard weights unsampleable: %v", err))
+	}
 	s.sinceSync = 0
 }
 

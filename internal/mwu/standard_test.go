@@ -54,6 +54,7 @@ func TestStandardSampleRespectsWeights(t *testing.T) {
 	// Manually skew the weights: option 1 should dominate samples.
 	s.weights = []float64{0.01, 10, 0.01}
 	s.sum = 10.02
+	s.resync() // the draws descend the Fenwick tree, not s.weights
 	arms := s.Sample()
 	ones := 0
 	for _, a := range arms {

@@ -19,7 +19,7 @@ func TestStreamLearnersConverge(t *testing.T) {
 	for _, alg := range streamAlgs {
 		t.Run(alg, func(t *testing.T) {
 			p := bandit.NewProblem(dist.New("gap", []float64{0.2, 0.2, 0.9, 0.3}))
-			l := MustNew(alg, 4, rng.New(3))
+			l := MustNewLearner(Config{Algorithm: alg, K: 4}, rng.New(3))
 			res := Run(context.Background(), l, p, rng.New(4), RunConfig{MaxIter: 5000, Workers: 4})
 			if !res.Converged {
 				t.Fatalf("did not converge in %d iterations (leader %d p=%.3f)",
@@ -39,7 +39,7 @@ func TestStreamLearnersConvergeLargeK(t *testing.T) {
 	for _, alg := range streamAlgs {
 		t.Run(alg, func(t *testing.T) {
 			p := bandit.NewProblem(dist.Random("r", 256, rng.New(12)))
-			l := MustNew(alg, 256, rng.New(13))
+			l := MustNewLearner(Config{Algorithm: alg, K: 256}, rng.New(13))
 			res := Run(context.Background(), l, p, rng.New(14), RunConfig{MaxIter: 10000, Workers: 8})
 			if !res.Converged {
 				t.Fatalf("did not converge in %d iterations (p=%.3f)", res.Iterations, res.LeaderProb)
@@ -59,7 +59,7 @@ func TestStreamRunWorkerInvariance(t *testing.T) {
 		t.Run(alg, func(t *testing.T) {
 			run := func(workers int) RunResult {
 				p := bandit.NewProblem(dist.Random("r", 64, rng.New(21)))
-				l := MustNew(alg, 64, rng.New(22))
+				l := MustNewLearner(Config{Algorithm: alg, K: 64}, rng.New(22))
 				return Run(context.Background(), l, p, rng.New(23), RunConfig{MaxIter: 2000, Workers: workers})
 			}
 			base := run(1)
@@ -78,8 +78,8 @@ func TestStreamRunWorkerInvariance(t *testing.T) {
 func TestStreamSampleMatchesDriverPath(t *testing.T) {
 	for _, alg := range streamAlgs {
 		t.Run(alg, func(t *testing.T) {
-			a := MustNew(alg, 32, rng.New(31))
-			b := MustNew(alg, 32, rng.New(31))
+			a := MustNewLearner(Config{Algorithm: alg, K: 32}, rng.New(31))
+			b := MustNewLearner(Config{Algorithm: alg, K: 32}, rng.New(31))
 			arms := a.Sample()
 			s, err := b.(StreamSampler).FreezeSampler()
 			if err != nil {
@@ -145,7 +145,7 @@ func TestCongestionUpdateRule(t *testing.T) {
 func TestStreamLearnersUpdateMissing(t *testing.T) {
 	for _, alg := range streamAlgs {
 		t.Run(alg, func(t *testing.T) {
-			l := MustNew(alg, 8, rng.New(5))
+			l := MustNewLearner(Config{Algorithm: alg, K: 8}, rng.New(5))
 			pu := l.(PartialUpdater)
 			pu.UpdateMissing([]int{3, 5}, []float64{1, 0}, []bool{false, true})
 			w := l.(interface{ Weights() []float64 }).Weights()
@@ -176,7 +176,7 @@ func (f *failingSampler) FreezeSampler() (wrs.Forkable, error) {
 		return nil, errBadState
 	}
 	if f.sampler == nil {
-		f.sampler = wrs.NewConcurrentAlias(wrs.NewStreamSet(rng.New(1)), len(f.arms), 1)
+		f.sampler = wrs.NewConcurrentAlias(rng.New(1), len(f.arms))
 	}
 	w := make([]float64, f.K())
 	for i := range w {
@@ -207,25 +207,3 @@ func TestRunSurfacesFreezeError(t *testing.T) {
 		t.Fatalf("runEndKind = %q, want error", kind)
 	}
 }
-
-// TestRunHarvestsSamplerContention checks the driver copies a contended
-// sampler's counter into the learner's metrics after the run.
-func TestRunHarvestsSamplerContention(t *testing.T) {
-	set := wrs.NewStreamSet(rng.New(7))
-	lf := wrs.NewLockedFenwick(set, 3)
-	if err := lf.Reload([]float64{1, 1, 1}); err != nil {
-		t.Fatal(err)
-	}
-	l := &lockedSamplerLearner{scriptedLearner: scriptedLearner{arms: []int{0, 1, 2}, convergeAfter: 5}, sampler: lf}
-	Run(context.Background(), l, countingOracle(3), rng.New(2), RunConfig{MaxIter: 100, Workers: 3})
-	if got, want := l.Metrics().SamplerContention, lf.Contention(); got != want {
-		t.Fatalf("SamplerContention = %d, sampler counted %d", got, want)
-	}
-}
-
-type lockedSamplerLearner struct {
-	scriptedLearner
-	sampler *wrs.LockedFenwick
-}
-
-func (l *lockedSamplerLearner) FreezeSampler() (wrs.Forkable, error) { return l.sampler, nil }

@@ -82,7 +82,8 @@ func (r *RNG) Split() *RNG {
 
 // SplitN derives n independent child generators, splitting in ascending
 // index order — the canonical way to seed a fixed-size set of per-slot
-// streams (wrs.StreamSet, the Run driver's probe streams) in one call.
+// streams (wrs.ConcurrentAlias's slots, the Run driver's probe streams)
+// in one call.
 func (r *RNG) SplitN(n int) []*RNG {
 	if n < 0 {
 		panic("rng: SplitN called with negative n")

@@ -215,13 +215,6 @@ type Scenario struct {
 	Drift *testsuite.Drift
 }
 
-// DefectStmt returns the first seeded defect's statement index.
-//
-// Deprecated: a scenario may seed defects at several sites (multi-hunk
-// profiles set DefectEdits 2–4), and looking only at the first silently
-// drops the rest. Use DefectStmts and handle every site.
-func (sc *Scenario) DefectStmt() int { return sc.DefectStmts[0] }
-
 // modulus keeps accumulator arithmetic in range; prime, as in Adler-32.
 const modulus = 65521
 

@@ -2,8 +2,6 @@ package wrs
 
 import (
 	"math"
-	"sort"
-	"sync"
 
 	"repro/internal/rng"
 )
@@ -15,96 +13,46 @@ import (
 // table is immutable between Reload calls and safe for concurrent Draw
 // calls, since Draw touches only the caller-supplied RNG.
 //
-// Construction is a prefix-sum sweep rather than Vose's worklist pairing:
-// after scaling the weights to mean column mass 1, options split into
-// "lights" (scaled < 1, carrying a deficit) and "heavies" (scaled ≥ 1,
-// carrying a surplus), both in ascending option order. With dpre[i] the
-// cumulative deficit of the first i lights and spre[j] the cumulative
-// surplus of heavies 0..j, every column is a closed form over the two
-// prefix arrays:
+// Construction is one sequential sweep rather than Vose's worklist
+// pairing. After scaling the weights to mean column mass 1, options split
+// into "lights" (scaled < 1, carrying a deficit) and "heavies" (scaled ≥
+// 1, carrying a surplus), each taken in ascending option order. With d the
+// running deficit of the lights so far and s the running surplus of the
+// heavies up to the current one:
 //
-//   - light i donates its deficit to the first heavy whose cumulative
-//     surplus covers the deficits before it — alias = heavies[min{j :
-//     spre[j] ≥ dpre[i]}], prob = its own scaled weight;
-//   - heavy j, once the sweep's cumulative deficit first exceeds its
-//     cumulative surplus (at light i(j) = min{i : dpre[i] > spre[j]}),
-//     keeps residual prob = spre[j] + 1 − dpre[i(j)] and donates the rest
-//     to the next heavy — alias = heavies[j+1];
-//   - columns the sweep never exhausts (roundoff slack at either end)
-//     hold exactly their own option.
+//   - a light donates its deficit to the first heavy whose running surplus
+//     covers the deficits before it — alias = that heavy, prob = the
+//     light's own scaled weight;
+//   - a heavy, once the running deficit first exceeds its running
+//     surplus, keeps residual prob = s + 1 − d and donates the rest to
+//     the next heavy — alias = that heavy;
+//   - columns the sweep never exhausts (roundoff slack at either end, and
+//     always the last heavy) hold exactly their own option.
 //
-// Because each column depends only on the prefix arrays — not on any
-// worklist order — the fill pass parallelizes over disjoint column ranges
-// while producing the same table bit for bit as the inline build; see
-// NewAliasParallel.
+// Aliases only ever point at heavies, so no column aliases to a
+// zero-weight option.
 type Alias struct {
 	prob  []float64 // acceptance threshold for each column, in [0, 1]
 	alias []int32   // donor option when the column's threshold rejects
-
-	// Build scratch, reused across Reloads so a learner rebuilding the
-	// table every update cycle allocates nothing after the first.
-	scaled  []float64
-	lights  []int32
-	heavies []int32
-	dpre    []float64 // dpre[i]: total deficit of lights[0:i]; len nl+1
-	spre    []float64 // spre[j]: total surplus of heavies[0:j+1]; len nh
 }
 
 // NewAlias builds the table for the (unnormalized, non-negative) weight
-// vector w in O(k). It panics if a weight is negative or NaN, or if the
-// total weight is not positive and finite.
-//
-// Deprecated: use NewAliasChecked (or NewAliasParallel), which report
-// invalid weights as an error instead of panicking mid-run.
-func NewAlias(w []float64) *Alias {
-	a, err := NewAliasChecked(w)
-	if err != nil {
-		panicWeightErr(err)
-	}
-	return a
-}
-
-// NewAliasChecked builds the table for the (unnormalized, non-negative)
-// weight vector w in O(k), returning an error if a weight is negative or
-// NaN, or if the total weight is not positive and finite.
-func NewAliasChecked(w []float64) (*Alias, error) {
+// vector w in O(k). It returns ErrBadWeight if a weight is negative or
+// NaN, and ErrBadTotal if the total weight is not positive and finite.
+func NewAlias(w []float64) (*Alias, error) {
 	a := &Alias{}
-	if err := a.build(w, 1); err != nil {
+	if err := a.Reload(w); err != nil {
 		return nil, err
 	}
 	return a, nil
 }
 
-// NewAliasParallel is NewAliasChecked with the scale, classify and
-// column-fill passes fanned out across the given number of goroutines
-// (0 or 1 builds inline). The two float prefix sums stay sequential — they
-// are O(k) adds and fixing their summation order is what makes the result
-// bit-identical to the sequential build at any worker count.
-func NewAliasParallel(w []float64, workers int) (*Alias, error) {
-	a := &Alias{}
-	if err := a.build(w, workers); err != nil {
-		return nil, err
-	}
-	return a, nil
-}
-
-// Reload rebuilds the table in place from w, reusing all internal buffers;
-// workers > 1 fans the fill passes out. The rebuilt table is bit-identical
-// to NewAliasChecked(w) at any workers value. On error the table is left
-// unusable and must be Reloaded successfully before the next Draw. Reload
-// must not run concurrently with Draw calls on the same table.
-func (a *Alias) Reload(w []float64, workers int) error {
-	return a.build(w, workers)
-}
-
-// build runs the five construction passes. Passes A (validate + total) and
-// D (float prefix sums) are sequential so every floating-point sum has one
-// fixed association; passes B (scale + classify counts), C (scatter) and
-// E (column fill) are elementwise or write to chunk-owned positions, so
-// fanning them out cannot change the result.
-func (a *Alias) build(w []float64, workers int) error {
+// Reload rebuilds the table in place from w, reusing its storage, with
+// the same errors as NewAlias. On error the table is left unusable and
+// must be Reloaded successfully before the next Draw. Reload must not run
+// concurrently with Draw calls on the same table.
+func (a *Alias) Reload(w []float64) error {
 	n := len(w)
-	// Pass A: validate and total, left to right.
 	total := 0.0
 	for _, wi := range w {
 		if wi < 0 || math.IsNaN(wi) {
@@ -115,159 +63,64 @@ func (a *Alias) build(w []float64, workers int) error {
 	if !(total > 0) || math.IsInf(total, 1) {
 		return ErrBadTotal
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > n {
-		workers = n
-	}
 	a.prob = growFloats(a.prob, n)
 	a.alias = growInts(a.alias, n)
-	a.scaled = growFloats(a.scaled, n)
-	mult := float64(n) / total
-
-	// Pass B: scale elementwise and count each chunk's lights.
-	counts := make([]int, workers)
-	runChunks(n, workers, func(c, lo, hi int) {
-		cnt := 0
-		for i := lo; i < hi; i++ {
-			s := w[i] * mult
-			a.scaled[i] = s
-			if s < 1 {
-				cnt++
-			}
-		}
-		counts[c] = cnt
-	})
-	nl := 0
-	for _, c := range counts {
-		nl += c
+	mult, up := float64(n)/total, 1.0
+	if math.IsInf(mult, 1) {
+		// A subnormal total overflows n/total: scale the weights up by an
+		// exact power of two first, or zero weights would scale to NaN.
+		up = 0x1p600
+		mult = float64(n) / (total * up)
 	}
-	nh := n - nl
-	a.lights = growInts(a.lights, nl)
-	a.heavies = growInts(a.heavies, nh)
-
-	// Pass C: scatter option indices into the light/heavy arrays. Each
-	// chunk's destination offsets are exact integer prefixes of the pass-B
-	// counts, so every index lands in the same slot as in an inline scan.
-	lightOff := 0
-	offs := counts // reuse: offs[c] becomes the exclusive light prefix
-	for c, cnt := range counts {
-		offs[c] = lightOff
-		lightOff += cnt
-	}
-	runChunks(n, workers, func(c, lo, hi int) {
-		li := offs[c]
-		hj := lo - li // heavies before this chunk
-		for i := lo; i < hi; i++ {
-			if a.scaled[i] < 1 {
-				a.lights[li] = int32(i)
-				li++
-			} else {
-				a.heavies[hj] = int32(i)
-				hj++
-			}
-		}
-	})
-
-	// Pass D: float prefix sums, sequential by design.
-	a.dpre = growFloats(a.dpre, nl+1)
-	a.spre = growFloats(a.spre, nh)
-	a.dpre[0] = 0
-	for i, li := range a.lights {
-		a.dpre[i+1] = a.dpre[i] + (1 - a.scaled[li])
-	}
-	run := 0.0
-	for j, hj := range a.heavies {
-		run += a.scaled[hj] - 1
-		a.spre[j] = run
-	}
-
-	// Pass E: fill the columns from the closed forms.
-	runChunks(nl, workers, func(_, lo, hi int) { a.fillLights(lo, hi) })
-	runChunks(nh, workers, func(_, lo, hi int) { a.fillHeavies(lo, hi) })
-	return nil
-}
-
-// fillLights fills the columns of lights[lo:hi]. The donor index is found
-// by binary search at the chunk boundary and advances monotonically inside
-// it, so a chunked fill performs near-linear total work and lands on the
-// same donors as one full left-to-right sweep.
-func (a *Alias) fillLights(lo, hi int) {
-	if lo >= hi {
-		return
-	}
-	nh := len(a.spre)
-	j := sort.SearchFloat64s(a.spre, a.dpre[lo])
-	for i := lo; i < hi; i++ {
-		d := a.dpre[i]
-		for j < nh && a.spre[j] < d {
-			j++
-		}
-		li := a.lights[i]
-		if j >= nh {
-			// Roundoff slack: total deficit outran total surplus, so the
-			// last lights keep exactly their own option. A zero-weight
-			// option can never land here — its full unit deficit dwarfs
-			// the ulp-scale slack — so prob 1 is safe.
-			a.prob[li] = 1
-			a.alias[li] = li
-			continue
-		}
-		a.prob[li] = a.scaled[li]
-		a.alias[li] = a.heavies[j]
-	}
-}
-
-// fillHeavies fills the columns of heavies[lo:hi], with the same
-// search-then-advance discipline over the deficit prefixes.
-func (a *Alias) fillHeavies(lo, hi int) {
-	if lo >= hi {
-		return
-	}
-	nd := len(a.dpre)
-	i := sort.Search(nd, func(t int) bool { return a.dpre[t] > a.spre[lo] })
-	for j := lo; j < hi; j++ {
-		s := a.spre[j]
-		for i < nd && a.dpre[i] <= s {
+	// The explicit conversion rounds the product, so no platform fuses it
+	// into the running sums below and the table is the same everywhere.
+	scaled := func(i int) float64 { return float64(w[i] * up * mult) }
+	// next returns the first option at or after i on the given side.
+	next := func(i int, light bool) int {
+		for i < n && (scaled(i) < 1) != light {
 			i++
 		}
-		hj := a.heavies[j]
-		if i >= nd || j+1 >= len(a.heavies) {
-			// Never exhausted by the sweep (or no successor to donate the
-			// residual to): the column holds exactly its own option.
-			a.prob[hj] = 1
-			a.alias[hj] = hj
+		return i
+	}
+	l, h := next(0, true), next(0, false)
+	d, s := 0.0, 0.0
+	if h < n {
+		s = scaled(h) - 1
+	}
+	for h < n {
+		if l < n && s >= d {
+			// Light l donates its deficit to heavy h.
+			a.prob[l] = scaled(l)
+			a.alias[l] = int32(h)
+			d += 1 - scaled(l)
+			l = next(l+1, true)
 			continue
 		}
-		a.prob[hj] = a.spre[j] + 1 - a.dpre[i]
-		a.alias[hj] = a.heavies[j+1]
-	}
-}
-
-// runChunks splits [0, n) into `chunks` contiguous ranges and runs f on
-// each, in parallel when chunks > 1. Boundaries depend only on (n, chunks)
-// — never on scheduling — and callers write only to chunk-owned positions,
-// which together make every parallel pass bit-identical to its inline run.
-func runChunks(n, chunks int, f func(c, lo, hi int)) {
-	if chunks <= 1 || n == 0 {
-		f(0, 0, n)
-		return
-	}
-	sz := (n + chunks - 1) / chunks
-	var wg sync.WaitGroup
-	for c, lo := 0, 0; lo < n; c, lo = c+1, lo+sz {
-		hi := lo + sz
-		if hi > n {
-			hi = n
+		if s >= d {
+			// Lights exhausted with surplus to spare: h and every later
+			// heavy keep their own option.
+			break
 		}
-		wg.Add(1)
-		go func(c, lo, hi int) {
-			defer wg.Done()
-			f(c, lo, hi)
-		}(c, lo, hi)
+		succ := next(h+1, false)
+		if succ == n {
+			// The last heavy has no successor to donate its residual to.
+			break
+		}
+		a.prob[h] = s + 1 - d
+		a.alias[h] = int32(succ)
+		h = succ
+		s += scaled(h) - 1
 	}
-	wg.Wait()
+	for ; l < n; l = next(l+1, true) {
+		// Roundoff slack: the total deficit outran the total surplus. A
+		// zero-weight option can never land here — its full unit deficit
+		// dwarfs the ulp-scale slack — so prob 1 is safe.
+		a.prob[l], a.alias[l] = 1, int32(l)
+	}
+	for ; h < n; h = next(h+1, false) {
+		a.prob[h], a.alias[h] = 1, int32(h)
+	}
+	return nil
 }
 
 // growFloats resizes s to n entries, reusing capacity when it suffices.

@@ -21,10 +21,10 @@ var benchKs = []int{64, 1024, 16384}
 
 // BenchmarkWRSDraw compares the per-iteration sampling strategies at the
 // evaluation's dataset sizes: naive per-agent Categorical (the O(n·k)
-// seed behaviour), Fenwick prefix-descent (O(n·log k)), the batched
-// one-pass draw (O(k + n·log n)), and the alias table rebuilt per
-// iteration (O(k) build + O(n) draws, the fair dynamic-weights
-// comparison) as well as draw-only (the static-distribution case).
+// seed behaviour), Fenwick prefix-descent (O(n·log k)), and the alias
+// table rebuilt per iteration (O(k) build + O(n) draws, the fair
+// dynamic-weights comparison) as well as draw-only (the
+// static-distribution case).
 func BenchmarkWRSDraw(b *testing.B) {
 	for _, k := range benchKs {
 		w := testWeights(k, uint64(k))
@@ -41,7 +41,7 @@ func BenchmarkWRSDraw(b *testing.B) {
 			}
 		})
 		b.Run(fmt.Sprintf("fenwick/k=%d", k), func(b *testing.B) {
-			f := NewFenwick(w)
+			f := mustFenwick(b, w)
 			r := rng.New(1)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -50,26 +50,18 @@ func BenchmarkWRSDraw(b *testing.B) {
 				}
 			}
 		})
-		b.Run(fmt.Sprintf("batched/k=%d", k), func(b *testing.B) {
-			var bt Batcher
-			r := rng.New(1)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				bt.Draw(w, r, out)
-			}
-		})
 		b.Run(fmt.Sprintf("alias-rebuild/k=%d", k), func(b *testing.B) {
 			r := rng.New(1)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				a := NewAlias(w)
+				a := mustAlias(b, w)
 				for j := range out {
 					out[j] = a.Draw(r)
 				}
 			}
 		})
 		b.Run(fmt.Sprintf("alias-static/k=%d", k), func(b *testing.B) {
-			a := NewAlias(w)
+			a := mustAlias(b, w)
 			r := rng.New(1)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -88,17 +80,19 @@ func BenchmarkWRSUpdate(b *testing.B) {
 	for _, k := range benchKs {
 		w := testWeights(k, uint64(k))
 		b.Run(fmt.Sprintf("fenwick-add/k=%d", k), func(b *testing.B) {
-			f := NewFenwick(w)
+			f := mustFenwick(b, w)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				f.Add(i%k, 1e-6)
 			}
 		})
 		b.Run(fmt.Sprintf("rebuild/k=%d", k), func(b *testing.B) {
-			f := NewFenwick(w)
+			f := mustFenwick(b, w)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				f.Reload(w)
+				if err := f.Reload(w); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

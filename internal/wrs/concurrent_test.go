@@ -2,6 +2,7 @@ package wrs
 
 import (
 	"math"
+	"sort"
 	"sync"
 	"testing"
 
@@ -30,29 +31,67 @@ func buildShapes() map[string][]float64 {
 	return shapes
 }
 
-// TestParallelBuildMatchesSequential is the construction cross-check: the
-// fanned-out build must produce the same table as the inline build, bit
-// for bit, at every worker count and shape.
-func TestParallelBuildMatchesSequential(t *testing.T) {
-	for name, w := range buildShapes() {
-		seq, err := NewAliasChecked(w)
-		if err != nil {
-			t.Fatalf("%s: sequential build: %v", name, err)
+// referenceAlias builds the table from the closed forms its doc states,
+// each column solved on its own over the lights' deficit prefix sums dpre
+// and the heavies' surplus prefix sums spre, with no sweep order at all.
+func referenceAlias(w []float64) ([]float64, []int32) {
+	n := len(w)
+	total := 0.0
+	for _, wi := range w {
+		total += wi
+	}
+	mult := float64(n) / total
+	scaled := make([]float64, n)
+	var lights, heavies []int
+	for i, wi := range w {
+		scaled[i] = wi * mult
+		if scaled[i] < 1 {
+			lights = append(lights, i)
+		} else {
+			heavies = append(heavies, i)
 		}
-		for _, workers := range []int{2, 3, 5, 8, 16} {
-			par, err := NewAliasParallel(w, workers)
-			if err != nil {
-				t.Fatalf("%s/workers=%d: parallel build: %v", name, workers, err)
-			}
-			for i := range seq.prob {
-				if math.Float64bits(seq.prob[i]) != math.Float64bits(par.prob[i]) {
-					t.Fatalf("%s/workers=%d: prob[%d] = %v, sequential %v",
-						name, workers, i, par.prob[i], seq.prob[i])
-				}
-				if seq.alias[i] != par.alias[i] {
-					t.Fatalf("%s/workers=%d: alias[%d] = %d, sequential %d",
-						name, workers, i, par.alias[i], seq.alias[i])
-				}
+	}
+	dpre := make([]float64, len(lights)+1) // dpre[i]: deficit of lights[:i]
+	for i, l := range lights {
+		dpre[i+1] = dpre[i] + (1 - scaled[l])
+	}
+	spre := make([]float64, len(heavies)) // spre[j]: surplus of heavies[:j+1]
+	run := 0.0
+	for j, h := range heavies {
+		run += scaled[h] - 1
+		spre[j] = run
+	}
+	prob, alias := make([]float64, n), make([]int32, n)
+	for i, l := range lights {
+		j := sort.Search(len(spre), func(j int) bool { return spre[j] >= dpre[i] })
+		if j == len(spre) {
+			prob[l], alias[l] = 1, int32(l)
+		} else {
+			prob[l], alias[l] = scaled[l], int32(heavies[j])
+		}
+	}
+	for j, h := range heavies {
+		i := sort.Search(len(dpre), func(i int) bool { return dpre[i] > spre[j] })
+		if i == len(dpre) || j == len(heavies)-1 {
+			prob[h], alias[h] = 1, int32(h)
+		} else {
+			prob[h], alias[h] = spre[j]+1-dpre[i], int32(heavies[j+1])
+		}
+	}
+	return prob, alias
+}
+
+// TestAliasBuildMatchesReference is the construction cross-check: the
+// one-pass sweep must produce the closed-form table bit for bit on every
+// shape.
+func TestAliasBuildMatchesReference(t *testing.T) {
+	for name, w := range buildShapes() {
+		a := mustAlias(t, w)
+		prob, alias := referenceAlias(w)
+		for i := range prob {
+			if math.Float64bits(prob[i]) != math.Float64bits(a.prob[i]) || alias[i] != a.alias[i] {
+				t.Fatalf("%s: column %d = (%v→%d), reference (%v→%d)",
+					name, i, a.prob[i], a.alias[i], prob[i], alias[i])
 			}
 		}
 	}
@@ -62,19 +101,13 @@ func TestParallelBuildMatchesSequential(t *testing.T) {
 // scratch buffers land on the same table as a fresh construction — across
 // both growing and shrinking vector lengths.
 func TestAliasReloadMatchesFreshBuild(t *testing.T) {
-	a, err := NewAliasChecked(testWeights(100, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := mustAlias(t, testWeights(100, 1))
 	for _, k := range []int{500, 64, 1, 1000} {
 		w := testWeights(k, uint64(k))
-		if err := a.Reload(w, 4); err != nil {
+		if err := a.Reload(w); err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
-		fresh, err := NewAliasChecked(w)
-		if err != nil {
-			t.Fatalf("k=%d: %v", k, err)
-		}
+		fresh := mustAlias(t, w)
 		for i := range fresh.prob {
 			if math.Float64bits(fresh.prob[i]) != math.Float64bits(a.prob[i]) || fresh.alias[i] != a.alias[i] {
 				t.Fatalf("k=%d: reloaded column %d (%v→%d) != fresh (%v→%d)",
@@ -85,10 +118,9 @@ func TestAliasReloadMatchesFreshBuild(t *testing.T) {
 }
 
 // drawSequential is the single-goroutine reference: slot streams drawn in
-// slot-major order from a fresh StreamSet over the same seed.
+// slot-major order from a fresh sampler over the same seed.
 func drawSequential(w []float64, seed uint64, slots, draws int) [][]int {
-	set := NewStreamSet(rng.New(seed))
-	ca := NewConcurrentAlias(set, slots, 1)
+	ca := NewConcurrentAlias(rng.New(seed), slots)
 	if err := ca.Reload(w); err != nil {
 		panic(err)
 	}
@@ -112,8 +144,7 @@ func TestConcurrentAliasDeterministicUnderRace(t *testing.T) {
 	w := testWeights(512, 3)
 	want := drawSequential(w, 42, slots, draws)
 
-	set := NewStreamSet(rng.New(42))
-	ca := NewConcurrentAlias(set, slots, 8)
+	ca := NewConcurrentAlias(rng.New(42), slots)
 	if err := ca.Reload(w); err != nil {
 		t.Fatal(err)
 	}
@@ -150,8 +181,8 @@ func TestConcurrentAliasReloadPersistsStreams(t *testing.T) {
 	w1, w2 := testWeights(64, 5), testWeights(64, 6)
 
 	streams := rng.New(9).SplitN(slots)
-	a1 := NewAlias(w1)
-	a2 := NewAlias(w2)
+	a1 := mustAlias(t, w1)
+	a2 := mustAlias(t, w2)
 	var want [][]int
 	for s := 0; s < slots; s++ {
 		seq := make([]int, 0, 2*draws)
@@ -166,8 +197,7 @@ func TestConcurrentAliasReloadPersistsStreams(t *testing.T) {
 		}
 	}
 
-	set := NewStreamSet(rng.New(9))
-	ca := NewConcurrentAlias(set, slots, 2)
+	ca := NewConcurrentAlias(rng.New(9), slots)
 	for phase, w := range [][]float64{w1, w2} {
 		if err := ca.Reload(w); err != nil {
 			t.Fatal(err)
@@ -183,33 +213,16 @@ func TestConcurrentAliasReloadPersistsStreams(t *testing.T) {
 	}
 }
 
-// TestStreamSetOrderIndependent checks a slot's stream is the same RNG no
-// matter the order slots are first requested in.
-func TestStreamSetOrderIndependent(t *testing.T) {
-	fwd := NewStreamSet(rng.New(77))
-	rev := NewStreamSet(rng.New(77))
-	var fwdFirst [8]uint64
-	for s := 0; s < 8; s++ {
-		fwdFirst[s] = fwd.Stream(s).Uint64()
-	}
-	for s := 7; s >= 0; s-- {
-		if got := rev.Stream(s).Uint64(); got != fwdFirst[s] {
-			t.Fatalf("slot %d: reverse-order stream drew %d, forward-order %d", s, got, fwdFirst[s])
-		}
-	}
-}
-
 // TestLockedFenwickMatchesFenwick checks the serialized path draws exactly
 // what a plain Fenwick draws on the same per-slot streams, and that its
 // contention counter stays zero under single-goroutine use.
 func TestLockedFenwickMatchesFenwick(t *testing.T) {
 	const slots, draws = 4, 200
 	w := testWeights(128, 8)
-	plain := NewFenwick(w)
+	plain := mustFenwick(t, w)
 	streams := rng.New(21).SplitN(slots)
 
-	set := NewStreamSet(rng.New(21))
-	lf := NewLockedFenwick(set, slots)
+	lf := NewLockedFenwick(rng.New(21), slots)
 	if err := lf.Reload(w); err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +249,7 @@ func TestLockedFenwickMatchesFenwick(t *testing.T) {
 func TestLockedFenwickConcurrentDeterministic(t *testing.T) {
 	const slots, draws = 16, 500
 	w := testWeights(256, 10)
-	plain := NewFenwick(w)
+	plain := mustFenwick(t, w)
 	streams := rng.New(31).SplitN(slots)
 	want := make([][]int, slots)
 	for s := range want {
@@ -246,8 +259,7 @@ func TestLockedFenwickConcurrentDeterministic(t *testing.T) {
 		}
 	}
 
-	set := NewStreamSet(rng.New(31))
-	lf := NewLockedFenwick(set, slots)
+	lf := NewLockedFenwick(rng.New(31), slots)
 	if err := lf.Reload(w); err != nil {
 		t.Fatal(err)
 	}
@@ -273,8 +285,8 @@ func TestLockedFenwickConcurrentDeterministic(t *testing.T) {
 	}
 }
 
-// TestCheckedConstructorErrors covers the error paths the deprecated
-// constructors turned into panics.
+// TestCheckedConstructorErrors covers the constructors' and Reloads'
+// error paths.
 func TestCheckedConstructorErrors(t *testing.T) {
 	bad := map[string]struct {
 		w    []float64
@@ -288,29 +300,29 @@ func TestCheckedConstructorErrors(t *testing.T) {
 		"overflows": {[]float64{math.MaxFloat64, math.MaxFloat64}, ErrBadTotal},
 	}
 	for name, tc := range bad {
-		if _, err := NewAliasChecked(tc.w); err != tc.want {
-			t.Errorf("NewAliasChecked(%s) error = %v, want %v", name, err, tc.want)
+		if _, err := NewAlias(tc.w); err != tc.want {
+			t.Errorf("NewAlias(%s) error = %v, want %v", name, err, tc.want)
 		}
-		if err := (&Alias{}).Reload(tc.w, 4); err != tc.want {
+		if err := (&Alias{}).Reload(tc.w); err != tc.want {
 			t.Errorf("Alias.Reload(%s) error = %v, want %v", name, err, tc.want)
 		}
 	}
 	// Fenwick accepts a zero total at build time (Draw panics instead),
 	// so only the per-weight validation applies.
 	for _, name := range []string{"negative", "nan"} {
-		if _, err := NewFenwickChecked(bad[name].w); err != ErrBadWeight {
-			t.Errorf("NewFenwickChecked(%s) error = %v, want ErrBadWeight", name, err)
+		if _, err := NewFenwick(bad[name].w); err != ErrBadWeight {
+			t.Errorf("NewFenwick(%s) error = %v, want ErrBadWeight", name, err)
 		}
 	}
-	if f, err := NewFenwickChecked([]float64{0, 0}); err != nil || f == nil {
-		t.Errorf("NewFenwickChecked(zero total) = %v, %v; want tree, nil", f, err)
+	if f, err := NewFenwick([]float64{0, 0}); err != nil || f == nil {
+		t.Errorf("NewFenwick(zero total) = %v, %v; want tree, nil", f, err)
 	}
-	f := NewFenwick([]float64{1, 2})
-	if err := f.ReloadChecked([]float64{1, -3}); err != ErrBadWeight {
-		t.Errorf("ReloadChecked(negative) error = %v, want ErrBadWeight", err)
+	f := mustFenwick(t, []float64{1, 2})
+	if err := f.Reload([]float64{1, -3}); err != ErrBadWeight {
+		t.Errorf("Reload(negative) error = %v, want ErrBadWeight", err)
 	}
 	if f.Weight(1) != 2 {
-		t.Errorf("failed ReloadChecked mutated the tree: w[1] = %v", f.Weight(1))
+		t.Errorf("failed Reload mutated the tree: w[1] = %v", f.Weight(1))
 	}
 }
 
@@ -318,8 +330,7 @@ func TestCheckedConstructorErrors(t *testing.T) {
 // frequencies against the weights (zero-weight options never drawn).
 func TestConcurrentAliasDistribution(t *testing.T) {
 	w := testWeights(64, 17)
-	set := NewStreamSet(rng.New(55))
-	ca := NewConcurrentAlias(set, 4, 4)
+	ca := NewConcurrentAlias(rng.New(55), 4)
 	if err := ca.Reload(w); err != nil {
 		t.Fatal(err)
 	}
@@ -334,6 +345,31 @@ func TestConcurrentAliasDistribution(t *testing.T) {
 	for i, wi := range w {
 		if wi == 0 && counts[i] != 0 {
 			t.Fatalf("zero-weight option %d drawn %d times", i, counts[i])
+		}
+	}
+}
+
+// TestSamplerInterfaces pins the Forkable/Stream contract to
+// ConcurrentAlias: every slot's handle is stable, reports the table's
+// option count, and draws in range.
+func TestSamplerInterfaces(t *testing.T) {
+	var f Forkable = NewConcurrentAlias(rng.New(3), 2)
+	if err := f.(*ConcurrentAlias).Reload(testWeights(8, 70)); err != nil {
+		t.Fatal(err)
+	}
+	if f.Len() != 8 {
+		t.Fatalf("len = %d", f.Len())
+	}
+	for slot := 0; slot < 2; slot++ {
+		s := f.Stream(slot)
+		if s != f.Stream(slot) {
+			t.Fatalf("slot %d: Stream returned a different handle", slot)
+		}
+		if s.Len() != 8 {
+			t.Fatalf("slot %d: stream len = %d", slot, s.Len())
+		}
+		if v := s.Draw(); v < 0 || v >= 8 {
+			t.Fatalf("slot %d: draw out of range: %d", slot, v)
 		}
 	}
 }

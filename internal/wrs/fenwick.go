@@ -19,7 +19,7 @@ import (
 // associate additions differently from a left-to-right scan, so an
 // individual draw can differ from rng.Categorical's by one index when the
 // variate falls within a few ulps of a bucket boundary — an event of
-// probability ~k·2⁻⁵³ per draw. Incremental Add/Set calls accumulate
+// probability ~k·2⁻⁵³ per draw. Incremental Add calls accumulate
 // ordinary floating-point drift in the internal nodes; Reload rebuilds the
 // tree exactly and callers that update heavily should invoke it
 // periodically (Standard does, on the same cadence it re-syncs its scalar
@@ -32,56 +32,26 @@ type Fenwick struct {
 	mask int // highest power of two <= n, the descent's starting stride
 }
 
-// NewFenwick builds a sampler over a copy of w. It panics if any weight is
-// negative or NaN. A zero-length or all-zero vector is accepted at build
-// time; Draw panics until the total weight is positive.
-//
-// Deprecated: use NewFenwickChecked, which reports invalid weights as an
-// error instead of panicking mid-run.
-func NewFenwick(w []float64) *Fenwick {
-	f, err := NewFenwickChecked(w)
-	if err != nil {
-		panicWeightErr(err)
-	}
-	return f
-}
-
-// NewFenwickChecked builds a sampler over a copy of w, returning an error
-// if any weight is negative or NaN. A zero-length or all-zero vector is
+// NewFenwick builds a sampler over a copy of w, returning ErrBadWeight if
+// any weight is negative or NaN. A zero-length or all-zero vector is
 // accepted at build time; Draw panics until the total weight is positive.
-func NewFenwickChecked(w []float64) (*Fenwick, error) {
+func NewFenwick(w []float64) (*Fenwick, error) {
 	f := &Fenwick{}
-	if err := f.ReloadChecked(w); err != nil {
+	if err := f.Reload(w); err != nil {
 		return nil, err
 	}
 	return f, nil
 }
 
-// checkWeights validates a weight vector for the checked constructors.
-func checkWeights(w []float64) error {
+// Reload rebuilds the tree exactly from w in O(k), discarding any drift
+// accumulated by incremental updates. The tree storage is reused when the
+// length is unchanged. It returns ErrBadWeight for a negative or NaN
+// weight and leaves the tree unchanged.
+func (f *Fenwick) Reload(w []float64) error {
 	for _, wi := range w {
 		if wi < 0 || math.IsNaN(wi) {
 			return ErrBadWeight
 		}
-	}
-	return nil
-}
-
-// Reload rebuilds the tree exactly from w in O(k), discarding any drift
-// accumulated by incremental updates. The tree storage is reused when the
-// length is unchanged. It panics on negative or NaN weights; see
-// ReloadChecked for the error-returning form.
-func (f *Fenwick) Reload(w []float64) {
-	if err := f.ReloadChecked(w); err != nil {
-		panicWeightErr(err)
-	}
-}
-
-// ReloadChecked is Reload returning an error for negative or NaN weights
-// instead of panicking; on error the tree is left unchanged.
-func (f *Fenwick) ReloadChecked(w []float64) error {
-	if err := checkWeights(w); err != nil {
-		return err
 	}
 	f.n = len(w)
 	if cap(f.tree) >= f.n+1 {
@@ -115,15 +85,6 @@ func (f *Fenwick) Add(i int, delta float64) {
 	}
 }
 
-// Set assigns option i's weight to w in O(log k). It panics on negative or
-// NaN w.
-func (f *Fenwick) Set(i int, w float64) {
-	if w < 0 || math.IsNaN(w) {
-		panic("wrs: Fenwick requires non-negative weights")
-	}
-	f.Add(i, w-f.Weight(i))
-}
-
 // Weight reconstructs option i's current weight in O(log k).
 func (f *Fenwick) Weight(i int) float64 {
 	j := i + 1
@@ -141,15 +102,6 @@ func (f *Fenwick) Weight(i int) float64 {
 func (f *Fenwick) Total() float64 {
 	t := 0.0
 	for j := f.n; j > 0; j -= j & (-j) {
-		t += f.tree[j]
-	}
-	return t
-}
-
-// Prefix returns the cumulative weight of options [0, i) in O(log k).
-func (f *Fenwick) Prefix(i int) float64 {
-	t := 0.0
-	for j := i; j > 0; j -= j & (-j) {
 		t += f.tree[j]
 	}
 	return t

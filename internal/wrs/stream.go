@@ -1,11 +1,6 @@
 package wrs
 
-import (
-	"sync"
-	"sync/atomic"
-
-	"repro/internal/rng"
-)
+import "repro/internal/rng"
 
 // Stream is one worker slot's private draw handle onto a shared sampler:
 // Draw consumes variates from the slot's own deterministic RNG stream, so
@@ -20,13 +15,12 @@ type Stream interface {
 	Draw() int
 }
 
-// Forkable is the concurrent sampler contract that replaces the deprecated
-// Sampler interface on the hot paths: one shared distribution, explicit
-// per-slot streams. Stream(slot) returns the slot's persistent handle;
-// handles for distinct slots may draw concurrently. Implementations fix
-// the slot count at construction and keep each handle bound to the same
-// RNG stream for the sampler's whole lifetime — including across reloads
-// of the underlying distribution.
+// Forkable is the concurrent sampler contract: one shared distribution,
+// explicit per-slot streams. Stream(slot) returns the slot's persistent
+// handle; handles for distinct slots may draw concurrently.
+// Implementations fix the slot count at construction and keep each handle
+// bound to the same RNG stream for the sampler's whole lifetime —
+// including across reloads of the underlying distribution.
 type Forkable interface {
 	// Len returns the number of options k.
 	Len() int
@@ -35,54 +29,18 @@ type Forkable interface {
 	Stream(slot int) Stream
 }
 
-// StreamSet owns the per-slot RNG streams a Forkable sampler hands out.
-// Streams are split from the base RNG in ascending slot order regardless
-// of the order slots are first requested in, so the stream bound to a slot
-// is a deterministic function of (base seed, slot) — the same discipline
-// mwu's evaluator applies to its probe streams. A StreamSet may back
-// several samplers over its lifetime; slot streams persist across sampler
-// reloads, which is what keeps a learner's draw trajectory identical
-// whether its table is frozen once or rebuilt between cycles.
-type StreamSet struct {
-	mu      sync.Mutex
-	base    *rng.RNG
-	streams []*rng.RNG
-}
-
-// NewStreamSet creates a stream set over the given base RNG. The set takes
-// ownership of base: callers must not draw from it afterwards.
-func NewStreamSet(base *rng.RNG) *StreamSet {
-	return &StreamSet{base: base}
-}
-
-// Stream returns slot's RNG, splitting streams [len, slot] off the base in
-// ascending order on first request. The returned RNG is not safe for
-// concurrent use; it belongs to whichever goroutine owns the slot.
-func (s *StreamSet) Stream(slot int) *rng.RNG {
-	if slot < 0 {
-		panic("wrs: negative stream slot")
-	}
-	s.mu.Lock()
-	for len(s.streams) <= slot {
-		s.streams = append(s.streams, s.base.Split())
-	}
-	r := s.streams[slot]
-	s.mu.Unlock()
-	return r
-}
-
 // ConcurrentAlias is the lock-free concurrent draw path: an alias table
 // frozen for the current phase plus per-slot draw streams. Between phases
 // the table may be rebuilt in place with Reload (the stream-sampling MWU
 // learners rebuild every update cycle); the slot handles and their RNG
-// streams persist across reloads. Draws for distinct slots touch disjoint
-// RNG state and read the shared table immutably, so any number of slots
-// may draw concurrently with no lock on the draw path. Reload must be
-// externally ordered against draws — the Run driver's iteration barrier
-// provides exactly that ordering.
+// streams persist across reloads, which keeps a learner's draw trajectory
+// identical whether its table is frozen once or rebuilt between cycles.
+// Draws for distinct slots touch disjoint RNG state and read the shared
+// table immutably, so any number of slots may draw concurrently with no
+// lock on the draw path. Reload must be externally ordered against draws —
+// the Run driver's iteration barrier provides exactly that ordering.
 type ConcurrentAlias struct {
 	tab     Alias
-	workers int
 	handles []aliasHandle
 }
 
@@ -100,26 +58,24 @@ func (h *aliasHandle) Len() int { return h.tab.Len() }
 func (h *aliasHandle) Draw() int { return h.tab.Draw(h.rng) }
 
 // NewConcurrentAlias creates a concurrent alias sampler with the given
-// number of slots, drawing slot streams from set. workers bounds the
-// fan-out of each Reload's table build; 0 or 1 builds inline. The table
-// starts empty: call Reload before the first draw.
-func NewConcurrentAlias(set *StreamSet, slots, workers int) *ConcurrentAlias {
+// number of slots. Slot i draws on the i-th stream of r.SplitN(slots), so
+// its stream is a deterministic function of (r's seed, i); the sampler
+// takes ownership of r. The table starts empty: call Reload before the
+// first draw.
+func NewConcurrentAlias(r *rng.RNG, slots int) *ConcurrentAlias {
 	if slots <= 0 {
 		panic("wrs: ConcurrentAlias needs at least one slot")
 	}
-	c := &ConcurrentAlias{workers: workers, handles: make([]aliasHandle, slots)}
-	for i := range c.handles {
-		c.handles[i] = aliasHandle{tab: &c.tab, rng: set.Stream(i)}
+	c := &ConcurrentAlias{handles: make([]aliasHandle, slots)}
+	for i, sr := range r.SplitN(slots) {
+		c.handles[i] = aliasHandle{tab: &c.tab, rng: sr}
 	}
 	return c
 }
 
-// Reload rebuilds the frozen table in place from w (see Alias.Reload); the
-// result is bit-identical at any workers value. Must not run concurrently
-// with draws.
-func (c *ConcurrentAlias) Reload(w []float64) error {
-	return c.tab.Reload(w, c.workers)
-}
+// Reload rebuilds the frozen table in place from w (see Alias.Reload).
+// Must not run concurrently with draws.
+func (c *ConcurrentAlias) Reload(w []float64) error { return c.tab.Reload(w) }
 
 // Len implements Forkable.
 func (c *ConcurrentAlias) Len() int { return c.tab.Len() }
@@ -127,86 +83,3 @@ func (c *ConcurrentAlias) Len() int { return c.tab.Len() }
 // Stream implements Forkable. Handles are pre-allocated, so the call is
 // lock-free and the returned pointer is stable across the sampler's life.
 func (c *ConcurrentAlias) Stream(slot int) Stream { return &c.handles[slot] }
-
-// LockedFenwick is the serialized compat path: the dynamic Fenwick sampler
-// behind one mutex, exposed through the same Forkable contract. It exists
-// for distributions that must mutate between draws of one phase — and as
-// the honest baseline the parallel-sampling benchmarks measure
-// ConcurrentAlias against. Per-slot streams keep it deterministic (each
-// slot's draw sequence rides its own RNG), but throughput serializes on
-// the mutex; Contention counts how often a draw found it held.
-type LockedFenwick struct {
-	mu         sync.Mutex
-	fen        Fenwick
-	handles    []fenwickHandle
-	contention atomic.Int64
-}
-
-// fenwickHandle is one slot's Stream over a LockedFenwick.
-type fenwickHandle struct {
-	owner *LockedFenwick
-	rng   *rng.RNG
-}
-
-// Len implements Stream.
-func (h *fenwickHandle) Len() int { return h.owner.fen.Len() }
-
-// Draw implements Stream, serializing on the owner's mutex. A failed
-// TryLock is tallied as one contended acquisition before blocking.
-func (h *fenwickHandle) Draw() int {
-	l := h.owner
-	if !l.mu.TryLock() {
-		l.contention.Add(1)
-		l.mu.Lock()
-	}
-	v := l.fen.Draw(h.rng)
-	l.mu.Unlock()
-	return v
-}
-
-// NewLockedFenwick creates a mutex-guarded Fenwick sampler with the given
-// number of slots, drawing slot streams from set. The tree starts empty:
-// call Reload before the first draw.
-func NewLockedFenwick(set *StreamSet, slots int) *LockedFenwick {
-	if slots <= 0 {
-		panic("wrs: LockedFenwick needs at least one slot")
-	}
-	l := &LockedFenwick{handles: make([]fenwickHandle, slots)}
-	for i := range l.handles {
-		l.handles[i] = fenwickHandle{owner: l, rng: set.Stream(i)}
-	}
-	return l
-}
-
-// Reload rebuilds the tree exactly from w, rejecting negative or NaN
-// weights. Safe to call concurrently with draws (it takes the same mutex).
-func (l *LockedFenwick) Reload(w []float64) error {
-	if err := checkWeights(w); err != nil {
-		return err
-	}
-	l.mu.Lock()
-	l.fen.Reload(w)
-	l.mu.Unlock()
-	return nil
-}
-
-// Add adjusts option i's weight by delta under the mutex; see Fenwick.Add.
-func (l *LockedFenwick) Add(i int, delta float64) {
-	l.mu.Lock()
-	l.fen.Add(i, delta)
-	l.mu.Unlock()
-}
-
-// Len implements Forkable.
-func (l *LockedFenwick) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.fen.Len()
-}
-
-// Stream implements Forkable.
-func (l *LockedFenwick) Stream(slot int) Stream { return &l.handles[slot] }
-
-// Contention returns the number of draws that found the mutex held — the
-// serialization cost the lock-free alias path exists to remove.
-func (l *LockedFenwick) Contention() int64 { return l.contention.Load() }

@@ -7,44 +7,33 @@
 // per-iteration sampling cost O(n·k) for n agents, which at the largest
 // evaluation sizes (k = 16384, n = ⌈0.05k⌉ ≈ 819) dominates iteration
 // throughput once the fitness cache absorbs duplicate probe evaluations.
-// This package provides the three standard constructions (following
-// Hübschle-Schneider & Sanders, "Parallel Weighted Random Sampling") that
-// remove the linear scan:
+// Following Hübschle-Schneider & Sanders ("Parallel Weighted Random
+// Sampling"), the package keeps one structure per kind of distribution:
 //
 //   - Fenwick — a binary indexed tree over the weights: O(log k) draw by
-//     prefix-sum descent, O(log k) point update. The right tool for a
+//     prefix-sum descent, O(log k) point update. The structure for a
 //     distribution that mutates between draws (Standard's shared weight
 //     vector, updated every cycle).
-//   - Alias — an alias table: O(k) build (parallelizable, see
-//     NewAliasParallel), O(1) draw. The right tool for a distribution that
-//     is static across many draws (a baseline's fault-localization
-//     weights, a learner's weights frozen for one probe cycle).
-//   - Batcher — a batched categorical draw serving m draws in one
-//     O(k + m log m) pass by merging the m sorted uniforms against the
-//     running cumulative weights. Its draws are bit-identical to m
-//     sequential rng.Categorical calls on the same stream, which is what
-//     lets Standard switch over without perturbing any fixed-seed result.
+//   - Alias — an alias table: O(k) sequential build, O(1) draw. The
+//     structure for a distribution that is frozen across many draws (a
+//     baseline's fault-localization weights, a learner's weights frozen
+//     for one probe cycle).
 //
-// All samplers consume exactly one RNG variate (one Float64) per draw and
-// contain no internal randomness or goroutines, so results under a fixed
-// rng.RNG seed are reproducible at any worker count — the same stream
-// discipline the Run driver's per-slot probe streams follow.
+// Both consume exactly one RNG variate (one Float64) per draw and contain
+// no internal randomness or goroutines, so results under a fixed rng.RNG
+// seed are reproducible at any worker count.
 //
-// For concurrent drawing, the package adds the forkable/stream layer (see
-// Forkable, Stream, StreamSet): a sampler frozen for one phase hands each
-// worker slot a Stream whose draws consume the slot's own deterministic
-// RNG, so any number of slots may draw in parallel — lock-free against a
-// frozen Alias (ConcurrentAlias), serialized behind a mutex for the
-// mutable Fenwick baseline (LockedFenwick) — while each slot's draw
-// sequence stays a pure function of (seed, slot), independent of
-// scheduling and worker count.
+// For concurrent drawing, ConcurrentAlias pairs a frozen Alias with
+// per-slot RNG streams behind the Forkable/Stream contract: each worker
+// slot draws lock-free on its own deterministic stream, so a slot's draw
+// sequence is a pure function of (seed, slot), independent of scheduling
+// and worker count — the same discipline the Run driver's per-slot probe
+// streams follow.
 package wrs
 
 import (
 	"errors"
 	"math"
-
-	"repro/internal/rng"
 )
 
 // ErrBadWeight reports a negative or NaN weight.
@@ -53,35 +42,10 @@ var ErrBadWeight = errors.New("wrs: weights must be non-negative and not NaN")
 // ErrBadTotal reports a total weight that is not positive and finite.
 var ErrBadTotal = errors.New("wrs: total weight must be positive and finite")
 
-// Sampler is a weighted sampler over a fixed number of options: Draw
-// returns an option index distributed proportionally to the sampler's
-// weights, consuming exactly one variate from r.
-//
-// Deprecated: the caller-supplied-RNG contract serializes concurrent
-// callers on driver-side locking. New code should draw through the
-// Forkable/Stream API, which binds a deterministic RNG stream to each
-// worker slot instead; Alias and Fenwick still satisfy Sampler for the
-// remaining single-goroutine call sites.
-type Sampler interface {
-	// Len returns the number of options k.
-	Len() int
-	// Draw samples one option index proportionally to the weights.
-	Draw(r *rng.RNG) int
-}
-
 // validateTotal panics unless total is positive and finite, mirroring
 // rng.Categorical's contract.
 func validateTotal(total float64) {
 	if !(total > 0) || math.IsInf(total, 1) {
 		panic("wrs: sampler requires positive finite total weight")
 	}
-}
-
-// panicWeightErr converts a checked-constructor error into the panic the
-// deprecated panicking constructors are documented (and tested) to raise.
-func panicWeightErr(err error) {
-	if errors.Is(err, ErrBadTotal) {
-		panic("wrs: sampler requires positive finite total weight")
-	}
-	panic("wrs: sampler requires non-negative weights")
 }

@@ -51,9 +51,29 @@ func chiSquared(t *testing.T, counts []int, w []float64, draws int) {
 	}
 }
 
+// mustFenwick and mustAlias build test samplers over weights known to be
+// valid.
+func mustFenwick(t testing.TB, w []float64) *Fenwick {
+	t.Helper()
+	f, err := NewFenwick(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+func mustAlias(t testing.TB, w []float64) *Alias {
+	t.Helper()
+	a, err := NewAlias(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
 func TestFenwickMatchesNaiveSums(t *testing.T) {
 	w := testWeights(100, 1)
-	f := NewFenwick(w)
+	f := mustFenwick(t, w)
 	if f.Len() != 100 {
 		t.Fatalf("len = %d", f.Len())
 	}
@@ -61,9 +81,6 @@ func TestFenwickMatchesNaiveSums(t *testing.T) {
 	for i, wi := range w {
 		if got := f.Weight(i); math.Abs(got-wi) > 1e-12 {
 			t.Fatalf("weight[%d] = %v, want %v", i, got, wi)
-		}
-		if got := f.Prefix(i); math.Abs(got-acc) > 1e-9 {
-			t.Fatalf("prefix(%d) = %v, want %v", i, got, acc)
 		}
 		acc += wi
 	}
@@ -74,7 +91,7 @@ func TestFenwickMatchesNaiveSums(t *testing.T) {
 
 func TestFenwickAddSetTracksVector(t *testing.T) {
 	w := testWeights(37, 2)
-	f := NewFenwick(w)
+	f := mustFenwick(t, w)
 	r := rng.New(3)
 	for step := 0; step < 1000; step++ {
 		i := r.Intn(len(w))
@@ -86,8 +103,9 @@ func TestFenwickAddSetTracksVector(t *testing.T) {
 			w[i] += delta
 			f.Add(i, delta)
 		} else {
-			w[i] = r.Float64() * 3
-			f.Set(i, w[i])
+			v := r.Float64() * 3
+			f.Add(i, v-w[i])
+			w[i] = v
 		}
 	}
 	for i, wi := range w {
@@ -112,7 +130,7 @@ func TestFenwickAddSetTracksVector(t *testing.T) {
 func TestFenwickDrawMatchesCategorical(t *testing.T) {
 	for _, k := range []int{1, 2, 3, 17, 64, 1000} {
 		w := testWeights(k, uint64(10+k))
-		f := NewFenwick(w)
+		f := mustFenwick(t, w)
 		ra, rb := rng.New(99), rng.New(99)
 		for d := 0; d < 5000; d++ {
 			want := ra.Categorical(w)
@@ -126,7 +144,7 @@ func TestFenwickDrawMatchesCategorical(t *testing.T) {
 
 func TestFenwickDrawDistribution(t *testing.T) {
 	w := testWeights(40, 4)
-	f := NewFenwick(w)
+	f := mustFenwick(t, w)
 	r := rng.New(5)
 	const draws = 200000
 	counts := make([]int, len(w))
@@ -138,22 +156,22 @@ func TestFenwickDrawDistribution(t *testing.T) {
 
 func TestFenwickReloadDiscardsDrift(t *testing.T) {
 	w := testWeights(64, 6)
-	f := NewFenwick(w)
+	f := mustFenwick(t, w)
 	// Pile on tiny increments that accumulate associativity drift.
 	for step := 0; step < 100000; step++ {
 		i := step % len(w)
 		f.Add(i, 1e-9)
 		w[i] += 1e-9
 	}
-	f.Reload(w)
+	if err := f.Reload(w); err != nil {
+		t.Fatal(err)
+	}
 	acc := 0.0
 	for _, wi := range w {
 		acc += wi
 	}
-	if f.Total() != func() float64 { // exact rebuild: totals agree to the ulp of the tree association
-		g := NewFenwick(w)
-		return g.Total()
-	}() {
+	// Exact rebuild: totals agree to the ulp of the tree association.
+	if f.Total() != mustFenwick(t, w).Total() {
 		t.Fatal("Reload is not an exact rebuild")
 	}
 	if math.Abs(f.Total()-acc) > 1e-9*acc {
@@ -163,7 +181,7 @@ func TestFenwickReloadDiscardsDrift(t *testing.T) {
 
 func TestFenwickZeroWeightNeverDrawn(t *testing.T) {
 	w := []float64{0, 3, 0, 0, 2, 0}
-	f := NewFenwick(w)
+	f := mustFenwick(t, w)
 	r := rng.New(7)
 	for d := 0; d < 20000; d++ {
 		got := f.Draw(r)
@@ -175,10 +193,9 @@ func TestFenwickZeroWeightNeverDrawn(t *testing.T) {
 
 func TestFenwickPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"negative weight": func() { NewFenwick([]float64{1, -1}) },
-		"nan weight":      func() { NewFenwick([]float64{math.NaN()}) },
-		"zero total draw": func() { NewFenwick([]float64{0, 0}).Draw(rng.New(1)) },
-		"set negative":    func() { NewFenwick([]float64{1}).Set(0, -2) },
+		"zero total draw": func() { mustFenwick(t, []float64{0, 0}).Draw(rng.New(1)) },
+		"empty draw":      func() { mustFenwick(t, nil).Draw(rng.New(1)) },
+		"infinite draw":   func() { mustFenwick(t, []float64{1, math.Inf(1)}).Draw(rng.New(1)) },
 	} {
 		func() {
 			defer func() {
@@ -194,7 +211,7 @@ func TestFenwickPanics(t *testing.T) {
 func TestAliasDistribution(t *testing.T) {
 	for _, k := range []int{1, 2, 5, 40, 257} {
 		w := testWeights(k, uint64(20+k))
-		a := NewAlias(w)
+		a := mustAlias(t, w)
 		if a.Len() != k {
 			t.Fatalf("len = %d", a.Len())
 		}
@@ -209,7 +226,7 @@ func TestAliasDistribution(t *testing.T) {
 }
 
 func TestAliasSingleton(t *testing.T) {
-	a := NewAlias([]float64{2.5})
+	a := mustAlias(t, []float64{2.5})
 	r := rng.New(1)
 	for d := 0; d < 100; d++ {
 		if a.Draw(r) != 0 {
@@ -218,110 +235,66 @@ func TestAliasSingleton(t *testing.T) {
 	}
 }
 
-func TestAliasPanics(t *testing.T) {
-	for name, fn := range map[string]func(){
-		"negative":   func() { NewAlias([]float64{1, -1}) },
-		"zero total": func() { NewAlias([]float64{0, 0}) },
-		"infinite":   func() { NewAlias([]float64{math.Inf(1)}) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("%s: expected panic", name)
+// TestDrawPathsMatchCategorical is the differential check: every draw
+// path — Fenwick, Alias and a ConcurrentAlias stream — is compared with
+// rng.Categorical on the same weights by a two-sample chi-squared test,
+// and must never draw a zero-weight option.
+func TestDrawPathsMatchCategorical(t *testing.T) {
+	uniform := make([]float64, 32)
+	for i := range uniform {
+		uniform[i] = 1
+	}
+	sets := map[string][]float64{
+		"uniform": uniform,
+		"random":  testWeights(64, 80),
+		"zeros":   {0, 3, 0, 0, 2, 0, 1e-3, 0, 5},
+		"extreme": {1e-300, 0, 1e-150, 1, 1e150, 2e299, 1e300, 0, 5e299, 1e-300},
+	}
+	paths := map[string]func(w []float64) func() int{
+		"fenwick": func(w []float64) func() int {
+			f, r := mustFenwick(t, w), rng.New(81)
+			return func() int { return f.Draw(r) }
+		},
+		"alias": func(w []float64) func() int {
+			a, r := mustAlias(t, w), rng.New(82)
+			return func() int { return a.Draw(r) }
+		},
+		"concurrent-alias": func(w []float64) func() int {
+			c := NewConcurrentAlias(rng.New(83), 2)
+			if err := c.Reload(w); err != nil {
+				t.Fatal(err)
+			}
+			return c.Stream(1).Draw
+		},
+	}
+	const draws = 100000
+	for set, w := range sets {
+		ref := rng.New(84)
+		want := make([]int, len(w))
+		for d := 0; d < draws; d++ {
+			want[ref.Categorical(w)]++
+		}
+		for path, mk := range paths {
+			draw := mk(w)
+			got := make([]int, len(w))
+			for d := 0; d < draws; d++ {
+				got[draw()]++
+			}
+			// Equal sample sizes: χ² = Σ (a−b)²/(a+b) over occupied bins.
+			chi2, df := 0.0, -1
+			for i := range w {
+				if w[i] == 0 && got[i] != 0 {
+					t.Fatalf("%s/%s: zero-weight option %d drawn %d times", set, path, i, got[i])
 				}
-			}()
-			fn()
-		}()
-	}
-}
-
-// TestBatcherBitIdenticalToCategorical is the batched sampler's defining
-// property: for any batch size, the outputs and the RNG stream consumption
-// are exactly those of sequential rng.Categorical calls.
-func TestBatcherBitIdenticalToCategorical(t *testing.T) {
-	var b Batcher
-	for _, k := range []int{1, 2, 3, 16, 100, 1000} {
-		for _, m := range []int{1, 2, 7, 64, 500} {
-			w := testWeights(k, uint64(40+k))
-			ra, rb := rng.New(uint64(50+k*m)), rng.New(uint64(50+k*m))
-			want := make([]int, m)
-			for j := range want {
-				want[j] = ra.Categorical(w)
-			}
-			got := make([]int, m)
-			b.Draw(w, rb, got)
-			for j := range want {
-				if got[j] != want[j] {
-					t.Fatalf("k=%d m=%d draw %d: batched %d, categorical %d", k, m, j, got[j], want[j])
+				if n := got[i] + want[i]; n > 0 {
+					d := float64(got[i] - want[i])
+					chi2 += d * d / float64(n)
+					df++
 				}
 			}
-			// Stream positions must also agree: the next variates match.
-			if ra.Uint64() != rb.Uint64() {
-				t.Fatalf("k=%d m=%d: stream positions diverged", k, m)
+			if limit := float64(df) + 4.9*math.Sqrt(float64(df)) + 10; chi2 > limit {
+				t.Errorf("%s/%s: chi-squared %.1f exceeds %.1f (df=%d) against rng.Categorical", set, path, chi2, limit, df)
 			}
-		}
-	}
-}
-
-func TestBatcherExtremeWeights(t *testing.T) {
-	// Heavy skew plus zeros: the merge walk must respect the same
-	// boundaries as the scan, including the slack fallback.
-	w := []float64{0, 1e-300, 5, 0, 1e300, 0, 2, 0}
-	ra, rb := rng.New(77), rng.New(77)
-	const m = 4000
-	want := make([]int, m)
-	for j := range want {
-		want[j] = ra.Categorical(w)
-	}
-	got := make([]int, m)
-	var b Batcher
-	b.Draw(w, rb, got)
-	for j := range want {
-		if got[j] != want[j] {
-			t.Fatalf("draw %d: batched %d, categorical %d", j, got[j], want[j])
-		}
-	}
-}
-
-func TestBatcherEmptyBatch(t *testing.T) {
-	var b Batcher
-	r := rng.New(1)
-	b.Draw([]float64{1, 2}, r, nil) // must not draw or panic
-	if r.Uint64() != rng.New(1).Uint64() {
-		t.Fatal("empty batch consumed variates")
-	}
-}
-
-func TestBatchedCategoricalConvenience(t *testing.T) {
-	w := testWeights(50, 60)
-	out := make([]int, 100)
-	BatchedCategorical(w, rng.New(2), out)
-	for _, v := range out {
-		if v < 0 || v >= len(w) {
-			t.Fatalf("draw out of range: %d", v)
-		}
-	}
-}
-
-func TestBatcherPanicsOnZeroTotal(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	BatchedCategorical([]float64{0, 0}, rng.New(1), make([]int, 1))
-}
-
-// TestSamplerInterfaces pins the Sampler contract to the two draw-only
-// implementations.
-func TestSamplerInterfaces(t *testing.T) {
-	w := testWeights(8, 70)
-	for _, s := range []Sampler{NewFenwick(w), NewAlias(w)} {
-		if s.Len() != 8 {
-			t.Fatalf("len = %d", s.Len())
-		}
-		if v := s.Draw(rng.New(3)); v < 0 || v >= 8 {
-			t.Fatalf("draw out of range: %d", v)
 		}
 	}
 }
