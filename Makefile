@@ -9,6 +9,7 @@
 #   make store       persistent-store gate: corruption recovery + warm-start determinism under -race, write-behind overhead bound
 #   make psample     concurrent-sampling gate: stream/alias determinism under -race + BENCH_PR9.json trio + 4x draw-throughput check
 #   make mwbench-check vet + short tests of the cmd/mwbench benchmark module (root ./... never reaches it)
+#   make fuzz-smoke  every native fuzz target for 5 s each, beyond its seed corpus
 #   make scenarios   scenario-family gate: multi-hunk/drifting/adversarial calibration + drift determinism under -race + E12 JSON schema check
 #   make bench-psample regenerate BENCH_PR9.json (BenchmarkParallelSample trio at -benchtime 1s)
 #   make servebench  service-level smoke: repairbench closed-loop sweep vs an in-process daemon + BENCH_SERVE schema gate
@@ -27,15 +28,15 @@ BENCH_OUT ?= BENCH_PR7.json
 # The perf-trajectory benchmarks frozen into BENCH_PR2.json: the
 # BenchmarkSample primitive comparison (naive scan vs Fenwick),
 # the end-to-end learner cycle, the wrs draw/update microbenchmarks, and the
-# PR-1 cache hot-path benchmarks (sharded vs mutex, dedup).
+# PR-1 cache hot-path benchmarks (one-lock runner vs the seed's mutex map, dedup).
 SAMPLING_BENCH = BenchmarkSample|BenchmarkSampleUpdateCycle|BenchmarkWRS|BenchmarkRunnerCacheHitThroughput|BenchmarkRunnerDuplicateProbeThroughput|BenchmarkAblationDedupCache
 
 # Where `make servebench-full` writes the committed service-level record.
 SERVE_OUT ?= BENCH_SERVE.json
 
-.PHONY: ci vet build test race chaos trace daemon-smoke store psample mwbench-check scenarios bench-psample servebench servebench-full bench bench-smoke bench-probe bench-all
+.PHONY: ci vet build test race chaos trace daemon-smoke store psample mwbench-check fuzz-smoke scenarios bench-psample servebench servebench-full bench bench-smoke bench-probe bench-all
 
-ci: vet build race bench-smoke chaos trace daemon-smoke store psample mwbench-check scenarios servebench
+ci: vet build race bench-smoke chaos trace daemon-smoke store psample mwbench-check fuzz-smoke scenarios servebench
 
 vet:
 	$(GO) vet ./...
@@ -101,6 +102,15 @@ psample:
 mwbench-check:
 	cd cmd/mwbench && $(GO) vet ./... && $(GO) test -short ./...
 
+# Fuzz smoke: each native fuzz target explores past its seed corpus for
+# 5 s. go test -fuzz takes one target per invocation, hence one line
+# each. A failure leaves its input under the package's testdata/fuzz/
+# for plain go test to replay.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzReload$$' -fuzztime 5s ./internal/wrs
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime 5s ./internal/store
+	$(GO) test -run '^$$' -fuzz '^FuzzLoadSnapshot$$' -fuzztime 5s ./internal/store
+
 # Scenario-family gate: the multi-hunk/drifting/adversarial calibration
 # and validation suites (proper-subset proofs, drift-schedule invariants,
 # stale-fingerprint purge, congestion-cost invariance, the byte-identical
@@ -144,8 +154,8 @@ servebench-full:
 		-store /tmp/servebench-store -o $(SERVE_OUT)
 	$(GO) run ./cmd/benchjson -validate-serve $(SERVE_OUT)
 
-# The probe-evaluation hot path: sharded cache-hit throughput vs the
-# single-mutex baseline, singleflight dedup, cached-vs-uncached ablation,
+# The probe-evaluation hot path: the runner's cache-hit throughput vs the
+# seed's single-mutex map, singleflight dedup, cached-vs-uncached ablation,
 # and phase-1 pool precompute scaling. -benchtime 1x keeps it a smoke
 # check; raise it for real measurements.
 bench-probe:

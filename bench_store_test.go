@@ -3,6 +3,7 @@ package repro
 import (
 	"context"
 	"os"
+	"sort"
 	"testing"
 
 	"repro/internal/lang"
@@ -120,17 +121,32 @@ func BenchmarkProbeWriteBehind(b *testing.B) {
 // write-behind persistence may cost at most 5% on the probe hot path.
 // Wall-clock benchmark comparisons are noisy on shared CI machines, so
 // the gate is opt-in via STORE_BENCH=1 (the `make store` target sets it).
+// It measures gatePairs off/cold pairs back to back, alternating which
+// side runs first so slow drift of the host hits both alike, logs every
+// pair's ratio, and gates on the median ratio: one preempted run moves
+// one pair, not the verdict.
 func TestProbeWriteBehindOverheadGate(t *testing.T) {
 	if os.Getenv("STORE_BENCH") == "" {
 		t.Skip("set STORE_BENCH=1 to run the write-behind overhead gate")
 	}
-	off := testing.Benchmark(benchProbeOff)
-	cold := testing.Benchmark(benchProbeCold)
-	ratio := float64(cold.NsPerOp()) / float64(off.NsPerOp())
-	t.Logf("off %d ns/op, cold %d ns/op, overhead %.2f%%",
-		off.NsPerOp(), cold.NsPerOp(), 100*(ratio-1))
-	if ratio > 1.05 {
-		t.Errorf("write-behind overhead %.2f%% exceeds the 5%% budget (off %d ns/op, cold %d ns/op)",
-			100*(ratio-1), off.NsPerOp(), cold.NsPerOp())
+	const gatePairs = 9
+	ratios := make([]float64, gatePairs)
+	for i := range ratios {
+		var off, cold testing.BenchmarkResult
+		if i%2 == 0 {
+			off, cold = testing.Benchmark(benchProbeOff), testing.Benchmark(benchProbeCold)
+		} else {
+			cold, off = testing.Benchmark(benchProbeCold), testing.Benchmark(benchProbeOff)
+		}
+		ratios[i] = float64(cold.NsPerOp()) / float64(off.NsPerOp())
+		t.Logf("pair %d: off %d ns/op, cold %d ns/op, overhead %.2f%%",
+			i, off.NsPerOp(), cold.NsPerOp(), 100*(ratios[i]-1))
+	}
+	sort.Float64s(ratios)
+	median := ratios[gatePairs/2]
+	t.Logf("median overhead %.2f%% over %d pairs", 100*(median-1), gatePairs)
+	if median > 1.05 {
+		t.Errorf("median write-behind overhead %.2f%% exceeds the 5%% budget (pair ratios %v)",
+			100*(median-1), ratios)
 	}
 }

@@ -292,9 +292,9 @@ func BenchmarkAblationDedupCache(b *testing.B) {
 }
 
 // singleMutexRunner replicates the seed Runner's cache design — one global
-// sync.Mutex in front of a plain map — as the ablation baseline for the
-// sharded cache. Misses fall through to an uncached evaluation, exactly
-// like the original.
+// sync.Mutex in front of a plain map, with no singleflight — as the
+// ablation baseline for the Runner's cache. Misses fall through to an
+// uncached evaluation, exactly like the original.
 type singleMutexRunner struct {
 	runner *testsuite.Runner
 	mu     sync.Mutex
@@ -323,7 +323,7 @@ func (m *singleMutexRunner) eval(p *lang.Program) testsuite.Fitness {
 
 // BenchmarkRunnerCacheHitThroughput measures parallel cache-hit throughput
 // — the online loop's hot path once the mutant population stabilizes — for
-// the sharded RWMutex cache against the previous single-mutex design. The
+// the Runner's one-lock cache against the seed's single-mutex map. The
 // workload is 8 goroutines hitting a fully warmed cache of small mutants;
 // per-op suite cost is negligible, so the numbers isolate lock contention.
 func BenchmarkRunnerCacheHitThroughput(b *testing.B) {
@@ -354,7 +354,7 @@ func BenchmarkRunnerCacheHitThroughput(b *testing.B) {
 		wg.Wait()
 	}
 
-	b.Run("sharded", func(b *testing.B) {
+	b.Run("runner", func(b *testing.B) {
 		r := testsuite.NewRunner(suite)
 		bench(b, func(p *lang.Program) testsuite.Fitness { return r.Eval(context.Background(), p) })
 	})
@@ -364,12 +364,12 @@ func BenchmarkRunnerCacheHitThroughput(b *testing.B) {
 	})
 }
 
-// BenchmarkRunnerDuplicateProbeThroughput measures the singleflight half
-// of the sharded cache's win: 8 workers probing the same fresh expensive
-// mutant simultaneously — the scenario where several MWU agents sample the
-// same arm and compose the same mutation set. The seed's check-then-
-// evaluate cache races and pays up to 8 full suite runs per round; the
-// sharded runner executes the suite once and the other workers join the
+// BenchmarkRunnerDuplicateProbeThroughput measures the Runner's
+// singleflight: 8 workers probing the same fresh expensive mutant
+// simultaneously — the scenario where several MWU agents sample the same
+// arm and compose the same mutation set. The seed's check-then-evaluate
+// cache races and pays up to 8 full suite runs per round; the Runner
+// executes the suite once and the other workers join the
 // in-flight evaluation. Evaluation is made long enough (~10ms) that
 // workers genuinely overlap regardless of core count.
 func BenchmarkRunnerDuplicateProbeThroughput(b *testing.B) {
@@ -402,7 +402,7 @@ func BenchmarkRunnerDuplicateProbeThroughput(b *testing.B) {
 		}
 	}
 
-	b.Run("sharded", func(b *testing.B) {
+	b.Run("runner", func(b *testing.B) {
 		r := testsuite.NewRunner(suite)
 		bench(b, func(p *lang.Program) testsuite.Fitness { return r.Eval(context.Background(), p) })
 		b.ReportMetric(float64(r.Evals())/float64(b.N), "suite-runs/round")

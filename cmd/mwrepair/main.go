@@ -231,7 +231,7 @@ func main() {
 		}
 		fmt.Printf("phase 2: %s in %d iterations (%d probes, %d fitness evals, %v)\n",
 			state, res.Iterations, res.Probes, res.FitnessEvals, elapsed)
-		fmt.Printf("  cache: %d hits (%d dedup-suppressed), %d contended shard locks\n",
+		fmt.Printf("  cache: %d hits (%d dedup-suppressed), %d contended cache-lock waits\n",
 			res.CacheHits, res.DedupSuppressed, res.ShardContention)
 		familyStats()
 		closeStore()
@@ -240,7 +240,7 @@ func main() {
 	}
 	fmt.Printf("phase 2 (%s MWU): REPAIRED in %d iterations × %d agents (%d probes, %d fitness evals, %v)\n",
 		*alg, res.Iterations, res.Agents, res.Probes, res.FitnessEvals, elapsed)
-	fmt.Printf("  cache: %d hits (%d dedup-suppressed), %d contended shard locks\n",
+	fmt.Printf("  cache: %d hits (%d dedup-suppressed), %d contended cache-lock waits\n",
 		res.CacheHits, res.DedupSuppressed, res.ShardContention)
 	if res.WarmEntries > 0 {
 		fmt.Printf("  store: %d entries warm-started, %d warm hits\n", res.WarmEntries, res.WarmHits)

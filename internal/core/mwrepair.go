@@ -186,8 +186,9 @@ type Result struct {
 	// deduplication: probes of a mutant whose evaluation was in flight on
 	// another worker at that moment.
 	DedupSuppressed int64
-	// ShardContention counts contended cache-shard lock acquisitions — an
-	// observability proxy for how hard the parallel probes hit the cache.
+	// ShardContention counts contended acquisitions of the fitness cache's
+	// one lock (the name predates its single lock) — an observability
+	// proxy for how hard the parallel probes hit the cache.
 	ShardContention int64
 	// LearnedArm is the composition size (x) the learner favoured at the
 	// end — the online estimate of the Fig. 4b optimum.

@@ -92,7 +92,7 @@ func WriteJSON(w io.Writer, cells []Cell) error {
 }
 
 // aprRowJSON is the stable export schema for -apr -json. The cache
-// triple (hits, dedup-suppressed, shard contention) serializes the
+// triple (hits, dedup-suppressed, cache-lock contention) serializes the
 // fitness-cache observability that mwu.Metrics carries — the APR
 // comparison is the one experiment where those counters are live.
 type aprRowJSON struct {

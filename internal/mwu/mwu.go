@@ -164,7 +164,8 @@ type Metrics struct {
 	// CacheHits, DedupSuppressed and ShardContention mirror the fitness
 	// cache's observability when the oracle is backed by a
 	// testsuite.Runner: probes answered from cache, probes suppressed by
-	// in-flight deduplication, and contended cache-shard acquisitions.
+	// in-flight deduplication, and contended acquisitions of the cache's
+	// one lock (the field keeps its older per-shard name).
 	// They are filled in by drivers that own the runner (core.Repair);
 	// synthetic bandit oracles leave them zero.
 	CacheHits       int64

@@ -79,7 +79,7 @@ const (
 	// rather than the raw hit count — is what keeps the stream
 	// deterministic: it is invariant across worker counts and across
 	// cache warmth, since a store-warmed cache converts evaluations into
-	// hits one for one. Deduplication, shard contention and the hit/eval
+	// hits one for one. Deduplication, cache-lock contention and the hit/eval
 	// split are properties of the physical execution, so they are
 	// exported through the Registry, never through the deterministic
 	// event stream.

@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // TestRetryAfterSubSecondRoundsUp: a sub-second RetryAfter config must
@@ -232,5 +234,19 @@ func TestJobLatencyHistogramsObserved(t *testing.T) {
 		if q := h.Quantile(0.5); !(q >= 0) {
 			t.Errorf("%s Quantile(0.5) = %v, want >= 0", name, q)
 		}
+	}
+}
+
+// TestLatencyBoundsResolveSubMillisecondWaits: an idle worker claims a job
+// within tens of microseconds, so the queue-wait histogram must resolve
+// waits far below 1 ms. With 1 ms as the lowest bound, waits of ~0.02 ms
+// interpolate to a p50 of 0.5 ms, 25× what a client measures.
+func TestLatencyBoundsResolveSubMillisecondWaits(t *testing.T) {
+	h := obs.NewRegistry().Histogram("server.job.queue_wait_ms", latencyBoundsMs)
+	for i := 0; i < 100; i++ {
+		h.Observe(0.018 + 0.00004*float64(i)) // 0.018 .. 0.022 ms
+	}
+	if q := h.Quantile(0.5); q > 0.025 {
+		t.Fatalf("queue-wait p50 = %v ms for waits of ~0.02 ms, want <= 0.025", q)
 	}
 }

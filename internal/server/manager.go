@@ -6,7 +6,7 @@
 //
 // The paper's contribution is *parallel* repair — MWU learners steering a
 // fleet of probe evaluators — and that engineering only pays off when
-// many repair jobs share one warm process: the sharded fitness cache, the
+// many repair jobs share one warm process: the fitness cache, the
 // persistent worker pools, and the precompute amortization
 // (ROADMAP items 1–2) all assume a daemon. Design follows the classic
 // object-server shape (bounded concurrency, FIFO-within-priority
@@ -161,10 +161,12 @@ type Manager struct {
 // latencyBoundsMs buckets the per-job latency histograms (queue-wait,
 // execution, end-to-end). Repair jobs span four orders of magnitude —
 // warm-store custom programs finish in single-digit milliseconds, cold
-// registry scenarios take seconds to minutes — so the bounds are dense at
-// the low end and log-spaced above, keeping Histogram.Quantile's
-// interpolation error proportional to the value it estimates.
+// registry scenarios take seconds to minutes — and an idle worker picks a
+// job up within tens of microseconds, so the bounds start at 10 µs and
+// are log-spaced throughout, keeping Histogram.Quantile's interpolation
+// error proportional to the value it estimates.
 var latencyBoundsMs = []float64{
+	0.01, 0.025, 0.05, 0.1, 0.25, 0.5,
 	1, 2.5, 5, 10, 25, 50, 100, 250, 500,
 	1000, 2500, 5000, 10_000, 30_000, 60_000, 300_000, 600_000,
 }

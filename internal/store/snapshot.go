@@ -42,20 +42,7 @@ type snapshot struct {
 // writeSnapshot serializes snap to path atomically: temp file in the
 // same directory, fsync, rename, fsync the directory.
 func writeSnapshot(path string, snap snapshot) error {
-	buf := make([]byte, 0, 40+(len(snap.evals)+len(snap.pools))*recordSize+4)
-	buf = append(buf, snapshotMagic...)
-	buf = binary.LittleEndian.AppendUint64(buf, snap.appliedSeq)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(snap.appliedOff))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(snap.evals)))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(snap.pools)))
-	for _, e := range snap.evals {
-		buf = evalToRecord(e).encode(buf)
-	}
-	for _, p := range snap.pools {
-		buf = poolToRecord(p).encode(buf)
-	}
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
-
+	buf := encodeSnapshot(snap)
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, ".snap-*")
 	if err != nil {
@@ -87,14 +74,39 @@ func writeSnapshot(path string, snap snapshot) error {
 	return nil
 }
 
+// encodeSnapshot renders snap in the layout documented on snapshot.
+func encodeSnapshot(snap snapshot) []byte {
+	buf := make([]byte, 0, 40+(len(snap.evals)+len(snap.pools))*recordSize+4)
+	buf = append(buf, snapshotMagic...)
+	buf = binary.LittleEndian.AppendUint64(buf, snap.appliedSeq)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(snap.appliedOff))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(snap.evals)))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(snap.pools)))
+	for _, e := range snap.evals {
+		buf = evalToRecord(e).encode(buf)
+	}
+	for _, p := range snap.pools {
+		buf = poolToRecord(p).encode(buf)
+	}
+	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
+}
+
 // loadSnapshot reads and validates a snapshot. Any failure — missing
-// file, bad magic, short read, CRC mismatch, corrupt embedded record —
-// returns ok=false and the caller falls back to a full scan.
+// file, bad magic, short read, CRC mismatch, an applied offset that is
+// not a record boundary, record counts that disagree with the body,
+// corrupt embedded record — returns ok=false and the caller falls back
+// to a full scan.
 func loadSnapshot(path string) (snapshot, bool) {
 	buf, err := os.ReadFile(path)
 	if err != nil {
 		return snapshot{}, false
 	}
+	return decodeSnapshot(buf)
+}
+
+// decodeSnapshot validates and decodes a snapshot file's bytes, with
+// loadSnapshot's ok=false contract for anything malformed.
+func decodeSnapshot(buf []byte) (snapshot, bool) {
 	if len(buf) < len(snapshotMagic)+32+4 || string(buf[:len(snapshotMagic)]) != snapshotMagic {
 		return snapshot{}, false
 	}
@@ -107,10 +119,18 @@ func loadSnapshot(path string) (snapshot, bool) {
 		appliedSeq: binary.LittleEndian.Uint64(rd[0:]),
 		appliedOff: int64(binary.LittleEndian.Uint64(rd[8:])),
 	}
+	// The applied offset steers the pack scan, so it must be a record
+	// boundary past the header.
+	if hdr := int64(len(packMagic)); snap.appliedOff < hdr || (snap.appliedOff-hdr)%recordSize != 0 {
+		return snapshot{}, false
+	}
 	nEvals := binary.LittleEndian.Uint64(rd[16:])
 	nPools := binary.LittleEndian.Uint64(rd[24:])
 	rd = rd[32:]
-	if uint64(len(rd)) != (nEvals+nPools)*recordSize {
+	// Bound each count before multiplying: crafted counts must not wrap
+	// the size check around to a match.
+	if maxRecs := uint64(len(rd) / recordSize); nEvals > maxRecs || nPools > maxRecs ||
+		(nEvals+nPools)*recordSize != uint64(len(rd)) {
 		return snapshot{}, false
 	}
 	for i := uint64(0); i < nEvals; i++ {

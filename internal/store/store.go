@@ -1,5 +1,5 @@
 // Package store is the disk-backed, crash-safe evaluation store: the
-// persistence layer under the sharded fitness cache and the mutation
+// persistence layer under the fitness cache and the mutation
 // pool. Evaluation verdicts and safe-mutation records are appended to
 // pack files (pack.go) through a write-behind buffer, indexed in memory
 // by (program hash, suite fingerprint), snapshotted periodically

@@ -2,12 +2,12 @@
 //
 // A drifting repair scenario changes its test suite while the online
 // search runs — tests are added, reweighted, or the bug-inducing input
-// moves. The cache-correctness hazard is that the sharded fitness cache
-// is keyed by program hash alone: every cached verdict is a pure function
-// of (program, suite), so a suite change invalidates all of them, and a
+// moves. The cache-correctness hazard is that the fitness cache is keyed
+// by program hash alone: every cached verdict is a pure function of
+// (program, suite), so a suite change invalidates all of them, and a
 // naive in-place swap of the suite would keep serving verdicts computed
 // against the old tests. SetSuite is the only supported way to change a
-// runner's suite: it purges every shard, re-fingerprints for the
+// runner's suite: it swaps in an empty cache map, re-fingerprints for the
 // persistent store (stale-fingerprint records then key nothing), and
 // warm-starts again so only verdicts recorded against the NEW suite load.
 //
@@ -79,12 +79,9 @@ func (d *Drift) Len() int {
 // called concurrently with probes; drivers call it from the update-cycle
 // boundary, where no probe is in flight.
 func (r *Runner) SetSuite(s *Suite) int {
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.Lock()
-		sh.entries = nil
-		sh.mu.Unlock()
-	}
+	r.mu.Lock()
+	r.entries = make(map[uint64]*cacheEntry)
+	r.mu.Unlock()
 	r.suite = s
 	if r.store == nil {
 		return 0

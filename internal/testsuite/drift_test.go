@@ -29,7 +29,7 @@ func constSuite(want int64) *Suite {
 }
 
 // The regression this package's drift support exists to prevent: the
-// sharded cache is keyed by program hash alone, so swapping the suite
+// cache is keyed by program hash alone, so swapping the suite
 // without purging would keep serving verdicts computed against the old
 // tests. Before SetSuite existed there was no safe way to change a
 // runner's suite; a naive `r.suite = s` (what pre-PR code would have had

@@ -1,5 +1,5 @@
 // Store integration: identity keys, write-behind persistence of computed
-// verdicts, and warm-starting the sharded cache from disk.
+// verdicts, and warm-starting the cache from disk.
 //
 // Determinism argument: an evaluation verdict is a pure function of
 // (program, suite) — the interpreter is deterministic and the suite is
@@ -69,7 +69,7 @@ func (r *Runner) AttachStore(st *store.Store) {
 	r.suiteFP = r.suite.Fingerprint()
 }
 
-// WarmStart preloads the sharded cache with every stored verdict whose
+// WarmStart preloads the cache with every stored verdict whose
 // suite fingerprint matches this runner's suite, and returns how many
 // entries it loaded. Entries loaded here only ever *add* knowledge the
 // runner would otherwise recompute; they are skipped when the cache
@@ -81,14 +81,10 @@ func (r *Runner) WarmStart() int {
 	}
 	loaded := 0
 	for _, rec := range r.store.Evals(r.suiteFP) {
-		sh := r.shard(rec.Prog)
-		if sh.entries == nil {
-			sh.entries = make(map[uint64]*cacheEntry)
-		}
-		e := sh.entries[rec.Prog]
+		e := r.entries[rec.Prog]
 		if e == nil {
 			e = &cacheEntry{}
-			sh.entries[rec.Prog] = e
+			r.entries[rec.Prog] = e
 		}
 		if rec.Level <= e.level {
 			continue
@@ -127,7 +123,7 @@ func (r *Runner) WarmHits() int64 { return r.warmHits.Load() }
 func (r *Runner) Lookups() int64 { return r.CacheHits() + r.evals.Load() }
 
 // persist records a completed, cache-advancing computation in the
-// attached store. Called off the shard lock; the store's write-behind
+// attached store. Called off the cache lock; the store's write-behind
 // buffer keeps it off the hot path.
 func (r *Runner) persist(key uint64, level uint8, res probeResult) {
 	if r.store == nil {

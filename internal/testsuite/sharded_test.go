@@ -10,11 +10,11 @@ import (
 	"repro/internal/lang"
 )
 
-// TestShardedRunnerConcurrentDistinctMutants hammers the sharded cache
-// with many goroutines evaluating an overlapping set of distinct mutants.
+// TestShardedRunnerConcurrentDistinctMutants hammers the cache with many
+// goroutines evaluating an overlapping set of distinct mutants.
 // Singleflight deduplication must guarantee exactly one suite execution
 // per distinct program, no matter how the goroutines interleave (run with
-// -race; this is the concurrency regression test for the sharded Runner).
+// -race; this is the concurrency regression test for the Runner).
 func TestShardedRunnerConcurrentDistinctMutants(t *testing.T) {
 	const distinct = 100
 	const goroutines = 16
@@ -36,7 +36,7 @@ func TestShardedRunnerConcurrentDistinctMutants(t *testing.T) {
 			<-start
 			for i := 0; i < distinct; i++ {
 				// Different goroutines walk the programs in different
-				// orders so shard access overlaps.
+				// orders so their lookups interleave.
 				p := programs[(i*(g+1))%distinct]
 				f := r.Eval(context.Background(), p)
 				want := 0
@@ -180,16 +180,11 @@ func TestShardedRunnerUnsafeAnswersOutcome(t *testing.T) {
 }
 
 // TestShardContentionCounter sanity-checks the contention observability:
-// it only moves when shard write locks collide, and resets with the other
-// counters.
+// it only moves when cache-lock acquisitions collide.
 func TestShardContentionCounter(t *testing.T) {
 	r := NewRunner(sumSuite())
 	r.Eval(context.Background(), lang.MustParse(sumSrc))
 	if c := r.ShardContention(); c != 0 {
 		t.Fatalf("sequential use contended %d times", c)
-	}
-	r.ResetCounters()
-	if r.Evals() != 0 || r.CacheHits() != 0 || r.DedupSuppressed() != 0 || r.ShardContention() != 0 {
-		t.Fatal("counters not reset")
 	}
 }

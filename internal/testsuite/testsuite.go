@@ -106,12 +106,6 @@ func (f Fitness) String() string {
 	return fmt.Sprintf("%d/%d pos, %d/%d neg", f.PosPassed, f.PosTotal, f.NegPassed, f.NegTotal)
 }
 
-// shardCount is the number of cache shards. A power of two so the shard
-// index is a mask of the program hash; 64 shards keep the probability of
-// two of ~dozens of concurrent probers landing on the same shard low
-// without bloating the Runner.
-const shardCount = 64
-
 // knowledge levels of a cache entry, ordered so that a higher level
 // answers every question a lower level can: a full Fitness determines the
 // Outcome flags, and the Outcome flags determine safety.
@@ -122,14 +116,13 @@ const (
 	levelFitness       // full test-by-test Fitness known
 )
 
-// cacheEntry is the unified cache record for one program hash. It replaces
-// the previous three parallel maps (fitness, safe, outcome): one entry
-// carries whatever level of knowledge has been computed so far and is
-// upgraded in place. The inflight channels implement singleflight
-// deduplication — inflight[l] is non-nil while a computation that will
-// raise the entry to at least level l is running, and is closed when that
-// result lands, waking all goroutines that joined it instead of paying
-// for their own evaluation.
+// cacheEntry is the cache record for one program hash: it carries
+// whatever level of knowledge has been computed so far and is upgraded in
+// place. The inflight channels implement singleflight deduplication —
+// inflight[l] is non-nil while a computation that will raise the entry to
+// at least level l is running, and is closed when that result lands,
+// waking all goroutines that joined it instead of paying for their own
+// evaluation.
 type cacheEntry struct {
 	level   uint8
 	safe    bool
@@ -150,31 +143,22 @@ type probeResult struct {
 	fitness Fitness
 }
 
-// cacheShard is one lock domain of the sharded cache. The hot counters
-// (hits, dedup joins) live per shard so the cache-hit fast path touches no
-// globally shared cache line; the pad spaces shards apart so neighboring
-// shards do not false-share.
-type cacheShard struct {
-	mu      sync.RWMutex
-	entries map[uint64]*cacheEntry
-	hits    atomic.Int64
-	dedup   atomic.Int64
-
-	_ [64]byte // padding: keep adjacent shards on separate cache lines
-}
-
 // Runner evaluates programs against a fixed suite with memoization and
 // evaluation counting. It is safe for concurrent use: MWRepair and the
-// baselines evaluate many mutants in parallel goroutines. The cache is
-// sharded by program hash (one RWMutex per shard) and deduplicates
-// in-flight work: N goroutines probing the same mutant concurrently run
-// the suite once and share the result.
+// baselines evaluate many mutants in parallel goroutines. The cache is one
+// map under one mutex, and it deduplicates in-flight work: N goroutines
+// probing the same mutant concurrently run the suite once and share the
+// result. The lock is held only for map bookkeeping, never while a suite
+// runs.
 type Runner struct {
-	suite  *Suite
-	shards [shardCount]cacheShard
+	suite   *Suite
+	mu      sync.Mutex
+	entries map[uint64]*cacheEntry // guarded by mu
 
 	evals      atomic.Int64 // fitness evaluations actually executed
-	contention atomic.Int64 // shard write-lock acquisitions that had to wait
+	hits       atomic.Int64 // lookups answered without an evaluation
+	dedup      atomic.Int64 // hits answered by joining an in-flight evaluation
+	contention atomic.Int64 // cache-lock acquisitions that had to wait
 
 	// Optional persistence (persist.go): completed evaluations are
 	// written behind to store, and WarmStart preloads the cache from it.
@@ -186,23 +170,18 @@ type Runner struct {
 
 // NewRunner creates a runner over the suite.
 func NewRunner(s *Suite) *Runner {
-	return &Runner{suite: s}
+	return &Runner{suite: s, entries: make(map[uint64]*cacheEntry)}
 }
 
 // Suite returns the underlying suite.
 func (r *Runner) Suite() *Suite { return r.suite }
 
-// shard returns the shard owning key.
-func (r *Runner) shard(key uint64) *cacheShard {
-	return &r.shards[key&(shardCount-1)]
-}
-
-// lockShard write-locks sh, counting the acquisition as contended when the
-// lock was not immediately available.
-func (r *Runner) lockShard(sh *cacheShard) {
-	if !sh.mu.TryLock() {
+// lock acquires the cache lock, counting the acquisition as contended
+// when the lock was not immediately available.
+func (r *Runner) lock() {
+	if !r.mu.TryLock() {
 		r.contention.Add(1)
-		sh.mu.Lock()
+		r.mu.Lock()
 	}
 }
 
@@ -210,27 +189,22 @@ func (r *Runner) lockShard(sh *cacheShard) {
 // query at the given level. Besides the plain level comparison, a program
 // known to be unsafe answers Outcome queries: unsafe implies not a repair.
 func answered(e *cacheEntry, level uint8) bool {
-	if e == nil {
-		return false
-	}
 	if e.level >= level {
 		return true
 	}
 	return level == levelOutcome && e.level >= levelSafe && !e.safe
 }
 
-// resultOf extracts the entry's current knowledge. Call with the owning
-// shard lock held (read or write).
+// resultOf extracts the entry's current knowledge. Call with r.mu held.
 func resultOf(e *cacheEntry) probeResult {
 	return probeResult{safe: e.safe, repair: e.repair, fitness: e.fitness}
 }
 
 // evalAt returns at least the given knowledge level for key, running
 // compute at most once across all concurrent callers requesting it.
-// Completed results are served lock-shared; callers that find the same
-// computation already in flight block on its channel instead of
-// re-running the suite (counted as both a cache hit — an evaluation was
-// avoided — and a dedup suppression).
+// Callers that find the same computation already in flight block on its
+// channel instead of re-running the suite (counted as both a cache hit —
+// an evaluation was avoided — and a dedup suppression).
 //
 // compute reports whether its result is complete. An incomplete result
 // (the evaluation was cancelled mid-suite) is returned to the caller that
@@ -238,87 +212,63 @@ func resultOf(e *cacheEntry) probeResult {
 // woken joiners loop back to re-check the entry instead of trusting it —
 // one of them becomes the next computer if the answer is still wanted.
 func (r *Runner) evalAt(key uint64, level uint8, compute func() (probeResult, bool)) probeResult {
-	sh := r.shard(key)
 	for {
-		// Fast path: a completed result under the shared read lock.
-		sh.mu.RLock()
-		if e, ok := sh.entries[key]; ok && answered(e, level) {
-			res := resultOf(e)
-			warm := e.warm
-			sh.mu.RUnlock()
-			sh.hits.Add(1)
-			if warm {
-				r.warmHits.Add(1)
-			}
-			return res
-		}
-		sh.mu.RUnlock()
-
-		r.lockShard(sh)
-		if sh.entries == nil {
-			sh.entries = make(map[uint64]*cacheEntry)
-		}
-		e := sh.entries[key]
+		r.lock()
+		e := r.entries[key]
 		if e == nil {
 			e = &cacheEntry{}
-			sh.entries[key] = e
+			r.entries[key] = e
 		}
 		if answered(e, level) {
-			res := resultOf(e)
-			warm := e.warm
-			sh.mu.Unlock()
-			sh.hits.Add(1)
+			res, warm := resultOf(e), e.warm
+			r.mu.Unlock()
+			r.hits.Add(1)
 			if warm {
 				r.warmHits.Add(1)
 			}
 			return res
 		}
 		// Join an in-flight computation that will reach the needed level.
-		joined := false
-		for l := level; l <= levelFitness; l++ {
-			if ch := e.inflight[l]; ch != nil {
-				sh.mu.Unlock()
-				<-ch
-				joined = true
-				break
-			}
+		var ch chan struct{}
+		for l := level; l <= levelFitness && ch == nil; l++ {
+			ch = e.inflight[l]
 		}
-		if joined {
+		if ch != nil {
+			r.mu.Unlock()
+			<-ch
 			// The computation we joined may have been cancelled and left
 			// nothing behind; verify before answering from the entry.
-			sh.mu.RLock()
-			if answered(e, level) {
-				res := resultOf(e)
-				sh.mu.RUnlock()
-				sh.hits.Add(1)
-				sh.dedup.Add(1)
+			r.lock()
+			res, ok := resultOf(e), answered(e, level)
+			r.mu.Unlock()
+			if ok {
+				r.hits.Add(1)
+				r.dedup.Add(1)
 				return res
 			}
-			sh.mu.RUnlock()
 			continue
 		}
 		// This goroutine computes for everyone who joins at this level.
-		ch := make(chan struct{})
+		ch = make(chan struct{})
 		e.inflight[level] = ch
-		sh.mu.Unlock()
+		r.mu.Unlock()
 
 		res, complete := compute()
 		if complete {
 			r.evals.Add(1)
 		}
 
-		r.lockShard(sh)
-		advanced := false
-		if complete && level > e.level {
+		r.lock()
+		advanced := complete && level > e.level
+		if advanced {
 			e.level = level
 			e.safe = res.safe
 			e.repair = res.repair
 			e.fitness = res.fitness
 			e.warm = false // locally computed now; no longer store-derived
-			advanced = true
 		}
 		e.inflight[level] = nil
-		sh.mu.Unlock()
+		r.mu.Unlock()
 		close(ch)
 		if advanced {
 			r.persist(key, level, res)
@@ -392,58 +342,9 @@ func (r *Runner) evalUncached(ctx context.Context, p *lang.Program) (Fitness, bo
 // was run, just not to completion).
 func (r *Runner) Safe(p *lang.Program) bool {
 	res := r.evalAt(programKey(p), levelSafe, func() (probeResult, bool) {
-		safe := true
-		for _, tc := range r.suite.Positive {
-			if !RunTest(p, tc) {
-				safe = false
-				break
-			}
-		}
-		return probeResult{safe: safe}, true
+		return probeResult{safe: passesAll(p, r.suite.Positive)}, true
 	})
 	return res.safe
-}
-
-// Evals returns the number of fitness evaluations executed (excluding
-// cache hits) — the Sec. IV-G cost metric.
-func (r *Runner) Evals() int64 { return r.evals.Load() }
-
-// CacheHits returns the number of evaluations avoided by deduplication:
-// lookups answered from a completed cache entry plus lookups answered by
-// joining an in-flight computation (the latter are also counted in
-// DedupSuppressed).
-func (r *Runner) CacheHits() int64 {
-	var n int64
-	for i := range r.shards {
-		n += r.shards[i].hits.Load()
-	}
-	return n
-}
-
-// DedupSuppressed returns the number of evaluations avoided specifically
-// by singleflight deduplication: goroutines that found the same program's
-// evaluation already in flight and waited for its result instead of
-// re-running the suite.
-func (r *Runner) DedupSuppressed() int64 {
-	var n int64
-	for i := range r.shards {
-		n += r.shards[i].dedup.Load()
-	}
-	return n
-}
-
-// ShardContention returns how many shard write-lock acquisitions found the
-// lock held — a cheap proxy for cache contention under parallel probing.
-func (r *Runner) ShardContention() int64 { return r.contention.Load() }
-
-// ResetCounters zeroes the evaluation counters (the cache is retained).
-func (r *Runner) ResetCounters() {
-	r.evals.Store(0)
-	r.contention.Store(0)
-	for i := range r.shards {
-		r.shards[i].hits.Store(0)
-		r.shards[i].dedup.Store(0)
-	}
 }
 
 // Outcome classifies the program with the minimum work the repair search
@@ -455,83 +356,43 @@ func (r *Runner) ResetCounters() {
 // short-circuited check counts as one fitness evaluation.
 func (r *Runner) Outcome(p *lang.Program) (safe, repair bool) {
 	res := r.evalAt(programKey(p), levelOutcome, func() (probeResult, bool) {
-		safe := true
-		for _, tc := range r.suite.Positive {
-			if !RunTest(p, tc) {
-				safe = false
-				break
-			}
-		}
-		repair := safe
-		if safe {
-			for _, tc := range r.suite.Negative {
-				if !RunTest(p, tc) {
-					repair = false
-					break
-				}
-			}
-		}
-		return probeResult{safe: safe, repair: repair}, true
+		safe := passesAll(p, r.suite.Positive)
+		return probeResult{safe: safe, repair: safe && passesAll(p, r.suite.Negative)}, true
 	})
 	return res.safe, res.repair
 }
 
-// EvalParallel evaluates the program with test cases fanned out across
-// workers goroutines. This is the parallelism the paper attributes to
-// earlier APR tools ("previous algorithms parallelized the evaluation of
-// a set of test cases on a single program"); MWRepair instead
-// parallelizes across candidate programs, but the primitive is provided
-// for comparison and for very large suites. Results are identical to
-// Eval and share its cache and counters.
-func (r *Runner) EvalParallel(p *lang.Program, workers int) Fitness {
-	if workers <= 1 || r.suite.Size() <= 1 {
-		return r.Eval(context.Background(), p)
+// passesAll reports whether p passes every test, stopping at the first
+// failure: the short circuit Safe and Outcome share.
+func passesAll(p *lang.Program, tests []Test) bool {
+	for _, tc := range tests {
+		if !RunTest(p, tc) {
+			return false
+		}
 	}
-	res := r.evalAt(programKey(p), levelFitness, func() (probeResult, bool) {
-		f := r.evalParallelUncached(p, workers)
-		return probeResult{safe: f.Safe(), repair: f.Repair(), fitness: f}, true
-	})
-	return res.fitness
+	return true
 }
 
-// evalParallelUncached fans the suite's test cases out across workers
-// goroutines and assembles the Fitness.
-func (r *Runner) evalParallelUncached(p *lang.Program, workers int) Fitness {
-	f := Fitness{PosTotal: len(r.suite.Positive), NegTotal: len(r.suite.Negative)}
-	type job struct {
-		tc  Test
-		neg bool
-	}
-	jobs := make(chan job)
-	var wg sync.WaitGroup
-	var posPassed, negPassed atomic.Int64
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				if RunTest(p, j.tc) {
-					if j.neg {
-						negPassed.Add(1)
-					} else {
-						posPassed.Add(1)
-					}
-				}
-			}
-		}()
-	}
-	for _, tc := range r.suite.Positive {
-		jobs <- job{tc: tc}
-	}
-	for _, tc := range r.suite.Negative {
-		jobs <- job{tc: tc, neg: true}
-	}
-	close(jobs)
-	wg.Wait()
-	f.PosPassed = int(posPassed.Load())
-	f.NegPassed = int(negPassed.Load())
-	return f
-}
+// Evals returns the number of fitness evaluations executed (excluding
+// cache hits) — the Sec. IV-G cost metric.
+func (r *Runner) Evals() int64 { return r.evals.Load() }
+
+// CacheHits returns the number of evaluations avoided by deduplication:
+// lookups answered from a completed cache entry plus lookups answered by
+// joining an in-flight computation (the latter are also counted in
+// DedupSuppressed).
+func (r *Runner) CacheHits() int64 { return r.hits.Load() }
+
+// DedupSuppressed returns the number of evaluations avoided specifically
+// by singleflight deduplication: goroutines that found the same program's
+// evaluation already in flight and waited for its result instead of
+// re-running the suite.
+func (r *Runner) DedupSuppressed() int64 { return r.dedup.Load() }
+
+// ShardContention returns how many cache-lock acquisitions found the lock
+// held — a cheap proxy for cache contention under parallel probing. The
+// name predates the single lock; result types and exports still carry it.
+func (r *Runner) ShardContention() int64 { return r.contention.Load() }
 
 // Coverage returns, for each statement of p, whether any test in the
 // suite executes it. The paper restricts all mutations to lines executed

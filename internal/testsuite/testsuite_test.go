@@ -129,15 +129,6 @@ func TestEvalNoCacheAlwaysExecutes(t *testing.T) {
 	}
 }
 
-func TestResetCounters(t *testing.T) {
-	r := NewRunner(sumSuite())
-	r.Eval(context.Background(), lang.MustParse(sumSrc))
-	r.ResetCounters()
-	if r.Evals() != 0 || r.CacheHits() != 0 {
-		t.Fatal("counters not reset")
-	}
-}
-
 func TestRunnerConcurrent(t *testing.T) {
 	r := NewRunner(sumSuite())
 	var wg sync.WaitGroup
@@ -254,40 +245,6 @@ func TestRunnerSafeReusesFitnessCache(t *testing.T) {
 	}
 	if r.Evals() != 1 || r.CacheHits() != 1 {
 		t.Fatalf("evals = %d hits = %d", r.Evals(), r.CacheHits())
-	}
-}
-
-func TestEvalParallelMatchesSequential(t *testing.T) {
-	rSeq := NewRunner(sumSuite())
-	rPar := NewRunner(sumSuite())
-	for _, src := range []string{sumSrc, buggySumSrc} {
-		p := lang.MustParse(src)
-		seq := rSeq.Eval(context.Background(), p)
-		par := rPar.EvalParallel(p, 4)
-		if seq != par {
-			t.Fatalf("parallel fitness %v != sequential %v", par, seq)
-		}
-	}
-	if rPar.Evals() != 2 {
-		t.Fatalf("parallel evals = %d", rPar.Evals())
-	}
-}
-
-func TestEvalParallelCaches(t *testing.T) {
-	r := NewRunner(sumSuite())
-	p := lang.MustParse(sumSrc)
-	r.EvalParallel(p, 4)
-	r.EvalParallel(p.Clone(), 4)
-	if r.Evals() != 1 || r.CacheHits() != 1 {
-		t.Fatalf("evals = %d hits = %d", r.Evals(), r.CacheHits())
-	}
-}
-
-func TestEvalParallelSingleWorkerFallback(t *testing.T) {
-	r := NewRunner(sumSuite())
-	f := r.EvalParallel(lang.MustParse(sumSrc), 1)
-	if !f.Repair() {
-		t.Fatal("single-worker fallback wrong")
 	}
 }
 
