@@ -110,6 +110,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReload$$' -fuzztime 5s ./internal/wrs
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime 5s ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadSnapshot$$' -fuzztime 5s ./internal/store
+	$(GO) test -run '^$$' -fuzz '^FuzzParseRoundTrip$$' -fuzztime 5s ./internal/lang
+	$(GO) test -run '^$$' -fuzz '^FuzzRunContained$$' -fuzztime 5s ./internal/lang
 
 # Scenario-family gate: the multi-hunk/drifting/adversarial calibration
 # and validation suites (proper-subset proofs, drift-schedule invariants,

@@ -399,20 +399,16 @@ func Repair(ctx context.Context, pl *pool.Pool, suite *testsuite.Suite, learner 
 	})
 
 	patch, mutant := oracle.repair()
-	// Mirror the runner's cache observability into the learner's metrics
-	// so cost reports built from Metrics alone can include it.
 	m := learner.Metrics()
-	m.CacheHits = runner.CacheHits()
-	m.DedupSuppressed = runner.DedupSuppressed()
-	m.ShardContention = runner.ShardContention()
-	m.WarmEntries = runner.WarmEntries()
-	m.WarmHits = runner.WarmHits()
-	m.CongestionCost = runRes.CongestionCost
-	m.MaxLoad = runRes.MaxLoad
-	if cfg.Registry != nil {
-		m.Export(cfg.Registry, "mwu")
-		cfg.Registry.Counter("cache.warm_entries").Set(runner.WarmEntries())
-		cfg.Registry.Counter("cache.warm_hits").Set(runner.WarmHits())
+	if reg := cfg.Registry; reg != nil {
+		m.Export(reg, "mwu")
+		reg.Gauge("mwu.congestion_cost").Set(runRes.CongestionCost)
+		reg.Gauge("mwu.max_load").Set(float64(runRes.MaxLoad))
+		reg.Counter("cache.hits").Set(runner.CacheHits())
+		reg.Counter("cache.dedup_suppressed").Set(runner.DedupSuppressed())
+		reg.Counter("cache.lock_contention").Set(runner.ShardContention())
+		reg.Counter("cache.warm_entries").Set(runner.WarmEntries())
+		reg.Counter("cache.warm_hits").Set(runner.WarmHits())
 	}
 	res := Result{
 		Repaired:        patch != nil,
@@ -421,16 +417,16 @@ func Repair(ctx context.Context, pl *pool.Pool, suite *testsuite.Suite, learner 
 		Iterations:      runRes.Iterations,
 		Probes:          m.Probes,
 		FitnessEvals:    runner.Evals(),
-		CacheHits:       m.CacheHits,
-		DedupSuppressed: m.DedupSuppressed,
-		ShardContention: m.ShardContention,
+		CacheHits:       runner.CacheHits(),
+		DedupSuppressed: runner.DedupSuppressed(),
+		ShardContention: runner.ShardContention(),
 		LearnedArm:      runRes.Choice + 1,
 		Agents:          learner.Agents(),
 		Cancelled:       runRes.Cancelled,
 		Degraded:        runRes.Degraded,
 		Faults:          m.Faults,
-		WarmEntries:     m.WarmEntries,
-		WarmHits:        m.WarmHits,
+		WarmEntries:     runner.WarmEntries(),
+		WarmHits:        runner.WarmHits(),
 		DriftSteps:      nextDrift,
 		CongestionCost:  runRes.CongestionCost,
 		MaxLoad:         runRes.MaxLoad,

@@ -96,14 +96,13 @@ func (s *SweepSpec) fill() {
 func newSweepLearner(param SweepParam, value float64, k int, r *rng.RNG) (mwu.Learner, error) {
 	switch param {
 	case SweepEta:
-		return mwu.NewLearner(mwu.Config{Algorithm: "standard", K: k}, r,
-			mwu.WithAgents(16), mwu.WithRate(value))
+		return mwu.NewLearner(mwu.Config{Algorithm: "standard", K: k, Agents: 16, Rate: value}, r)
 	case SweepGamma:
-		return mwu.NewLearner(mwu.Config{Algorithm: "slate", K: k}, r, mwu.WithRate(value))
+		return mwu.NewLearner(mwu.Config{Algorithm: "slate", K: k, Rate: value}, r)
 	case SweepMu:
 		return mwu.NewDistributed(mwu.DistributedConfig{K: k, Mu: value}, r)
 	case SweepBeta:
-		return mwu.NewLearner(mwu.Config{Algorithm: "distributed", K: k}, r, mwu.WithRate(value))
+		return mwu.NewLearner(mwu.Config{Algorithm: "distributed", K: k, Rate: value}, r)
 	default:
 		return nil, fmt.Errorf("experiments: unknown sweep parameter %q", param)
 	}

@@ -1,6 +1,7 @@
 package lang
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -85,24 +86,72 @@ func TestQuickRandomProgramsContained(t *testing.T) {
 	}
 }
 
-// Property: coverage tracing marks exactly the executed prefix semantics —
-// a covered statement index is always within bounds and the entry
-// statement of a non-empty program that executes at least one step is
-// covered.
-func TestQuickCoverageSane(t *testing.T) {
-	f := func(seed uint64, sizeRaw uint8) bool {
-		r := rng.New(seed)
-		p := randomProgram(r, int(sizeRaw)%30+1)
-		res := Run(p, Options{Input: []int64{1, 2, 3}, MaxSteps: 1000, Trace: true})
-		if len(res.Coverage) != p.Len() {
-			return false
+// fuzzSeeds is the shared seed corpus of the native fuzz targets: a few
+// hand-written programs plus the canonical text of generated ones, so the
+// seed run under plain go test already covers randomProgram's shapes.
+func fuzzSeeds() []string {
+	seeds := []string{
+		"",
+		"halt\n",
+		"input n\nset acc = 0\nlabel top\nif n <= 0 goto done\nset acc = acc + n\nset n = n - 1\ngoto top\nlabel done\nprint acc\nhalt\n",
+		"set a = (-(3 * 4)) / (2 - 2)\nprint a\n",
+		"label l\ngoto l\n",
+		"print !(1 && 0 || 7 % 3 >= 1)\n",
+	}
+	for i := uint64(0); i < 32; i++ {
+		seeds = append(seeds, randomProgram(rng.New(i), int(i%20)+1).String())
+	}
+	return seeds
+}
+
+// FuzzParseRoundTrip: the canonical text of any program the parser
+// accepts re-parses to the same canonical text.
+func FuzzParseRoundTrip(f *testing.F) {
+	for _, s := range fuzzSeeds() {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		p, err := Parse(src)
+		if err != nil {
+			return
+		}
+		text := p.String()
+		p2, err := Parse(text)
+		if err != nil {
+			t.Fatalf("canonical text does not re-parse: %v\n%s", err, text)
+		}
+		if got := p2.String(); got != text {
+			t.Fatalf("round trip changed the text:\n%s\n---\n%s", text, got)
+		}
+	})
+}
+
+// FuzzRunContained: the interpreter contains any parsed program — no
+// panic, at most MaxSteps statements, one coverage flag per statement
+// with the entry statement covered once anything ran, and a repeated run
+// is identical.
+func FuzzRunContained(f *testing.F) {
+	for i, s := range fuzzSeeds() {
+		f.Add(s, int64(i), int64(-i), uint16(100*i))
+	}
+	f.Fuzz(func(t *testing.T, src string, in1, in2 int64, budget uint16) {
+		p, err := Parse(src)
+		if err != nil {
+			return
+		}
+		opts := Options{Input: []int64{in1, in2}, MaxSteps: int(budget)%5000 + 1, Trace: true}
+		res := Run(p, opts)
+		if res.Steps > opts.MaxSteps {
+			t.Fatalf("%d steps exceed the budget of %d", res.Steps, opts.MaxSteps)
+		}
+		if len(res.Coverage) != len(p.Stmts) {
+			t.Fatalf("%d coverage flags for %d statements", len(res.Coverage), len(p.Stmts))
 		}
 		if res.Steps > 0 && !res.Coverage[0] {
-			return false
+			t.Fatal("entry statement ran but is not covered")
 		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
+		if again := Run(p, opts); !reflect.DeepEqual(res, again) {
+			t.Fatalf("repeated run differs: %+v vs %+v", res, again)
+		}
+	})
 }

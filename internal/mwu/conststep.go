@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/congestion"
 	"repro/internal/rng"
-	"repro/internal/wrs"
 )
 
 // CongestionConfig parameterizes the constant-step congestion-game MWU.
@@ -67,15 +66,10 @@ func (c *CongestionConfig) fill() {
 // reports to the metrics is the game's own quantity — the maximum load any
 // arm carried in the cycle — which is what the dynamics actively dissipate.
 type Congestion struct {
-	cfg        CongestionConfig
-	weights    []float64
-	loads      []int // per-arm load tally, rebuilt each cycle
-	arrived    []int // scratch for the arms that arrived in a degraded cycle
-	sampler    *wrs.ConcurrentAlias
-	leader     int
-	leaderProb float64
-	converged  bool
-	metrics    Metrics
+	streamWeights
+	cfg     CongestionConfig
+	loads   []int // per-arm load tally, rebuilt each cycle
+	arrived []int // scratch for the arms that arrived in a degraded cycle
 }
 
 // NewCongestion creates a Congestion learner; r seeds the per-slot draw
@@ -85,16 +79,10 @@ func NewCongestion(cfg CongestionConfig, r *rng.RNG) *Congestion {
 	if cfg.K <= 0 {
 		panic("mwu: CongestionConfig.K must be positive")
 	}
-	w := make([]float64, cfg.K)
-	for i := range w {
-		w[i] = 1
-	}
 	c := &Congestion{
-		cfg:        cfg,
-		weights:    w,
-		loads:      make([]int, cfg.K),
-		sampler:    wrs.NewConcurrentAlias(r, cfg.Agents),
-		leaderProb: 1 / float64(cfg.K),
+		streamWeights: newStreamWeights(cfg.K, cfg.Agents, r),
+		cfg:           cfg,
+		loads:         make([]int, cfg.K),
 	}
 	// The shared weight vector plus the per-arm load tally.
 	c.metrics.MemoryFloats = 2 * int64(cfg.K)
@@ -110,109 +98,37 @@ func (c *Congestion) K() int { return c.cfg.K }
 // Agents implements Learner.
 func (c *Congestion) Agents() int { return c.cfg.Agents }
 
-// FreezeSampler implements StreamSampler; see Optimistic.FreezeSampler.
-func (c *Congestion) FreezeSampler() (wrs.Forkable, error) {
-	if err := c.sampler.Reload(c.weights); err != nil {
-		return nil, err
-	}
-	return c.sampler, nil
-}
+// Update implements Learner: UpdateMissing with every reward arrived.
+func (c *Congestion) Update(arms []int, rewards []float64) { c.UpdateMissing(arms, rewards, nil) }
 
-// Sample implements Learner for drivers that do not use the stream path;
-// see Optimistic.Sample for the contract.
-func (c *Congestion) Sample() []int {
-	s, err := c.FreezeSampler()
-	if err != nil {
-		panic(err)
-	}
-	arms := make([]int, c.cfg.Agents)
-	for i := range arms {
-		arms[i] = s.Stream(i).Draw()
-	}
-	return arms
-}
-
-// Update tallies the cycle's loads, then applies the load-shared linear
-// rule to every sampled arm in slot order.
-func (c *Congestion) Update(arms []int, rewards []float64) {
-	if len(arms) != len(rewards) {
-		panic("mwu: arms/rewards length mismatch")
-	}
-	maxLoad := congestion.LoadsInto(c.loads, arms)
-	for j, arm := range arms {
-		g := congestion.SharedGain(rewards[j], c.loads[arm], c.cfg.Lambda)
-		c.weights[arm] *= 1 + c.cfg.Epsilon*g
-	}
-	// The game's congestion: the heaviest-loaded arm this cycle.
-	c.metrics.recordIteration(c.cfg.Agents, maxLoad, int64(c.cfg.Agents))
-	c.finishCycle()
-}
-
-// UpdateMissing implements PartialUpdater: only the arms whose rewards
-// arrived place load and receive updates — a vanished player neither
-// congests a resource nor learns from it.
+// UpdateMissing tallies the cycle's loads, then applies the load-shared
+// linear rule to every arrived arm in slot order. Only the arms whose
+// rewards arrived place load and receive updates — a vanished player
+// neither congests a resource nor learns from it.
 func (c *Congestion) UpdateMissing(arms []int, rewards []float64, missing []bool) {
-	if len(arms) != len(rewards) || len(arms) != len(missing) {
-		panic("mwu: arms/rewards/missing length mismatch")
-	}
-	c.arrived = c.arrived[:0]
-	for j, arm := range arms {
-		if !missing[j] {
-			c.arrived = append(c.arrived, arm)
+	checkUpdate(arms, rewards, missing)
+	placed := arms
+	if missing != nil {
+		c.arrived = c.arrived[:0]
+		for j, arm := range arms {
+			if !missing[j] {
+				c.arrived = append(c.arrived, arm)
+			}
 		}
+		placed = c.arrived
 	}
-	maxLoad := congestion.LoadsInto(c.loads, c.arrived)
+	maxLoad := congestion.LoadsInto(c.loads, placed)
 	for j, arm := range arms {
-		if missing[j] {
+		if missing != nil && missing[j] {
 			continue
 		}
 		g := congestion.SharedGain(rewards[j], c.loads[arm], c.cfg.Lambda)
 		c.weights[arm] *= 1 + c.cfg.Epsilon*g
 	}
-	c.metrics.recordIteration(c.cfg.Agents, maxLoad, int64(len(c.arrived)))
-	c.finishCycle()
+	// The game's congestion: the heaviest-loaded arm this cycle.
+	c.metrics.recordIteration(c.cfg.Agents, maxLoad, int64(len(placed)))
+	c.finishCycle(c.cfg.Plurality)
 }
-
-// finishCycle refreshes the cached leader state and renormalizes on scale
-// drift; see Optimistic.finishCycle.
-func (c *Congestion) finishCycle() {
-	sum, maxW, lead := 0.0, 0.0, 0
-	for i, w := range c.weights {
-		sum += w
-		if w > maxW {
-			maxW, lead = w, i
-		}
-	}
-	if maxW > 1e100 || maxW < 1e-100 {
-		inv := 1 / maxW
-		for i := range c.weights {
-			c.weights[i] *= inv
-		}
-		sum *= inv
-		maxW = c.weights[lead]
-	}
-	c.leader = lead
-	c.leaderProb = maxW / sum
-	if c.leaderProb >= c.cfg.Plurality {
-		c.converged = true
-	}
-}
-
-// Leader implements Learner: the highest-weight option.
-func (c *Congestion) Leader() int { return c.leader }
-
-// LeaderProb implements Learner: the leader's share of total weight.
-func (c *Congestion) LeaderProb() float64 { return c.leaderProb }
-
-// Weights returns a copy of the current weight vector (for inspection and
-// tests; not part of the Learner interface).
-func (c *Congestion) Weights() []float64 { return append([]float64(nil), c.weights...) }
-
-// Converged implements Learner: the leader reached plurality.
-func (c *Congestion) Converged() bool { return c.converged }
-
-// Metrics implements Learner.
-func (c *Congestion) Metrics() *Metrics { return &c.metrics }
 
 func (c *Congestion) String() string {
 	return fmt.Sprintf("congestion(k=%d, n=%d, ε=%g, λ=%g)", c.cfg.K, c.cfg.Agents, c.cfg.Epsilon, c.cfg.Lambda)

@@ -57,6 +57,9 @@ type DistributedConfig struct {
 	Trace *obs.Tracer
 }
 
+// defaultAlpha is the evaluation's failure-adoption probability α.
+const defaultAlpha = 0.01
+
 func (c *DistributedConfig) fill() {
 	if c.Mu <= 0 {
 		c.Mu = 0.05
@@ -65,7 +68,7 @@ func (c *DistributedConfig) fill() {
 		c.Beta = 0.71
 	}
 	if c.Alpha <= 0 {
-		c.Alpha = 0.01
+		c.Alpha = defaultAlpha
 	}
 	if c.Plurality <= 0 {
 		c.Plurality = 0.30
@@ -230,49 +233,19 @@ func (d *Distributed) Sample() []int {
 	return observed
 }
 
-// Update implements Fig. 3 lines 16–22: adopt the observed option with
-// probability β on success, α on failure.
-func (d *Distributed) Update(arms []int, rewards []float64) {
-	if len(arms) != len(rewards) {
-		panic("mwu: arms/rewards length mismatch")
-	}
-	for j, arm := range arms {
-		adopt := false
-		if rewards[j] == 1 {
-			adopt = d.rng.Float64() < d.cfg.Beta
-		} else {
-			adopt = d.rng.Float64() < d.cfg.Alpha
-		}
-		if adopt && d.choices[j] != arm {
-			d.counts[d.choices[j]]--
-			d.choices[j] = arm
-			d.counts[arm]++
-			d.leaderValid = false
-		}
-	}
-	congestion := 0
-	messages := int64(0)
-	for _, j := range d.touched {
-		c := int(d.queried[j])
-		messages += int64(c)
-		if c > congestion {
-			congestion = c
-		}
-	}
-	d.metrics.recordIteration(d.cfg.PopSize, congestion, messages)
-}
+// Update implements Learner: UpdateMissing with every reward arrived.
+func (d *Distributed) Update(arms []int, rewards []float64) { d.UpdateMissing(arms, rewards, nil) }
 
-// UpdateMissing implements PartialUpdater: an agent whose evaluation
+// UpdateMissing implements Fig. 3 lines 16–22: adopt the observed option
+// with probability β on success, α on failure. An agent whose evaluation
 // never produced a result simply keeps its current choice — no adoption
 // flip is possible without an observation. No other agent is affected,
 // which is the whole fault-tolerance argument for this variant (Table I):
 // there is no barrier for the failure to wedge.
 func (d *Distributed) UpdateMissing(arms []int, rewards []float64, missing []bool) {
-	if len(arms) != len(rewards) || len(arms) != len(missing) {
-		panic("mwu: arms/rewards/missing length mismatch")
-	}
+	checkUpdate(arms, rewards, missing)
 	for j, arm := range arms {
-		if missing[j] {
+		if missing != nil && missing[j] {
 			continue
 		}
 		adopt := false

@@ -119,10 +119,14 @@ type StreamSampler interface {
 // PartialUpdater is the optional degradation interface: a learner that
 // implements it can consume an update cycle in which some rewards never
 // arrived. missing[i] marks slots whose reward is absent (rewards[i] is
-// zero and meaningless there). Each learner degrades per its own
-// synchronization discipline: Standard skips the missing slots, Slate
-// importance-corrects the survivors, Distributed leaves the affected
-// agents' choices untouched.
+// zero and meaningless there); a nil missing means every reward arrived,
+// and UpdateMissing(arms, rewards, nil) is then exactly Update(arms,
+// rewards) — every learner in this package implements Update that way, so
+// each has one update body. Each learner degrades per its own
+// synchronization discipline: Standard and Optimistic skip the missing
+// slots, Slate importance-corrects the survivors, Distributed leaves the
+// affected agents' choices untouched, and Congestion tallies load over
+// the arrived arms only.
 type PartialUpdater interface {
 	UpdateMissing(arms []int, rewards []float64, missing []bool)
 }
@@ -140,7 +144,10 @@ type autonomous interface {
 
 // Metrics accumulates the cost accounting the evaluation reports:
 // update cycles (Table II), CPU-iterations (Table IV), communication
-// congestion, and per-node memory overhead (Table I).
+// congestion, and per-node memory overhead (Table I). It holds learner
+// accounting only: the fitness cache's counters live on the
+// testsuite.Runner and the congestion-priced cost in RunResult, and
+// drivers read them from there.
 type Metrics struct {
 	// Iterations is the number of completed update cycles.
 	Iterations int
@@ -161,36 +168,12 @@ type Metrics struct {
 	// Distributed. int64 like its sibling counters, so exports never
 	// truncate on 32-bit builds.
 	MemoryFloats int64
-	// CacheHits, DedupSuppressed and ShardContention mirror the fitness
-	// cache's observability when the oracle is backed by a
-	// testsuite.Runner: probes answered from cache, probes suppressed by
-	// in-flight deduplication, and contended acquisitions of the cache's
-	// one lock (the field keeps its older per-shard name).
-	// They are filled in by drivers that own the runner (core.Repair);
-	// synthetic bandit oracles leave them zero.
-	CacheHits       int64
-	DedupSuppressed int64
-	ShardContention int64
 	// SamplerContention counts concurrent draws that found a shared
 	// sampler lock held. Every sampler the learners use draws lock-free
 	// (the frozen alias table), so nothing sets it and it is always zero;
 	// the field stays because cmd/mwbench, a separate module that
 	// compiles against this package, reads it.
 	SamplerContention int64
-	// WarmEntries and WarmHits mirror the runner's persistent-store
-	// warm-start accounting: cache entries preloaded from disk, and the
-	// lookups they answered — suite executions a previous run paid for.
-	// Zero when no store is attached.
-	WarmEntries int64
-	WarmHits    int64
-	// CongestionCost and MaxLoad are the adversarial-scenario cost
-	// accounting, filled by the Run driver when RunConfig.CongestionLambda
-	// is set: total probe cost where a probe on an arm chosen by `load`
-	// agents in the same cycle costs 1 + λ·(load−1) (the linear latency
-	// model in internal/congestion), and the highest realized single-arm
-	// load over the run. Zero under classic unit-cost accounting.
-	CongestionCost float64
-	MaxLoad        int64
 	// Faults is the resilience ledger: faults injected into this run and
 	// what the Timeout/Retry/Hedge policies made of them. All zero when no
 	// injector is configured.
@@ -208,16 +191,6 @@ func (m *Metrics) MeanCongestion() float64 {
 func (m *Metrics) String() string {
 	s := fmt.Sprintf("iters=%d probes=%d cpu-iters=%d congestion(max=%d mean=%.1f) mem=%d",
 		m.Iterations, m.Probes, m.CPUIterations, m.MaxCongestion, m.MeanCongestion(), m.MemoryFloats)
-	if m.CacheHits > 0 || m.DedupSuppressed > 0 || m.ShardContention > 0 {
-		s += fmt.Sprintf(" cache(hits=%d dedup=%d contention=%d)",
-			m.CacheHits, m.DedupSuppressed, m.ShardContention)
-	}
-	if m.WarmEntries > 0 {
-		s += fmt.Sprintf(" warm(entries=%d hits=%d)", m.WarmEntries, m.WarmHits)
-	}
-	if m.CongestionCost > 0 {
-		s += fmt.Sprintf(" congestion-cost=%.1f max-load=%d", m.CongestionCost, m.MaxLoad)
-	}
 	if m.Faults.Any() {
 		s += " " + m.Faults.String()
 	}
@@ -236,16 +209,9 @@ func (m *Metrics) Export(reg *obs.Registry, prefix string) {
 	reg.Counter(prefix + ".probes").Set(m.Probes)
 	reg.Counter(prefix + ".cpu_iterations").Set(m.CPUIterations)
 	reg.Counter(prefix + ".messages_sent").Set(m.MessagesSent)
-	reg.Counter(prefix + ".cache_hits").Set(m.CacheHits)
-	reg.Counter(prefix + ".dedup_suppressed").Set(m.DedupSuppressed)
-	reg.Counter(prefix + ".shard_contention").Set(m.ShardContention)
 	reg.Counter(prefix + ".sampler_contention").Set(m.SamplerContention)
-	reg.Counter(prefix + ".warm_entries").Set(m.WarmEntries)
-	reg.Counter(prefix + ".warm_hits").Set(m.WarmHits)
 	reg.Gauge(prefix + ".max_congestion").Set(float64(m.MaxCongestion))
 	reg.Gauge(prefix + ".mean_congestion").Set(m.MeanCongestion())
-	reg.Gauge(prefix + ".congestion_cost").Set(m.CongestionCost)
-	reg.Gauge(prefix + ".max_load").Set(float64(m.MaxLoad))
 	reg.Gauge(prefix + ".memory_floats").Set(float64(m.MemoryFloats))
 	f := m.Faults
 	reg.Counter(prefix + ".faults.injected").Set(f.Injected)
@@ -253,6 +219,14 @@ func (m *Metrics) Export(reg *obs.Registry, prefix string) {
 	reg.Counter(prefix + ".faults.stalled_cycles").Set(f.StalledCycles)
 	reg.Counter(prefix + ".faults.retries").Set(f.Retries)
 	reg.Counter(prefix + ".faults.timeouts").Set(f.Timeouts)
+}
+
+// checkUpdate panics unless rewards, and missing when non-nil, match arms
+// slot for slot.
+func checkUpdate(arms []int, rewards []float64, missing []bool) {
+	if len(arms) != len(rewards) || (missing != nil && len(missing) != len(arms)) {
+		panic("mwu: arms/rewards/missing length mismatch")
+	}
 }
 
 // recordIteration folds one update cycle into the metrics.
@@ -306,8 +280,7 @@ type RunConfig struct {
 	// nobody else chose costs 1, herding all agents onto one arm costs
 	// ~λ·agents each). The accounting is observational: it never changes
 	// sampling, rewards, or updates, so traces are unchanged and
-	// byte-identical to a λ=0 run. Totals land in RunResult and the
-	// driver-filled Metrics fields.
+	// byte-identical to a λ=0 run. Totals land in RunResult.
 	CongestionLambda float64
 
 	// Trace, when active, receives the run's iteration-level event stream

@@ -2,17 +2,18 @@ package mwu
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/faults"
 	"repro/internal/rng"
 )
 
 // Config is the unified learner configuration — one construction path for
-// all three MWU realizations, replacing the divergent
-// New/NewStandard/NewSlate/NewDistributed shapes (which remain as thin
-// deprecated wrappers). Zero fields take the evaluation defaults of
-// Sec. IV-B, exactly as the old factory did; the realization-specific
-// meaning of each shared knob is documented on the field.
+// all five MWU realizations; callers set its fields directly. Zero fields
+// take the evaluation defaults of Sec. IV-B; the realization-specific
+// meaning of each shared knob is documented on the field. The per-type
+// constructors (NewStandard, NewSlate, ...) remain for knobs Config does
+// not expose.
 type Config struct {
 	// Algorithm selects the realization: "standard", "slate",
 	// "distributed", "optimistic", or "congestion" (see Names).
@@ -28,7 +29,9 @@ type Config struct {
 	Agents int
 	// Rate is the realization's learning intensity: η for Standard and
 	// Optimistic, γ for Slate, β for Distributed, ε for Congestion. 0
-	// takes the evaluation default (0.05, 0.05, 0.05, 0.71, 0.1).
+	// takes the evaluation default (0.05, 0.05, 0.05, 0.71, 0.1). NewLearner
+	// rejects a negative or non-finite rate, γ > 1, and β outside
+	// (α, 1) with the default α = 0.01.
 	Rate float64
 	// Convergence is the convergence threshold: leader-probability
 	// tolerance for Standard, Slate and Optimistic, plurality fraction
@@ -42,52 +45,37 @@ type Config struct {
 	Faults *faults.Injector
 }
 
-// Option mutates a Config; NewLearner applies options in order after the
-// base Config, so the functional style and the struct style compose.
-type Option func(*Config)
-
-// WithAgents sets the per-iteration parallelism (Config.Agents).
-func WithAgents(n int) Option { return func(c *Config) { c.Agents = n } }
-
-// WithRate sets the learning intensity (Config.Rate): η / γ / β.
-func WithRate(rate float64) Option { return func(c *Config) { c.Rate = rate } }
-
-// WithConvergence sets the convergence threshold (Config.Convergence).
-func WithConvergence(v float64) Option { return func(c *Config) { c.Convergence = v } }
-
-// WithFaults sets the learner-owned fault injector (Config.Faults).
-func WithFaults(in *faults.Injector) Option { return func(c *Config) { c.Faults = in } }
-
 // NewLearner is the unified factory: it builds the configured realization
 // with its own RNG stream. Distributed configurations whose population
 // exceeds the tractability bound return *ErrIntractable, mirroring the
-// two intractable cells in the paper's Table II; an unknown Algorithm is
-// an error.
-func NewLearner(cfg Config, r *rng.RNG, opts ...Option) (Learner, error) {
-	for _, opt := range opts {
-		opt(&cfg)
-	}
+// two intractable cells in the paper's Table II; an unknown Algorithm, or
+// a Rate outside the realization's domain, is an error.
+func NewLearner(cfg Config, r *rng.RNG) (Learner, error) {
 	if cfg.K <= 0 {
 		return nil, fmt.Errorf("mwu: Config.K must be positive (got %d)", cfg.K)
 	}
+	// A Rate outside the realization's domain would panic in its
+	// constructor or mid-run; 0 takes the default, and η and ε above 1/2
+	// are clamped by their realizations.
+	if !(cfg.Rate >= 0) || math.IsInf(cfg.Rate, 1) {
+		return nil, fmt.Errorf("mwu: Config.Rate must be finite and non-negative (got %v)", cfg.Rate)
+	}
+	agents := cfg.Agents // the shared-weight-vector learners' evaluator count
+	if agents <= 0 {
+		agents = defaultAgents(cfg.K)
+	}
 	switch cfg.Algorithm {
 	case "standard":
-		agents := cfg.Agents
-		if agents <= 0 {
-			agents = defaultAgents(cfg.K)
-		}
-		eta := cfg.Rate
-		if eta <= 0 {
-			eta = 0.05
-		}
-		return NewStandard(StandardConfig{K: cfg.K, Agents: agents, Eta: eta, Tol: cfg.Convergence}, r), nil
+		return NewStandard(StandardConfig{K: cfg.K, Agents: agents, Eta: cfg.Rate, Tol: cfg.Convergence}, r), nil
 	case "slate":
-		gamma := cfg.Rate
-		if gamma <= 0 {
-			gamma = 0.05
+		if cfg.Rate > 1 {
+			return nil, fmt.Errorf("mwu: slate rate γ must be in (0,1] (got %v)", cfg.Rate)
 		}
-		return NewSlate(SlateConfig{K: cfg.K, N: cfg.Agents, Gamma: gamma, Tol: cfg.Convergence}, r), nil
+		return NewSlate(SlateConfig{K: cfg.K, N: cfg.Agents, Gamma: cfg.Rate, Tol: cfg.Convergence}, r), nil
 	case "distributed":
+		if cfg.Rate != 0 && (cfg.Rate <= defaultAlpha || cfg.Rate >= 1) {
+			return nil, fmt.Errorf("mwu: distributed rate β must be in (%v,1) (got %v)", defaultAlpha, cfg.Rate)
+		}
 		return NewDistributed(DistributedConfig{
 			K:         cfg.K,
 			PopSize:   cfg.Agents,
@@ -97,18 +85,10 @@ func NewLearner(cfg Config, r *rng.RNG, opts ...Option) (Learner, error) {
 			Faults:    cfg.Faults,
 		}, r)
 	case "optimistic":
-		agents := cfg.Agents
-		if agents <= 0 {
-			agents = defaultAgents(cfg.K)
-		}
 		return NewOptimistic(OptimisticConfig{
 			K: cfg.K, Agents: agents, Eta: cfg.Rate, Tol: cfg.Convergence,
 		}, r), nil
 	case "congestion":
-		agents := cfg.Agents
-		if agents <= 0 {
-			agents = defaultAgents(cfg.K)
-		}
 		return NewCongestion(CongestionConfig{
 			K: cfg.K, Agents: agents, Epsilon: cfg.Rate, Plurality: cfg.Convergence,
 		}, r), nil
@@ -129,8 +109,8 @@ func defaultAgents(k int) int {
 
 // MustNewLearner is NewLearner for callers with known-good configurations;
 // it panics on error.
-func MustNewLearner(cfg Config, r *rng.RNG, opts ...Option) Learner {
-	l, err := NewLearner(cfg, r, opts...)
+func MustNewLearner(cfg Config, r *rng.RNG) Learner {
+	l, err := NewLearner(cfg, r)
 	if err != nil {
 		panic(err)
 	}

@@ -170,53 +170,28 @@ func (s *Slate) Sample() []int {
 	return arms
 }
 
-// Update applies importance-weighted exponential updates to the slate
-// members only. The node holding the weight vector receives one result
-// message per slate position: congestion = n (Table I).
-func (s *Slate) Update(arms []int, rewards []float64) {
-	if len(arms) != len(rewards) {
-		panic("mwu: arms/rewards length mismatch")
-	}
-	for j, arm := range arms {
-		m := s.marginals[arm]
-		if m <= 0 {
-			panic("mwu: probed option had zero inclusion probability")
-		}
-		xhat := rewards[j] / m
-		s.weights[arm] *= math.Exp(s.cfg.Eta * xhat)
-	}
-	s.rescaleIfNeeded()
-	s.metrics.recordIteration(s.cfg.N, s.cfg.N, int64(s.cfg.N))
+// Update implements Learner: UpdateMissing with every reward arrived.
+func (s *Slate) Update(arms []int, rewards []float64) { s.UpdateMissing(arms, rewards, nil) }
 
-	// Convergence: leader pinned at the maximum achievable inclusion
-	// probability for Window consecutive cycles.
-	lead := s.Leader()
-	if s.maxInclusion()-s.marginals[lead] <= s.cfg.Tol {
-		s.stable++
-		if s.stable >= s.cfg.Window {
-			s.converged = true
-		}
-	} else {
-		s.stable = 0
-	}
-}
-
-// UpdateMissing implements PartialUpdater: Slate degrades by importance-
-// correcting the surviving slate members. A missing reward is a missing
-// observation, not a zero reward; treating it as zero would bias every
-// faulty cycle downward. Instead the arrived estimates are scaled by
-// 1/p̂, where p̂ = arrived/n is the empirical probe-survival rate, so the
-// expected total update mass matches a clean cycle — the same
-// inverse-propensity trick the slate update already applies to inclusion
-// probabilities, extended to fault survival.
+// UpdateMissing applies importance-weighted exponential updates to the
+// arrived slate members only. The node holding the weight vector receives
+// one result message per arrived slate position: congestion = n in a
+// clean cycle (Table I).
+//
+// Slate degrades by importance-correcting the surviving slate members. A
+// missing reward is a missing observation, not a zero reward; treating it
+// as zero would bias every faulty cycle downward. Instead the arrived
+// estimates are scaled by 1/p̂, where p̂ = arrived/n is the empirical
+// probe-survival rate, so the expected total update mass matches a clean
+// cycle — the same inverse-propensity trick the slate update already
+// applies to inclusion probabilities, extended to fault survival. In a
+// clean cycle p̂ = n/n is exactly 1 and the correction vanishes.
 func (s *Slate) UpdateMissing(arms []int, rewards []float64, missing []bool) {
-	if len(arms) != len(rewards) || len(arms) != len(missing) {
-		panic("mwu: arms/rewards/missing length mismatch")
-	}
-	arrived := 0
+	checkUpdate(arms, rewards, missing)
+	arrived := len(arms)
 	for _, miss := range missing {
-		if !miss {
-			arrived++
+		if miss {
+			arrived--
 		}
 	}
 	if arrived == 0 {
@@ -228,7 +203,7 @@ func (s *Slate) UpdateMissing(arms []int, rewards []float64, missing []bool) {
 	}
 	phat := float64(arrived) / float64(len(arms))
 	for j, arm := range arms {
-		if missing[j] {
+		if missing != nil && missing[j] {
 			continue
 		}
 		m := s.marginals[arm]
@@ -241,6 +216,8 @@ func (s *Slate) UpdateMissing(arms []int, rewards []float64, missing []bool) {
 	s.rescaleIfNeeded()
 	s.metrics.recordIteration(s.cfg.N, arrived, int64(arrived))
 
+	// Convergence: leader pinned at the maximum achievable inclusion
+	// probability for Window consecutive cycles.
 	lead := s.Leader()
 	if s.maxInclusion()-s.marginals[lead] <= s.cfg.Tol {
 		s.stable++

@@ -126,50 +126,22 @@ func (s *Standard) Sample() []int {
 	return arms
 }
 
-// Update applies the signed multiplicative rule to every sampled option:
-// w_i ← w_i·(1+η) on success, w_i·(1−η) on failure. All agents synchronize
-// through the shared weight vector, so the holder of the vector receives n
-// messages — the congestion recorded in the metrics.
-func (s *Standard) Update(arms []int, rewards []float64) {
-	if len(arms) != len(rewards) {
-		panic("mwu: arms/rewards length mismatch")
-	}
-	for j, arm := range arms {
-		old := s.weights[arm]
-		if rewards[j] == 0 {
-			s.weights[arm] = old * (1 - s.cfg.Eta)
-		} else {
-			s.weights[arm] = old * (1 + s.cfg.Eta)
-		}
-		s.sum += s.weights[arm] - old
-		s.fen.Add(arm, s.weights[arm]-old)
-	}
-	s.sinceSync++
-	if s.sinceSync >= resyncEvery {
-		s.resync()
-	}
-	s.rescaleIfNeeded()
-	// Full synchronization: every agent sends its (arm, reward) pair to the
-	// weight holder; congestion = n.
-	s.metrics.recordIteration(s.cfg.Agents, s.cfg.Agents, int64(s.cfg.Agents))
-	if s.LeaderProb() >= 1-s.cfg.Tol {
-		s.converged = true
-	}
-}
+// Update implements Learner: UpdateMissing with every reward arrived.
+func (s *Standard) Update(arms []int, rewards []float64) { s.UpdateMissing(arms, rewards, nil) }
 
-// UpdateMissing implements PartialUpdater: Standard degrades by skipping
-// the missing slots — an agent whose reward never arrived contributes no
-// multiplicative update this cycle, and only the arrived agents report to
-// the weight holder (congestion shrinks with them). The weight vector
-// stays unbiased in the surviving evidence; it just learns from fewer
-// observations.
+// UpdateMissing applies the signed multiplicative rule to every sampled
+// option: w_i ← w_i·(1+η) on success, w_i·(1−η) on failure. All agents
+// synchronize through the shared weight vector, so the holder of the
+// vector receives one message per arrived agent — the congestion recorded
+// in the metrics (n in a clean cycle). Standard degrades by skipping the
+// missing slots: an agent whose reward never arrived contributes no
+// multiplicative update this cycle. The weight vector stays unbiased in
+// the surviving evidence; it just learns from fewer observations.
 func (s *Standard) UpdateMissing(arms []int, rewards []float64, missing []bool) {
-	if len(arms) != len(rewards) || len(arms) != len(missing) {
-		panic("mwu: arms/rewards/missing length mismatch")
-	}
+	checkUpdate(arms, rewards, missing)
 	arrived := 0
 	for j, arm := range arms {
-		if missing[j] {
+		if missing != nil && missing[j] {
 			continue
 		}
 		arrived++

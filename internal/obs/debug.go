@@ -16,6 +16,14 @@ import (
 // rather than holding process shutdown hostage.
 const debugDrainTimeout = 2 * time.Second
 
+// debugReadHeaderTimeout closes a connection that has not sent its request
+// headers in time. It must stay below debugDrainTimeout: Shutdown waits
+// for a connection that was accepted but never sent a request (a dial the
+// client transport opened and did not use) until net/http deems it idle,
+// which takes 5 s, so without a shorter header deadline such a
+// connection outlives the drain budget and the stopper fails.
+const debugReadHeaderTimeout = time.Second
+
 // MetricsHandler serves a point-in-time JSON snapshot of reg — the
 // /debug/metrics endpoint of both the per-CLI debug server below and the
 // repair daemon's main mux (internal/server).
@@ -55,7 +63,7 @@ func StartDebugServer(addr string, reg *Registry) (string, func() error, error) 
 	if reg != nil {
 		mux.Handle("/debug/metrics", MetricsHandler(reg))
 	}
-	srv := &http.Server{Handler: mux}
+	srv := &http.Server{Handler: mux, ReadHeaderTimeout: debugReadHeaderTimeout}
 	go func() { _ = srv.Serve(ln) }()
 	stop := func() error {
 		ctx, cancel := context.WithTimeout(context.Background(), debugDrainTimeout)

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"sync"
 	"testing"
@@ -127,5 +128,26 @@ func TestStartDebugServerGracefulStop(t *testing.T) {
 	// And the listener is actually gone.
 	if _, err := http.Get(fmt.Sprintf("http://%s/debug/metrics", addr)); err == nil {
 		t.Fatal("server still serving after stop")
+	}
+}
+
+// TestStartDebugServerStopsWithSilentConnection: a connection that is
+// accepted but never sends a request must not hold the stopper past its
+// drain budget. net/http counts such a connection as idle only after 5 s,
+// so the stopper relies on the header read deadline to close it.
+func TestStartDebugServerStopsWithSilentConnection(t *testing.T) {
+	addr, stop, err := StartDebugServer("127.0.0.1:0", NewRegistry())
+	if err != nil {
+		t.Fatalf("StartDebugServer: %v", err)
+	}
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer conn.Close()
+	time.Sleep(50 * time.Millisecond) // let the server accept it
+	start := time.Now()
+	if err := stop(); err != nil {
+		t.Fatalf("stop after %v: %v", time.Since(start), err)
 	}
 }

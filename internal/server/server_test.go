@@ -627,3 +627,40 @@ func assertValidTrace(t *testing.T, path string) {
 		t.Fatalf("trace %s is empty", path)
 	}
 }
+
+// TestRateOutsideDomainFailsJobNotDaemon: a learner rate outside the
+// realization's domain (β ≥ 1 or β ≤ α for distributed, γ > 1 for slate)
+// must end as a rejected or failed job. Such a rate panics the learner
+// constructor (or, for slate, the run) unless NewLearner rejects it, and
+// a panic on a worker goroutine takes the whole daemon down; a good job
+// submitted afterwards must still be served.
+func TestRateOutsideDomainFailsJobNotDaemon(t *testing.T) {
+	m, srv := testServer(t, Config{Workers: 1, QueueDepth: 8})
+	for _, bad := range []struct {
+		alg  string
+		rate float64
+	}{{"distributed", 1}, {"distributed", 0.005}, {"slate", 1e6}} {
+		spec := repairableSpec()
+		spec.Algorithm, spec.Rate = bad.alg, bad.rate
+		resp, st := postJob(t, srv, spec)
+		if resp.StatusCode == http.StatusBadRequest {
+			continue
+		}
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("%s rate %v: submit status %d", bad.alg, bad.rate, resp.StatusCode)
+		}
+		if got := waitTerminal(t, m, st.ID, 30*time.Second); got != StateFailed {
+			t.Fatalf("%s rate %v: job ended %s, want failed", bad.alg, bad.rate, got)
+		}
+		if final := getStatus(t, srv, st.ID); final.Error == "" {
+			t.Fatalf("%s rate %v: failed job carries no error", bad.alg, bad.rate)
+		}
+	}
+	resp, st := postJob(t, srv, repairableSpec())
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("good job after bad ones: submit status %d", resp.StatusCode)
+	}
+	if got := waitTerminal(t, m, st.ID, 30*time.Second); got != StateDone {
+		t.Fatalf("good job after bad ones ended %s, want done", got)
+	}
+}
