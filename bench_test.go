@@ -241,32 +241,6 @@ func BenchmarkAblationPrecompute(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationSlateSampler compares the O(k²) convex-decomposition
-// slate sampler (the paper's construction) against the O(k) systematic
-// sampler the learner uses by default at scale.
-func BenchmarkAblationSlateSampler(b *testing.B) {
-	for _, k := range []int{256, 1024, 4096} {
-		d := dataset.MustGet("random256")
-		_ = d
-		for _, exact := range []bool{false, true} {
-			name := "systematic"
-			if exact {
-				name = "decomposition"
-			}
-			b.Run(name+"/k="+itoa(k), func(b *testing.B) {
-				seed := rng.New(uint64(k))
-				learner := mwu.NewSlate(mwu.SlateConfig{K: k, ExactDecomposition: exact}, seed.Split())
-				rewards := make([]float64, learner.N())
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					arms := learner.Sample()
-					learner.Update(arms, rewards)
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkAblationDedupCache quantifies the mutant deduplication cache
 // (the repeated-evaluation waste the paper attributes to naive search).
 func BenchmarkAblationDedupCache(b *testing.B) {

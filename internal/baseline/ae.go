@@ -25,7 +25,6 @@ import (
 // comparison exposes.
 func AE(pr *Problem, seed *rng.RNG, cfg Config) Result {
 	cfg.fill()
-	pr.configureFaults(cfg)
 	res := Result{Algorithm: "AE"}
 
 	targets := pr.Targets()
@@ -38,19 +37,11 @@ func AE(pr *Problem, seed *rng.RNG, cfg Config) Result {
 	})
 
 	n := pr.Program.Len()
-	best := 0.0
 	try := func(m mutation.Mutation) bool {
 		res.CandidatesTried++
-		f, repaired := pr.evaluate([]mutation.Mutation{m})
-		if repaired {
+		if pr.evaluate([]mutation.Mutation{m}).Repair() {
 			res.Repaired = true
 			res.Patch = []mutation.Mutation{m}
-		}
-		if w := f.Weighted(cfg.NegWeight); w > best {
-			best = w
-		}
-		if pr.trace.Sampled(int(res.CandidatesTried)) {
-			pr.traceGeneration(int(res.CandidatesTried), "ae", best)
 		}
 		return res.Repaired
 	}
@@ -76,6 +67,5 @@ done:
 	res.FitnessEvals = pr.runner.Evals()
 	res.CacheHits = pr.runner.CacheHits()
 	res.Latency = res.CandidatesTried
-	pr.faultResult(&res)
 	return res
 }

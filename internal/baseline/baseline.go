@@ -18,10 +18,8 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/faults"
 	"repro/internal/lang"
 	"repro/internal/mutation"
-	"repro/internal/obs"
 	"repro/internal/rng"
 	"repro/internal/testsuite"
 	"repro/internal/wrs"
@@ -49,60 +47,29 @@ type Result struct {
 	Latency int64
 	// Generations counts GA generations (GenProg only).
 	Generations int
-	// Faults is the resilience ledger: candidate-evaluation faults
-	// injected into the run and the retries that absorbed them (zero
-	// without an injector).
-	Faults faults.Stats
-	// Degraded reports that faults cost the search candidates (a faulted
-	// evaluation whose retries ran out scores as a failed candidate).
-	Degraded bool
 }
 
 // Config bounds a baseline run.
 type Config struct {
 	// MaxEvals caps fitness evaluations; 0 means 20000.
 	MaxEvals int64
-	// PopSize is the GA population (GenProg); 0 means 40.
-	PopSize int
-	// CrossoverRate is the GA crossover probability; 0 means 0.5.
-	CrossoverRate float64
-	// MutationRate is the probability a GA child gains a fresh mutation;
-	// 0 means 0.5.
-	MutationRate float64
-	// NegWeight is the weighted-fitness multiplier for bug-inducing tests
-	// (GenProg uses 10).
-	NegWeight float64
-	// Faults, when non-nil, injects candidate-evaluation faults into the
-	// baseline's serial loop (keyed by candidate sequence number, so the
-	// schedule is seed-deterministic).
-	Faults *faults.Injector
-	// Retry re-issues faulted candidate evaluations; the zero value
-	// retries nothing.
-	Retry faults.Retry
-	// Trace, when active, receives generation events marking the search's
-	// milestones: one per GA generation for GenProg, one per sampled
-	// candidate window for RSRepair and AE. The searches are serial, so
-	// the stream is trivially deterministic.
-	Trace *obs.Tracer
 }
 
 func (c *Config) fill() {
 	if c.MaxEvals <= 0 {
 		c.MaxEvals = 20000
 	}
-	if c.PopSize <= 0 {
-		c.PopSize = 40
-	}
-	if c.CrossoverRate <= 0 {
-		c.CrossoverRate = 0.5
-	}
-	if c.MutationRate <= 0 {
-		c.MutationRate = 0.5
-	}
-	if c.NegWeight <= 0 {
-		c.NegWeight = 10
-	}
 }
+
+// The fixed search parameters of the baselines: GenProg's population,
+// crossover and mutation probabilities, and the weighted-fitness
+// multiplier for bug-inducing tests (GenProg uses 10).
+const (
+	popSize       = 40
+	crossoverRate = 0.5
+	mutationRate  = 0.5
+	negWeight     = 10
+)
 
 // Problem bundles what every baseline needs.
 type Problem struct {
@@ -117,15 +84,6 @@ type Problem struct {
 	// draw one mutation per candidate, thousands of times per repair.
 	targetAlias *wrs.Alias
 	runner      *testsuite.Runner
-
-	// Fault-injection state (configured per run by configureFaults):
-	// these searches are serial, so plain counters suffice.
-	inj      *faults.Injector
-	retry    faults.Retry
-	seq      int
-	fstats   faults.Stats
-	degraded bool
-	trace    *obs.Tracer
 }
 
 // NewProblem builds the shared search state, including GenProg-style fault
@@ -203,71 +161,7 @@ func (pr *Problem) randomMutation(r *rng.RNG) mutation.Mutation {
 	return m
 }
 
-// configureFaults arms (or disarms) fault injection for one run; every
-// baseline entry point calls it after filling its config.
-func (pr *Problem) configureFaults(cfg Config) {
-	pr.inj = cfg.Faults
-	pr.retry = cfg.Retry
-	pr.seq = 0
-	pr.fstats = faults.Stats{}
-	pr.degraded = false
-	pr.trace = cfg.Trace
-}
-
-// traceGeneration emits one search-milestone event: iter is the
-// generation (GenProg) or candidate index (RSRepair, AE), best the best
-// weighted fitness seen so far.
-func (pr *Problem) traceGeneration(iter int, algo string, best float64) {
-	if pr.trace.Active() {
-		pr.trace.Emit(obs.Event{Type: obs.TypeGeneration, Iter: iter, Kind: algo,
-			N: pr.runner.Evals(), Value: best})
-	}
-}
-
-// evaluate scores a patch, returning its fitness and whether it repairs.
-// Under fault injection, the evaluation's fate is decided first: a
-// straggler merely slows a serial tool (counted, then evaluated anyway),
-// while a hang/loss/panic consumes the candidate unless a Retry re-issues
-// it — a baseline has no barrier to stall, it just wastes the trial.
-func (pr *Problem) evaluate(patch []mutation.Mutation) (testsuite.Fitness, bool) {
-	if pr.inj.Enabled() {
-		seq := pr.seq
-		pr.seq++
-		for attempt := 0; ; attempt++ {
-			kind := pr.inj.ProbeFault(0, seq, attempt)
-			if kind == faults.None {
-				break
-			}
-			pr.fstats.Injected++
-			switch kind {
-			case faults.Straggle:
-				pr.fstats.Stragglers++
-			case faults.Hang:
-				pr.fstats.Hangs++
-			case faults.Loss:
-				pr.fstats.Losses++
-			case faults.Panic:
-				pr.fstats.Panics++
-			}
-			if kind == faults.Straggle {
-				break // late, not lost: the serial loop just waits it out
-			}
-			if pr.retry.Enabled() && attempt < pr.retry.Max {
-				pr.fstats.Retries++
-				continue
-			}
-			pr.fstats.Missing++
-			pr.degraded = true
-			return testsuite.Fitness{}, false
-		}
-	}
-	mutant := mutation.Apply(pr.Program, patch)
-	f := pr.runner.Eval(context.Background(), mutant)
-	return f, f.Repair()
-}
-
-// faultResult copies the run's fault ledger into a baseline result.
-func (pr *Problem) faultResult(res *Result) {
-	res.Faults = pr.fstats
-	res.Degraded = pr.degraded
+// evaluate scores a patch.
+func (pr *Problem) evaluate(patch []mutation.Mutation) testsuite.Fitness {
+	return pr.runner.Eval(context.Background(), mutation.Apply(pr.Program, patch))
 }

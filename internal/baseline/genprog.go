@@ -13,7 +13,6 @@ import (
 // shared with MWRepair.
 func GenProg(pr *Problem, seed *rng.RNG, cfg Config) Result {
 	cfg.fill()
-	pr.configureFaults(cfg)
 	res := Result{Algorithm: "GenProg"}
 
 	type indiv struct {
@@ -24,20 +23,20 @@ func GenProg(pr *Problem, seed *rng.RNG, cfg Config) Result {
 	evalBudgetLeft := func() bool { return pr.runner.Evals() < cfg.MaxEvals }
 
 	// Initial population: single random edits.
-	pop := make([]indiv, cfg.PopSize)
+	pop := make([]indiv, popSize)
 	for i := range pop {
 		pop[i].patch = []mutation.Mutation{pr.randomMutation(seed)}
 	}
 
 	score := func(ind *indiv) bool {
-		f, repaired := pr.evaluate(ind.patch)
+		f := pr.evaluate(ind.patch)
 		res.CandidatesTried++
-		if repaired {
+		if f.Repair() {
 			res.Repaired = true
 			res.Patch = append([]mutation.Mutation(nil), ind.patch...)
 			return true
 		}
-		ind.fitness = f.Weighted(cfg.NegWeight)
+		ind.fitness = f.Weighted(negWeight)
 		return false
 	}
 
@@ -59,13 +58,6 @@ func GenProg(pr *Problem, seed *rng.RNG, cfg Config) Result {
 				break
 			}
 		}
-		best := 0.0
-		for i := range pop {
-			if pop[i].fitness > best {
-				best = pop[i].fitness
-			}
-		}
-		pr.traceGeneration(res.Generations, "genprog", best)
 		if res.Repaired || !evalBudgetLeft() {
 			break
 		}
@@ -74,7 +66,7 @@ func GenProg(pr *Problem, seed *rng.RNG, cfg Config) Result {
 		for len(next) < len(pop) {
 			p1, p2 := tournament(), tournament()
 			var child []mutation.Mutation
-			if seed.Float64() < cfg.CrossoverRate && len(p1.patch) > 0 && len(p2.patch) > 0 {
+			if seed.Float64() < crossoverRate && len(p1.patch) > 0 && len(p2.patch) > 0 {
 				cut1 := seed.Intn(len(p1.patch) + 1)
 				cut2 := seed.Intn(len(p2.patch) + 1)
 				child = append(child, p1.patch[:cut1]...)
@@ -82,7 +74,7 @@ func GenProg(pr *Problem, seed *rng.RNG, cfg Config) Result {
 			} else {
 				child = append(child, p1.patch...)
 			}
-			if len(child) == 0 || seed.Float64() < cfg.MutationRate {
+			if len(child) == 0 || seed.Float64() < mutationRate {
 				child = append(child, pr.randomMutation(seed))
 			}
 			next = append(next, indiv{patch: child})
@@ -92,6 +84,5 @@ func GenProg(pr *Problem, seed *rng.RNG, cfg Config) Result {
 	res.FitnessEvals = pr.runner.Evals()
 	res.CacheHits = pr.runner.CacheHits()
 	res.Latency = res.CandidatesTried
-	pr.faultResult(&res)
 	return res
 }

@@ -13,9 +13,7 @@ import (
 // like the original tool.
 func RSRepair(pr *Problem, seed *rng.RNG, cfg Config) Result {
 	cfg.fill()
-	pr.configureFaults(cfg)
 	res := Result{Algorithm: "RSRepair"}
-	best := 0.0
 	for pr.runner.Evals() < cfg.MaxEvals {
 		// 1 or 2 edits per candidate, matching the tool's shallow search.
 		n := 1 + seed.Intn(2)
@@ -24,22 +22,14 @@ func RSRepair(pr *Problem, seed *rng.RNG, cfg Config) Result {
 			patch[i] = pr.randomMutation(seed)
 		}
 		res.CandidatesTried++
-		f, repaired := pr.evaluate(patch)
-		if repaired {
+		if pr.evaluate(patch).Repair() {
 			res.Repaired = true
 			res.Patch = patch
 			break
-		}
-		if w := f.Weighted(cfg.NegWeight); w > best {
-			best = w
-		}
-		if pr.trace.Sampled(int(res.CandidatesTried)) {
-			pr.traceGeneration(int(res.CandidatesTried), "rsrepair", best)
 		}
 	}
 	res.FitnessEvals = pr.runner.Evals()
 	res.CacheHits = pr.runner.CacheHits()
 	res.Latency = res.CandidatesTried
-	pr.faultResult(&res)
 	return res
 }

@@ -167,7 +167,7 @@ func TestDriftChangesTheSearch(t *testing.T) {
 	run := func(d *testsuite.Drift) Result {
 		r := rng.New(7)
 		ctx := context.Background()
-		pl := sc.BuildPoolContext(ctx, 2, r.Split(), nil)
+		pl := sc.BuildPoolStored(ctx, 2, r.Split(), nil, nil)
 		res, err := RepairWithAlgorithm(ctx, "standard", pl, sc.Suite, r.Split(),
 			Config{MaxIter: 40, Workers: 2, MaxX: prof.Options, Drift: d})
 		if err != nil {
@@ -205,7 +205,7 @@ func TestCongestionCostAccounting(t *testing.T) {
 	run := func(lambda float64, workers int) Result {
 		r := rng.New(11)
 		ctx := context.Background()
-		pl := sc.BuildPoolContext(ctx, workers, r.Split(), nil)
+		pl := sc.BuildPoolStored(ctx, workers, r.Split(), nil, nil)
 		res, err := RepairWithAlgorithm(ctx, "congestion", pl, sc.Suite, r.Split(),
 			Config{MaxIter: 30, Workers: workers, MaxX: prof.Options, CongestionLambda: lambda})
 		if err != nil {

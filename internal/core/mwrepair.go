@@ -74,9 +74,6 @@ type Config struct {
 	MaxX int
 	// Reward selects the reward policy.
 	Reward RewardPolicy
-	// ThroughputScale overrides DefaultThroughputScale for the
-	// RewardThroughput policy; 0 means the default.
-	ThroughputScale int
 	// Faults, when non-nil, injects probe-evaluation faults into the
 	// online loop (threaded through to mwu.Run).
 	Faults *faults.Injector
@@ -229,7 +226,6 @@ type repairOracle struct {
 	runner *testsuite.Runner
 	k      int
 	policy RewardPolicy
-	scale  int
 
 	mu     sync.Mutex
 	patch  []mutation.Mutation
@@ -265,15 +261,7 @@ func (o *repairOracle) Probe(arm int, r *rng.RNG) bandit.Reward {
 	case RewardSafety:
 		return 1
 	default: // RewardThroughput
-		scale := o.scale
-		if scale <= 0 {
-			scale = DefaultThroughputScale
-		}
-		p := float64(x) / float64(scale)
-		if p > 1 {
-			p = 1
-		}
-		if r.Bool(p) {
+		if r.Bool(min(1, float64(x)/DefaultThroughputScale)) {
 			return 1
 		}
 		return 0
@@ -332,7 +320,7 @@ func Repair(ctx context.Context, pl *pool.Pool, suite *testsuite.Suite, learner 
 		runner.AttachStore(cfg.Store)
 		runner.WarmStart()
 	}
-	oracle := &repairOracle{pl: pl, runner: runner, k: k, policy: cfg.Reward, scale: cfg.ThroughputScale}
+	oracle := &repairOracle{pl: pl, runner: runner, k: k, policy: cfg.Reward}
 
 	var driftSteps []testsuite.DriftStep
 	if cfg.Drift != nil {

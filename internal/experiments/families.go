@@ -119,7 +119,7 @@ func RunFamilies(spec FamiliesSpec) ([]FamilyCell, error) {
 		}
 		for s := 0; s < spec.Seeds; s++ {
 			seed := rng.New(spec.BaseSeed ^ (uint64(s+1) * 0x9e3779b97f4a7c15))
-			pl := sc.BuildPoolContext(ctx, spec.Workers, seed.Split(), nil)
+			pl := sc.BuildPoolStored(ctx, spec.Workers, seed.Split(), nil, nil)
 			for _, alg := range spec.Algorithms {
 				res, err := core.RepairWithAlgorithm(ctx, alg, pl, sc.Suite, seed.Split(), core.Config{
 					MaxIter:          spec.MaxIter,

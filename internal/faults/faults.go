@@ -113,10 +113,6 @@ type Config struct {
 	Loss     float64
 	Panic    float64
 
-	// MeanStraggleTicks scales the exponential virtual delay of
-	// stragglers. Default 100.
-	MeanStraggleTicks int
-
 	// Crash is the per-agent-per-iteration crash probability in the
 	// message-passing protocol.
 	Crash float64
@@ -156,6 +152,10 @@ func Uniform(seed uint64, rate float64) Config {
 	}
 }
 
+// meanStraggleTicks is the mean of the exponential virtual delay of
+// stragglers.
+const meanStraggleTicks = 100
+
 // Injector makes fault decisions. A nil *Injector is valid and injects
 // nothing, so drivers can thread it unconditionally. All methods are safe
 // for concurrent use: decisions are stateless hashes.
@@ -167,9 +167,6 @@ type Injector struct {
 // injector that never fires; callers that want no injection at all should
 // keep a nil *Injector instead.
 func New(cfg Config) *Injector {
-	if cfg.MeanStraggleTicks <= 0 {
-		cfg.MeanStraggleTicks = 100
-	}
 	return &Injector{cfg: cfg}
 }
 
@@ -250,16 +247,15 @@ func classifyProbe(u float64, c Config) Kind {
 }
 
 // StraggleTicks returns the virtual delay of a straggling probe:
-// 1 + an exponential variate with mean MeanStraggleTicks, capped at
+// 1 + an exponential variate with mean meanStraggleTicks, capped at
 // 50× the mean so pathological tails stay finite. Nil-safe (0).
 func (in *Injector) StraggleTicks(iter, slot, attempt int) int {
 	if in == nil {
 		return 0
 	}
 	u := in.u(domStraggle, iter, slot, attempt)
-	mean := float64(in.cfg.MeanStraggleTicks)
-	d := -mean * math.Log(1-u)
-	if max := 50 * mean; d > max {
+	d := -meanStraggleTicks * math.Log(1-u)
+	if max := 50.0 * meanStraggleTicks; d > max {
 		d = max
 	}
 	return 1 + int(d)

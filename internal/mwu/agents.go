@@ -113,12 +113,8 @@ func RunMessagePassing(ctx context.Context, cfg DistributedConfig, o bandit.Orac
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if cfg.K <= 0 {
-		panic("mwu: DistributedConfig.K must be positive")
-	}
-	cfg.fill()
-	if cfg.MaxAgents > 0 && cfg.PopSize > cfg.MaxAgents {
-		return MessagePassingResult{}, &ErrIntractable{K: cfg.K, PopSize: cfg.PopSize, MaxAgents: cfg.MaxAgents}
+	if err := cfg.prepare(); err != nil {
+		return MessagePassingResult{}, err
 	}
 	if maxIter <= 0 {
 		maxIter = 10000
@@ -272,8 +268,8 @@ func RunMessagePassing(ctx context.Context, cfg DistributedConfig, o bandit.Orac
 			if tr.Sampled(t) {
 				tr.Emit(obs.Event{Type: obs.TypeState, Iter: t, Leader: lead,
 					Prob:    float64(counts[lead]) / float64(live),
-					Entropy: obs.EntropyInts(counts), Support: obs.SupportInts(counts),
-					Hist: obs.ShareHistInts(counts), N: int64(live)})
+					Entropy: obs.Entropy(counts), Support: obs.Support(counts),
+					Hist: obs.ShareHist(counts), N: int64(live)})
 			}
 			tr.Emit(obs.Event{Type: obs.TypeIterEnd, Iter: t})
 		}

@@ -18,10 +18,6 @@ type CongestionConfig struct {
 	// Epsilon is the constant step size ε ≤ 1/2 of the linear update
 	// w ← w·(1 + ε·gain). Default 0.1.
 	Epsilon float64
-	// Lambda is the load-sharing coefficient: a successful probe of an arm
-	// carrying load ℓ gains r/(1 + λ·(ℓ−1)). Larger λ pushes the
-	// population apart harder. Default 0.25.
-	Lambda float64
 	// Plurality is the convergence criterion: converged when the leader
 	// holds this fraction of total weight. Shared resources cap the
 	// leader's share well below 1 (an arm every agent crowds onto stops
@@ -29,6 +25,11 @@ type CongestionConfig struct {
 	// Default 0.30.
 	Plurality float64
 }
+
+// congestionLambda is the load-sharing coefficient λ: a successful probe
+// of an arm carrying load ℓ gains r/(1 + λ·(ℓ−1)). Larger λ pushes the
+// population apart harder.
+const congestionLambda = 0.25
 
 func (c *CongestionConfig) fill() {
 	if c.Agents <= 0 {
@@ -39,9 +40,6 @@ func (c *CongestionConfig) fill() {
 	}
 	if c.Epsilon > 0.5 {
 		c.Epsilon = 0.5
-	}
-	if c.Lambda <= 0 {
-		c.Lambda = 0.25
 	}
 	if c.Plurality <= 0 {
 		c.Plurality = 0.30
@@ -122,7 +120,7 @@ func (c *Congestion) UpdateMissing(arms []int, rewards []float64, missing []bool
 		if missing != nil && missing[j] {
 			continue
 		}
-		g := congestion.SharedGain(rewards[j], c.loads[arm], c.cfg.Lambda)
+		g := congestion.SharedGain(rewards[j], c.loads[arm], congestionLambda)
 		c.weights[arm] *= 1 + c.cfg.Epsilon*g
 	}
 	// The game's congestion: the heaviest-loaded arm this cycle.
@@ -131,5 +129,5 @@ func (c *Congestion) UpdateMissing(arms []int, rewards []float64, missing []bool
 }
 
 func (c *Congestion) String() string {
-	return fmt.Sprintf("congestion(k=%d, n=%d, ε=%g, λ=%g)", c.cfg.K, c.cfg.Agents, c.cfg.Epsilon, c.cfg.Lambda)
+	return fmt.Sprintf("congestion(k=%d, n=%d, ε=%g, λ=%g)", c.cfg.K, c.cfg.Agents, c.cfg.Epsilon, congestionLambda)
 }

@@ -34,14 +34,6 @@ type DistributedConfig struct {
 	// 0.30, reflecting the noise floor of the finite-population
 	// approximation (Sec. IV-C). Default 0.30.
 	Plurality float64
-	// MaxAgents bounds tractable population sizes; configurations whose
-	// (explicit or derived) population exceeds it are rejected by
-	// NewDistributed, mirroring the two intractable computations in the
-	// paper's Table II. Default 150000, which keeps every evaluation
-	// scenario up to k=5000 tractable while the two size-16384 scenarios
-	// (≈400k agents) are not, matching the paper. Set negative to disable
-	// the bound.
-	MaxAgents int
 	// Faults, when non-nil, injects agent crashes/restarts and message
 	// drop/delay/duplication into the message-passing protocol
 	// (RunMessagePassing). The synchronous engine ignores it — probe-level
@@ -60,6 +52,13 @@ type DistributedConfig struct {
 // defaultAlpha is the evaluation's failure-adoption probability α.
 const defaultAlpha = 0.01
 
+// maxAgents bounds tractable population sizes; configurations whose
+// (explicit or derived) population exceeds it are rejected, mirroring the
+// two intractable computations in the paper's Table II. 150000 keeps
+// every evaluation scenario up to k=5000 tractable while the two
+// size-16384 scenarios (≈400k agents) are not, matching the paper.
+const maxAgents = 150000
+
 func (c *DistributedConfig) fill() {
 	if c.Mu <= 0 {
 		c.Mu = 0.05
@@ -72,9 +71,6 @@ func (c *DistributedConfig) fill() {
 	}
 	if c.Plurality <= 0 {
 		c.Plurality = 0.30
-	}
-	if c.MaxAgents == 0 {
-		c.MaxAgents = 150000
 	}
 	if c.PopSize <= 0 {
 		c.PopSize = DefaultPopSize(c.K, c.Beta)
@@ -121,6 +117,22 @@ func (e *ErrIntractable) Error() string {
 		e.K, e.PopSize, e.MaxAgents)
 }
 
+// prepare validates and fills the configuration for both engines. It
+// returns *ErrIntractable when the population exceeds maxAgents.
+func (c *DistributedConfig) prepare() error {
+	if c.K <= 0 {
+		panic("mwu: DistributedConfig.K must be positive")
+	}
+	c.fill()
+	if c.Alpha > c.Beta {
+		panic("mwu: DistributedConfig requires alpha <= beta")
+	}
+	if c.PopSize > maxAgents {
+		return &ErrIntractable{K: c.K, PopSize: c.PopSize, MaxAgents: maxAgents}
+	}
+	return nil
+}
+
 // Distributed is the memoryless social-learning MWU: PopSize agents each
 // hold one current choice C_j; per iteration each agent observes either a
 // uniformly random option (prob. μ) or the choice of a uniformly random
@@ -154,17 +166,10 @@ type Distributed struct {
 }
 
 // NewDistributed creates a Distributed learner. It returns *ErrIntractable
-// when the required population exceeds cfg.MaxAgents.
+// when the required population exceeds maxAgents.
 func NewDistributed(cfg DistributedConfig, r *rng.RNG) (*Distributed, error) {
-	if cfg.K <= 0 {
-		panic("mwu: DistributedConfig.K must be positive")
-	}
-	cfg.fill()
-	if cfg.Alpha > cfg.Beta {
-		panic("mwu: DistributedConfig requires alpha <= beta")
-	}
-	if cfg.MaxAgents > 0 && cfg.PopSize > cfg.MaxAgents {
-		return nil, &ErrIntractable{K: cfg.K, PopSize: cfg.PopSize, MaxAgents: cfg.MaxAgents}
+	if err := cfg.prepare(); err != nil {
+		return nil, err
 	}
 	d := &Distributed{
 		cfg:     cfg,

@@ -74,13 +74,6 @@ func TestDistributedTractableSizesMatchPaper(t *testing.T) {
 	}
 }
 
-func TestDistributedMaxAgentsDisabled(t *testing.T) {
-	d, err := NewDistributed(DistributedConfig{K: 16384, PopSize: 200000, MaxAgents: -1}, rng.New(1))
-	if err != nil || d == nil {
-		t.Fatalf("negative MaxAgents should disable the bound: %v", err)
-	}
-}
-
 func TestDistributedAlphaBetaOrder(t *testing.T) {
 	defer func() {
 		if recover() == nil {

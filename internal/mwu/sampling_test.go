@@ -49,13 +49,6 @@ func TestSlateSampleOwned(t *testing.T) {
 	})
 }
 
-func TestSlateExactSampleOwned(t *testing.T) {
-	s := NewSlate(SlateConfig{K: 12, N: 3, ExactDecomposition: true}, rng.New(43))
-	assertSampleOwned(t, s.Sample, func(arms []int) {
-		s.Update(arms, make([]float64, len(arms)))
-	})
-}
-
 func TestDistributedSampleOwned(t *testing.T) {
 	d := MustDistributed(DistributedConfig{K: 4, PopSize: 40}, rng.New(44))
 	assertSampleOwned(t, d.Sample, func(arms []int) {
@@ -175,17 +168,7 @@ func (s naiveSlate) Sample() []int {
 	for i := range s.marginals {
 		s.marginals[i] = (1-s.cfg.Gamma)*float64(n)*q[i] + s.cfg.Gamma*uniform
 	}
-	var slate simplex.Slate
-	if s.cfg.ExactDecomposition {
-		comps := simplex.Decompose(s.marginals, n)
-		coeffs := make([]float64, len(comps))
-		for i, c := range comps {
-			coeffs[i] = c.Coeff
-		}
-		slate = comps[s.Slate.rng.Categorical(coeffs)].Slate
-	} else {
-		slate = simplex.SystematicSample(s.marginals, n, s.Slate.rng)
-	}
+	slate := simplex.SystematicSample(s.marginals, n, s.Slate.rng)
 	arms := make([]int, len(slate))
 	copy(arms, slate)
 	return arms
@@ -224,13 +207,6 @@ func TestSlateRunMatchesNaive(t *testing.T) {
 	runPair(t, "slate", func() (Learner, Learner) {
 		cfg := SlateConfig{K: 200, N: 8}
 		return NewSlate(cfg, rng.New(312)), naiveSlate{NewSlate(cfg, rng.New(312))}
-	})
-}
-
-func TestSlateExactRunMatchesNaive(t *testing.T) {
-	runPair(t, "slate-exact", func() (Learner, Learner) {
-		cfg := SlateConfig{K: 60, N: 4, ExactDecomposition: true}
-		return NewSlate(cfg, rng.New(313)), naiveSlate{NewSlate(cfg, rng.New(313))}
 	})
 }
 

@@ -30,18 +30,11 @@ type SlateConfig struct {
 	// Tol is the convergence tolerance relative to the maximum achievable
 	// inclusion probability. Default 1e-5 (Sec. IV-C).
 	Tol float64
-	// Window is the number of consecutive cycles the leader must remain
-	// converged-and-stable before the learner reports convergence.
-	// Default 5.
-	Window int
-	// ExactDecomposition selects the O(k²) convex-decomposition sampler
-	// (the construction analyzed in the paper's Sec. II-C) instead of the
-	// default O(k) systematic sampler. Both produce slates with identical
-	// per-option inclusion probabilities — the only quantity the
-	// importance-weighted update uses — but the decomposition is
-	// prohibitive at the largest evaluation sizes.
-	ExactDecomposition bool
 }
+
+// slateWindow is the number of consecutive cycles the leader must remain
+// converged-and-stable before a Slate learner reports convergence.
+const slateWindow = 5
 
 func (c *SlateConfig) fill() {
 	if c.Gamma <= 0 {
@@ -62,9 +55,6 @@ func (c *SlateConfig) fill() {
 	if c.Tol <= 0 {
 		c.Tol = 1e-5
 	}
-	if c.Window <= 0 {
-		c.Window = 5
-	}
 }
 
 // Slate is the slate-selection MWU: each iteration it selects a slate of N
@@ -74,10 +64,9 @@ func (c *SlateConfig) fill() {
 // x̂_i = r_i / m_i (m_i the inclusion probability), via
 // w_i ← w_i·exp(η·x̂_i).
 //
-// Selecting the slate exactly requires writing the marginal vector as a
-// convex combination of slates; the O(k²) decomposition lives in
-// internal/simplex (Sec. II-C: the naive subset enumeration is
-// astronomically large, e.g. C(1000,16) ≈ 4.2×10³⁴).
+// Slate draws with the O(k) systematic sampler rather than the O(k²)
+// convex decomposition of Sec. II-C (internal/simplex): both realize the
+// same per-option inclusion probabilities, all the update uses.
 //
 // Convergence (Sec. IV-C): the leader's inclusion probability is capped at
 // maxIncl = (1−γ) + γ·n/k < 1; the learner converges when the leader's
@@ -90,7 +79,6 @@ type Slate struct {
 	rng       *rng.RNG
 	capper    *simplex.Capper
 	marginals []float64
-	coeffs    []float64 // reusable coefficient buffer for the exact sampler
 	stable    int
 	converged bool
 	metrics   Metrics
@@ -132,11 +120,11 @@ func (s *Slate) maxInclusion() float64 {
 
 // Sample selects the next slate (Fig. 2's selection step): cap the
 // normalized weights onto the slate polytope, mix in γ uniform
-// exploration at the marginal level, decompose, and draw one slate. The
-// capping uses the partial-selection Capper (O(k + m log n) instead of a
-// full O(k log k) sort), and the default systematic sampler keeps the
-// whole selection step O(k). The returned slice is freshly allocated and
-// owned by the caller.
+// exploration at the marginal level, and draw one slate. The capping uses
+// the partial-selection Capper (O(k + m log n) instead of a full
+// O(k log k) sort), and the systematic sampler keeps the whole selection
+// step O(k). The returned slice is freshly allocated and owned by the
+// caller.
 func (s *Slate) Sample() []int {
 	n, k := s.cfg.N, s.cfg.K
 	q := s.capper.Cap(s.weights)
@@ -147,27 +135,7 @@ func (s *Slate) Sample() []int {
 	for i := range s.marginals {
 		s.marginals[i] = (1-s.cfg.Gamma)*float64(n)*q[i] + s.cfg.Gamma*uniform
 	}
-	var slate simplex.Slate
-	if s.cfg.ExactDecomposition {
-		comps := simplex.Decompose(s.marginals, n)
-		if cap(s.coeffs) < len(comps) {
-			s.coeffs = make([]float64, len(comps))
-		}
-		s.coeffs = s.coeffs[:len(comps)]
-		// Sum while filling so the draw can skip Categorical's extra pass;
-		// the left-to-right total matches Categorical's bit for bit.
-		total := 0.0
-		for i, c := range comps {
-			s.coeffs[i] = c.Coeff
-			total += c.Coeff
-		}
-		slate = comps[s.rng.CategoricalTotal(s.coeffs, total)].Slate
-	} else {
-		slate = simplex.SystematicSample(s.marginals, n, s.rng)
-	}
-	arms := make([]int, len(slate))
-	copy(arms, slate)
-	return arms
+	return simplex.SystematicSample(s.marginals, n, s.rng)
 }
 
 // Update implements Learner: UpdateMissing with every reward arrived.
@@ -217,11 +185,11 @@ func (s *Slate) UpdateMissing(arms []int, rewards []float64, missing []bool) {
 	s.metrics.recordIteration(s.cfg.N, arrived, int64(arrived))
 
 	// Convergence: leader pinned at the maximum achievable inclusion
-	// probability for Window consecutive cycles.
+	// probability for slateWindow consecutive cycles.
 	lead := s.Leader()
 	if s.maxInclusion()-s.marginals[lead] <= s.cfg.Tol {
 		s.stable++
-		if s.stable >= s.cfg.Window {
+		if s.stable >= slateWindow {
 			s.converged = true
 		}
 	} else {

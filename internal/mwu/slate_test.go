@@ -160,7 +160,7 @@ func TestSlateExplorationFloor(t *testing.T) {
 func TestSlateMetrics(t *testing.T) {
 	p := bandit.NewProblem(dist.New("x", []float64{0.5, 0.5, 0.5, 0.5}))
 	seed := rng.New(8)
-	s := NewSlate(SlateConfig{K: 4, N: 2, Window: 1 << 30}, seed.Split())
+	s := NewSlate(SlateConfig{K: 4, N: 2}, seed.Split())
 	Run(context.Background(), s, p, seed.Split(), RunConfig{MaxIter: 20, Workers: 1})
 	m := s.Metrics()
 	if m.Iterations != 20 {
@@ -223,26 +223,21 @@ func TestSlatePanicsWithoutK(t *testing.T) {
 }
 
 func TestSlateSamplerEquivalence(t *testing.T) {
-	// Both slate samplers realize identical per-option inclusion
-	// probabilities, so learning outcomes on the same problem must agree:
-	// same winning arm, similar iteration counts.
+	// The systematic sampler realizes the decomposition's per-option
+	// inclusion probabilities (TestSystematicSampleMatchesDecompositionMarginals
+	// in internal/simplex), so the learner must find the winning arm of an
+	// easy instance.
 	values := []float64{0.2, 0.2, 0.9, 0.2, 0.2, 0.2, 0.2, 0.2, 0.2, 0.2}
-	run := func(exact bool, seed uint64) (int, bool) {
+	wins := 0
+	for seed := uint64(100); seed < 105; seed++ {
 		p := bandit.NewProblem(dist.New("eq", values))
-		s := NewSlate(SlateConfig{K: 10, N: 3, Eta: 0.1, ExactDecomposition: exact}, rng.New(seed))
+		s := NewSlate(SlateConfig{K: 10, N: 3, Eta: 0.1}, rng.New(seed))
 		res := Run(context.Background(), s, p, rng.New(seed^0xF00), RunConfig{MaxIter: 8000, Workers: 1})
-		return res.Choice, res.Converged
-	}
-	sysWins, decWins := 0, 0
-	for seed := uint64(0); seed < 5; seed++ {
-		if c, conv := run(false, 100+seed); conv && c == 2 {
-			sysWins++
-		}
-		if c, conv := run(true, 100+seed); conv && c == 2 {
-			decWins++
+		if res.Converged && res.Choice == 2 {
+			wins++
 		}
 	}
-	if sysWins < 4 || decWins < 4 {
-		t.Fatalf("samplers disagree on an easy instance: systematic %d/5, decomposition %d/5", sysWins, decWins)
+	if wins < 4 {
+		t.Fatalf("systematic slate sampler converged to the best arm in %d/5 runs", wins)
 	}
 }

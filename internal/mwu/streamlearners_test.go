@@ -121,11 +121,11 @@ func TestOptimisticUpdateRule(t *testing.T) {
 // TestCongestionUpdateRule checks the load-shared linear step: duplicated
 // arms split their gain by the cycle's load, failures cost a full −ε.
 func TestCongestionUpdateRule(t *testing.T) {
-	c := NewCongestion(CongestionConfig{K: 3, Agents: 3, Epsilon: 0.1, Lambda: 0.5}, rng.New(1))
+	c := NewCongestion(CongestionConfig{K: 3, Agents: 3, Epsilon: 0.1}, rng.New(1))
 	c.Update([]int{0, 0, 1}, []float64{1, 1, 0})
 	w := c.Weights()
-	// Arm 0 carries load 2: each success gains 1/(1+0.5·1) = 2/3.
-	factor := 1 + 0.1*(1/1.5)
+	// Arm 0 carries load 2: each success gains 1/(1+0.25·1) = 4/5.
+	factor := 1 + 0.1*(1/1.25)
 	if want := factor * factor; math.Abs(w[0]-want) > 1e-12 {
 		t.Errorf("w[0] = %v, want %v", w[0], want)
 	}

@@ -127,9 +127,9 @@ func emitState(tr *obs.Tracer, iter int, l Learner, arms []int) {
 		e.Hist = obs.ShareHist(w)
 	case interface{ Popularity() []int }:
 		c := v.Popularity()
-		e.Entropy = obs.EntropyInts(c)
-		e.Support = obs.SupportInts(c)
-		e.Hist = obs.ShareHistInts(c)
+		e.Entropy = obs.Entropy(c)
+		e.Support = obs.Support(c)
+		e.Hist = obs.ShareHist(c)
 	}
 	tr.Emit(e)
 }

@@ -108,11 +108,6 @@ const (
 	// TypePoolBatch is one precompute batch: N candidates evaluated,
 	// Safe found safe, Attempts/Dups the cumulative generation ledger.
 	TypePoolBatch Type = "pool_batch"
-	// TypeGeneration is one baseline search milestone (a GenProg
-	// generation or a candidate-window checkpoint): Iter the generation or
-	// candidate index, N the fitness evaluations so far, Value the best
-	// weighted fitness seen.
-	TypeGeneration Type = "generation"
 )
 
 // KnownTypes is the closed event-type set, in documentation order.
@@ -120,7 +115,7 @@ var KnownTypes = []Type{
 	TypeRunStart, TypeRunEnd, TypeIterStart, TypeIterEnd,
 	TypeProbe, TypeProbeDone, TypeUpdate, TypeFault, TypeRecover,
 	TypeStall, TypeCache, TypeDrift, TypeConv, TypeState, TypeCrash,
-	TypeRestart, TypePoolBatch, TypeGeneration,
+	TypeRestart, TypePoolBatch,
 }
 
 // Event is one trace record. The struct is flat and fixed so
@@ -135,7 +130,7 @@ type Event struct {
 	Run string `json:"run,omitempty"`
 	// Type tags the event.
 	Type Type `json:"type"`
-	// Iter is the update cycle (or batch / generation index) the event
+	// Iter is the update cycle (or pool batch index) the event
 	// belongs to; 0 for run-scoped events.
 	Iter int `json:"iter"`
 	// Slot is the evaluator slot or agent ID.
@@ -146,14 +141,12 @@ type Event struct {
 	Attempt int `json:"attempt,omitempty"`
 	// Tick is a virtual-tick latency or arrival time (never wall-clock).
 	Tick int `json:"tick,omitempty"`
-	// Kind is a small string label: fault kind, end reason, algorithm of
-	// a generation event.
+	// Kind is a small string label: fault kind, end reason.
 	Kind string `json:"kind,omitempty"`
-	// Value is the event's scalar payload (reward, summed reward, best
-	// fitness).
+	// Value is the event's scalar payload (reward, summed reward).
 	Value float64 `json:"value,omitempty"`
 	// N is the event's count payload (slots updated, cache hits,
-	// candidates evaluated, fitness evals).
+	// candidates evaluated).
 	N int64 `json:"n,omitempty"`
 	// Leader and Prob are the current leader option and its share.
 	Leader int     `json:"leader,omitempty"`

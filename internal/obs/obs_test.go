@@ -316,7 +316,7 @@ func TestRegistryConcurrent(t *testing.T) {
 }
 
 func TestEntropy(t *testing.T) {
-	if got := Entropy(nil); got != 0 {
+	if got := Entropy[float64](nil); got != 0 {
 		t.Fatalf("Entropy(nil)=%v", got)
 	}
 	if got := Entropy([]float64{0, 0}); got != 0 {
@@ -329,8 +329,8 @@ func TestEntropy(t *testing.T) {
 	if math.Abs(uniform-math.Log(4)) > 1e-12 {
 		t.Fatalf("Entropy(uniform 4)=%v, want ln 4", uniform)
 	}
-	if got := EntropyInts([]int{2, 2, 2, 2}); math.Abs(got-math.Log(4)) > 1e-12 {
-		t.Fatalf("EntropyInts(uniform 4)=%v, want ln 4", got)
+	if got := Entropy([]int{2, 2, 2, 2}); math.Abs(got-math.Log(4)) > 1e-12 {
+		t.Fatalf("Entropy(uniform 4)=%v, want ln 4", got)
 	}
 	// Skew lowers entropy.
 	if Entropy([]float64{10, 1, 1, 1}) >= uniform {
@@ -342,8 +342,8 @@ func TestSupport(t *testing.T) {
 	if got := Support([]float64{0, 1.5, 0, 0.1}); got != 2 {
 		t.Fatalf("Support=%d, want 2", got)
 	}
-	if got := SupportInts([]int{0, 3, 0, 0}); got != 1 {
-		t.Fatalf("SupportInts=%d, want 1", got)
+	if got := Support([]int{0, 3, 0, 0}); got != 1 {
+		t.Fatalf("Support=%d, want 1", got)
 	}
 }
 
@@ -359,7 +359,7 @@ func TestShareHist(t *testing.T) {
 		t.Fatalf("uniform-4 hist=%v, want 4 in bucket 2", h)
 	}
 	// Integer variant agrees.
-	hi := ShareHistInts([]int{1, 1, 1, 1})
+	hi := ShareHist([]int{1, 1, 1, 1})
 	for i := range h {
 		if h[i] != hi[i] {
 			t.Fatalf("float/int hist disagree: %v vs %v", h, hi)
@@ -375,7 +375,7 @@ func TestShareHist(t *testing.T) {
 		t.Fatalf("tiny shares hist=%v", h)
 	}
 	if sum := func() (s int64) {
-		for _, v := range ShareHist(nil) {
+		for _, v := range ShareHist[float64](nil) {
 			s += v
 		}
 		return

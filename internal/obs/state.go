@@ -17,46 +17,20 @@ import "math"
 const ShareHistBuckets = 8
 
 // Entropy returns the Shannon entropy (nats) of the distribution obtained
-// by normalizing the nonnegative mass vector. Zero-mass entries carry no
+// by normalizing the nonnegative mass vector: weights, or an agent
+// population's per-option holder counts. Zero-mass entries carry no
 // contribution; a zero or empty vector has entropy 0. Entropy ln(k) means
 // uniform weights (the MWU's starting point); 0 means total concentration
 // (the converged end state).
-func Entropy(mass []float64) float64 {
-	total := 0.0
-	for _, m := range mass {
-		if m > 0 {
-			total += m
-		}
-	}
+func Entropy[T ~int | ~float64](mass []T) float64 {
+	total := positiveTotal(mass)
 	if total <= 0 {
 		return 0
 	}
 	h := 0.0
 	for _, m := range mass {
 		if m > 0 {
-			p := m / total
-			h -= p * math.Log(p)
-		}
-	}
-	return h
-}
-
-// EntropyInts is Entropy over integer counts (an agent population's
-// per-option holder counts) without converting the slice.
-func EntropyInts(counts []int) float64 {
-	total := 0
-	for _, c := range counts {
-		if c > 0 {
-			total += c
-		}
-	}
-	if total <= 0 {
-		return 0
-	}
-	h := 0.0
-	for _, c := range counts {
-		if c > 0 {
-			p := float64(c) / float64(total)
+			p := float64(m) / float64(total)
 			h -= p * math.Log(p)
 		}
 	}
@@ -64,21 +38,10 @@ func EntropyInts(counts []int) float64 {
 }
 
 // Support counts entries holding positive mass.
-func Support(mass []float64) int {
+func Support[T ~int | ~float64](mass []T) int {
 	n := 0
 	for _, m := range mass {
 		if m > 0 {
-			n++
-		}
-	}
-	return n
-}
-
-// SupportInts is Support over integer counts.
-func SupportInts(counts []int) int {
-	n := 0
-	for _, c := range counts {
-		if c > 0 {
 			n++
 		}
 	}
@@ -89,45 +52,30 @@ func SupportInts(counts []int) int {
 // ShareHistBuckets log₂-spaced bins (see the constant). Zero-mass entries
 // are excluded — Support carries them. A zero vector yields all-zero
 // buckets.
-func ShareHist(mass []float64) []int64 {
-	total := 0.0
+func ShareHist[T ~int | ~float64](mass []T) []int64 {
+	total := positiveTotal(mass)
+	hist := make([]int64, ShareHistBuckets)
+	if total <= 0 {
+		return hist
+	}
+	for _, m := range mass {
+		if m > 0 {
+			hist[shareBucket(float64(m)/float64(total))]++
+		}
+	}
+	return hist
+}
+
+// positiveTotal sums the positive entries in the slice's own type, so an
+// integer total converts to float64 once, exactly.
+func positiveTotal[T ~int | ~float64](mass []T) T {
+	var total T
 	for _, m := range mass {
 		if m > 0 {
 			total += m
 		}
 	}
-	hist := make([]int64, ShareHistBuckets)
-	if total <= 0 {
-		return hist
-	}
-	for _, m := range mass {
-		if m <= 0 {
-			continue
-		}
-		hist[shareBucket(m/total)]++
-	}
-	return hist
-}
-
-// ShareHistInts is ShareHist over integer counts.
-func ShareHistInts(counts []int) []int64 {
-	total := 0
-	for _, c := range counts {
-		if c > 0 {
-			total += c
-		}
-	}
-	hist := make([]int64, ShareHistBuckets)
-	if total <= 0 {
-		return hist
-	}
-	for _, c := range counts {
-		if c <= 0 {
-			continue
-		}
-		hist[shareBucket(float64(c)/float64(total))]++
-	}
-	return hist
+	return total
 }
 
 // shareBucket maps a share p ∈ (0, 1] to its log₂ bucket.

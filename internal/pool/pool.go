@@ -20,9 +20,7 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"sync/atomic"
 
-	"repro/internal/faults"
 	"repro/internal/lang"
 	"repro/internal/mutation"
 	"repro/internal/obs"
@@ -77,13 +75,6 @@ type Stats struct {
 	// worker.
 	CacheHits       int64
 	DedupSuppressed int64
-	// ProbeFaults and Retries count injected candidate-evaluation faults
-	// and the re-issues that absorbed them (zero without an injector).
-	ProbeFaults int64
-	Retries     int64
-	// Dropped counts candidates abandoned because their evaluation kept
-	// faulting after all retries; each is a pool entry we may have lost.
-	Dropped int64
 	// StoreHits counts safety checks answered by verdicts a previous
 	// run persisted (warm cache entries loaded from Config.Store) —
 	// precompute work avoided entirely. WarmEntries is how many stored
@@ -92,8 +83,8 @@ type Stats struct {
 	StoreHits   int64
 	WarmEntries int64
 	// Degraded reports the build did not run to its natural end: the
-	// context was cancelled, or candidates were dropped to faults. The
-	// pool is still valid — just possibly smaller than a clean build.
+	// context was cancelled. The pool is still valid — just possibly
+	// smaller than a complete build.
 	Degraded bool
 }
 
@@ -118,9 +109,6 @@ func (s Stats) Export(reg *obs.Registry, prefix string) {
 	reg.Counter(prefix + ".duplicates").Set(int64(s.Duplicates))
 	reg.Counter(prefix + ".cache_hits").Set(s.CacheHits)
 	reg.Counter(prefix + ".dedup_suppressed").Set(s.DedupSuppressed)
-	reg.Counter(prefix + ".probe_faults").Set(s.ProbeFaults)
-	reg.Counter(prefix + ".retries").Set(s.Retries)
-	reg.Counter(prefix + ".dropped").Set(s.Dropped)
 	reg.Counter(prefix + ".store_hits").Set(s.StoreHits)
 	reg.Counter(prefix + ".warm_entries").Set(s.WarmEntries)
 	reg.Gauge(prefix + ".safe_rate").Set(s.SafeRate())
@@ -134,17 +122,8 @@ type Config struct {
 	// evaluations are already paid for), so the pool may exceed Target by
 	// up to one batch.
 	Target int
-	// MaxAttempts bounds candidate generation; 0 means 200 × Target.
-	MaxAttempts int
 	// Workers is the parallel evaluation width; 0 means 8.
 	Workers int
-	// Faults, when non-nil, injects candidate-evaluation faults at the
-	// injector's configured rates (deterministic per candidate sequence
-	// number, independent of worker count).
-	Faults *faults.Injector
-	// Retry re-issues faulted candidate evaluations; the zero value
-	// retries nothing, so any fault drops its candidate.
-	Retry faults.Retry
 	// Trace, when active, receives one pool_batch event per evaluation
 	// batch, emitted from the generating goroutine after the batch barrier
 	// — deterministic at any Workers count, like the pool contents
@@ -159,12 +138,13 @@ type Config struct {
 	Store *store.Store
 }
 
+// attemptsPerTarget caps candidate generation at this many attempts per
+// pool entry wanted.
+const attemptsPerTarget = 200
+
 func (c *Config) fill() {
 	if c.Target <= 0 {
 		c.Target = 100
-	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 200 * c.Target
 	}
 	if c.Workers <= 0 {
 		c.Workers = 8
@@ -179,11 +159,9 @@ func (c *Config) fill() {
 //
 // Cancelling the context stops the build at the next batch boundary and
 // returns the partial pool with Stats.Degraded set; the evaluation
-// workers are always drained before return. With cfg.Faults configured,
-// transient candidate-evaluation faults are retried per cfg.Retry; a
-// candidate that keeps faulting is dropped (Stats.Dropped) rather than
-// hanging the build. Fault decisions are keyed by candidate sequence
-// number, so a fixed seed yields the same schedule at any worker count.
+// workers are always drained before return. Candidate generation stops
+// after attemptsPerTarget × Target attempts, so an unsatisfiable target
+// cannot spin forever.
 func Precompute(ctx context.Context, p *lang.Program, suite *testsuite.Suite, cfg Config, seed *rng.RNG) *Pool {
 	if ctx == nil {
 		ctx = context.Background()
@@ -201,18 +179,15 @@ func Precompute(ctx context.Context, p *lang.Program, suite *testsuite.Suite, cf
 		runner.WarmStart()
 	}
 
+	maxAttempts := attemptsPerTarget * cfg.Target
 	pl := &Pool{original: p.Clone()}
 	seen := make(map[string]struct{})
 
 	const batchSize = 64
 	type cand struct {
 		m    mutation.Mutation
-		seq  int // generation sequence number: the fault-decision coordinate
 		safe bool
-		ok   bool // evaluation completed (false = dropped to faults)
 	}
-	inj := cfg.Faults
-	var probeFaults, retries, dropped int64
 	// Persistent safety-evaluation workers for the whole build: candidate
 	// batches are dispatched over a channel instead of spawning a
 	// goroutine per candidate per batch.
@@ -221,42 +196,22 @@ func Precompute(ctx context.Context, p *lang.Program, suite *testsuite.Suite, cf
 	for w := 0; w < cfg.Workers; w++ {
 		go func() {
 			for c := range jobs {
-				c.ok = true
-				for attempt := 0; ; attempt++ {
-					if inj.ProbeFault(0, c.seq, attempt) == faults.None {
-						break
-					}
-					atomic.AddInt64(&probeFaults, 1)
-					if cfg.Retry.Enabled() && attempt < cfg.Retry.Max {
-						atomic.AddInt64(&retries, 1)
-						continue
-					}
-					// Retries exhausted: abandon the candidate instead of
-					// hanging the batch on it.
-					atomic.AddInt64(&dropped, 1)
-					c.ok = false
-					break
-				}
-				if c.ok {
-					mutant := mutation.Apply(p, []mutation.Mutation{c.m})
-					c.safe = runner.Safe(mutant)
-				}
+				c.safe = runner.Safe(mutation.Apply(p, []mutation.Mutation{c.m}))
 				wg.Done()
 			}
 		}()
 	}
 	defer close(jobs)
 
-	seq := 0
 	batchIdx := 0
-	for pl.stats.Attempts < cfg.MaxAttempts && len(pl.mutations) < cfg.Target {
+	for pl.stats.Attempts < maxAttempts && len(pl.mutations) < cfg.Target {
 		if ctx.Err() != nil {
 			pl.stats.Degraded = true
 			break
 		}
 		// Sequential, deterministic candidate generation.
 		batch := make([]cand, 0, batchSize)
-		for len(batch) < batchSize && pl.stats.Attempts < cfg.MaxAttempts {
+		for len(batch) < batchSize && pl.stats.Attempts < maxAttempts {
 			m := mutation.Random(p, covered, seed)
 			pl.stats.Attempts++
 			if _, dup := seen[m.ID()]; dup {
@@ -264,8 +219,7 @@ func Precompute(ctx context.Context, p *lang.Program, suite *testsuite.Suite, cf
 				continue
 			}
 			seen[m.ID()] = struct{}{}
-			batch = append(batch, cand{m: m, seq: seq})
-			seq++
+			batch = append(batch, cand{m: m})
 		}
 		if len(batch) == 0 {
 			break
@@ -283,7 +237,7 @@ func Precompute(ctx context.Context, p *lang.Program, suite *testsuite.Suite, cf
 		// loop condition above.
 		safeInBatch := 0
 		for _, c := range batch {
-			if c.ok && c.safe {
+			if c.safe {
 				pl.mutations = append(pl.mutations, c.m)
 				safeInBatch++
 			}
@@ -298,14 +252,8 @@ func Precompute(ctx context.Context, p *lang.Program, suite *testsuite.Suite, cf
 	pl.stats.Safe = len(pl.mutations)
 	pl.stats.CacheHits = runner.CacheHits()
 	pl.stats.DedupSuppressed = runner.DedupSuppressed()
-	pl.stats.ProbeFaults = probeFaults
-	pl.stats.Retries = retries
-	pl.stats.Dropped = dropped
 	pl.stats.StoreHits = runner.WarmHits()
 	pl.stats.WarmEntries = runner.WarmEntries()
-	if dropped > 0 {
-		pl.stats.Degraded = true
-	}
 	if cfg.Store != nil {
 		pl.Persist(cfg.Store, suite)
 	}

@@ -128,11 +128,12 @@ func TestPrecomputeStats(t *testing.T) {
 }
 
 func TestPrecomputeAttemptBudget(t *testing.T) {
-	// An unsatisfiable target must stop at MaxAttempts, not spin forever.
+	// An unsatisfiable target must stop at the attempt cap
+	// (attemptsPerTarget × Target), not spin forever.
 	p := lang.MustParse(src)
-	pl := Precompute(context.Background(), p, suite(), Config{Target: 100000, MaxAttempts: 300, Workers: 2}, rng.New(5))
-	if pl.Stats().Attempts > 300 {
-		t.Fatalf("attempts %d exceeded budget", pl.Stats().Attempts)
+	pl := Precompute(context.Background(), p, suite(), Config{Target: 1000, Workers: 2}, rng.New(5))
+	if st := pl.Stats(); st.Attempts > attemptsPerTarget*1000 || pl.Size() >= 1000 {
+		t.Fatalf("attempts %d (pool %d) exceeded budget", st.Attempts, pl.Size())
 	}
 }
 

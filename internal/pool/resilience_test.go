@@ -4,58 +4,9 @@ import (
 	"context"
 	"testing"
 
-	"repro/internal/faults"
 	"repro/internal/lang"
 	"repro/internal/rng"
 )
-
-// TestPrecomputeWithFaults: injected candidate faults are retried per
-// the Retry policy; candidates whose retries run out are dropped and the
-// pool is marked degraded — but everything that did get evaluated is
-// still a valid safe mutation.
-func TestPrecomputeWithFaults(t *testing.T) {
-	p := lang.MustParse(src)
-	cfg := Config{
-		Target:  10,
-		Workers: 4,
-		Faults:  faults.New(faults.Config{Seed: 3, Hang: 0.3, Panic: 0.1}),
-		Retry:   faults.Retry{Max: 2, BaseTicks: 1, CapTicks: 4},
-	}
-	pl := Precompute(context.Background(), p, suite(), cfg, rng.New(1))
-	st := pl.Stats()
-	if st.ProbeFaults == 0 {
-		t.Fatal("no faults injected at 40% combined rate")
-	}
-	if st.Retries == 0 {
-		t.Fatal("no retries despite Retry{Max: 2}")
-	}
-	if pl.Size() == 0 {
-		t.Fatal("fault injection wiped out the whole pool")
-	}
-	if st.Dropped > 0 && !st.Degraded {
-		t.Fatalf("dropped %d candidates but not degraded", st.Dropped)
-	}
-}
-
-// TestPrecomputeFaultScheduleWorkerInvariant: the candidate fault
-// schedule keys on candidate sequence number, so worker count cannot
-// change which candidates are dropped.
-func TestPrecomputeFaultScheduleWorkerInvariant(t *testing.T) {
-	p := lang.MustParse(src)
-	build := func(workers int) Stats {
-		cfg := Config{
-			Target:  10,
-			Workers: workers,
-			Faults:  faults.New(faults.Config{Seed: 3, Hang: 0.3, Panic: 0.1}),
-			Retry:   faults.Retry{Max: 2, BaseTicks: 1, CapTicks: 4},
-		}
-		return Precompute(context.Background(), p, suite(), cfg, rng.New(1)).Stats()
-	}
-	a, b := build(1), build(8)
-	if a.ProbeFaults != b.ProbeFaults || a.Retries != b.Retries || a.Dropped != b.Dropped {
-		t.Fatalf("fault schedule depends on worker count:\n1 worker: %+v\n8 workers: %+v", a, b)
-	}
-}
 
 // TestPrecomputeCancellation: a cancelled build returns the partial pool
 // with Degraded set instead of finishing or hanging.

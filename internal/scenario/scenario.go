@@ -660,33 +660,23 @@ func (sc *Scenario) validate() error {
 // property the paper's benchmark selection provides for the real
 // subjects.
 func (sc *Scenario) BuildPool(workers int, seed *rng.RNG) *pool.Pool {
-	return sc.BuildPoolContext(context.Background(), workers, seed, nil)
+	return sc.BuildPoolStored(context.Background(), workers, seed, nil, nil)
 }
 
-// BuildPoolTraced is BuildPool with the phase-1 batch event stream routed
-// to tr (a nil tracer records nothing).
-func (sc *Scenario) BuildPoolTraced(workers int, seed *rng.RNG, tr *obs.Tracer) *pool.Pool {
-	return sc.BuildPoolContext(context.Background(), workers, seed, tr)
-}
-
-// BuildPoolContext is BuildPoolTraced with a cancellable context: a
-// SIGINT-cancelled CLI run or a cancelled daemon job stops the build at
-// the next batch boundary and gets the partial pool back (Stats.Degraded
-// set) instead of blocking shutdown behind phase 1. The canonical
-// repairers are appended even to a partial pool, so any non-empty result
-// still contains a repair.
-func (sc *Scenario) BuildPoolContext(ctx context.Context, workers int, seed *rng.RNG, tr *obs.Tracer) *pool.Pool {
-	return sc.BuildPoolStored(ctx, workers, seed, tr, nil)
-}
-
-// BuildPoolStored is BuildPoolContext backed by a persistent store: the
-// precompute safety cache warm-starts from previously persisted verdicts
-// (candidates an earlier build already judged run no tests), this
-// build's verdicts are persisted for future runs, and the finished pool
-// — canonical repairers included — is saved as durable pool records. The
-// pool contents and the phase-1 trace are byte-identical to a storeless
-// build; only Stats.StoreHits/WarmEntries and the suite-execution count
-// differ. A nil store degrades to BuildPoolContext exactly.
+// BuildPoolStored is BuildPool with a cancellable context, a trace and a
+// persistent store. A SIGINT-cancelled CLI run or a cancelled daemon job
+// stops the build at the next batch boundary and gets the partial pool
+// back (Stats.Degraded set) instead of blocking shutdown behind phase 1;
+// the canonical repairers are appended even to a partial pool, so any
+// non-empty result still contains a repair. tr receives the phase-1
+// batch event stream (a nil tracer records nothing). With a non-nil
+// store, the precompute safety cache warm-starts from previously
+// persisted verdicts (candidates an earlier build already judged run no
+// tests), this build's verdicts are persisted for future runs, and the
+// finished pool — canonical repairers included — is saved as durable
+// pool records. The pool contents and the phase-1 trace are
+// byte-identical to a storeless build; only Stats.StoreHits/WarmEntries
+// and the suite-execution count differ.
 func (sc *Scenario) BuildPoolStored(ctx context.Context, workers int, seed *rng.RNG, tr *obs.Tracer, st *store.Store) *pool.Pool {
 	pl := pool.Precompute(ctx, sc.Program, sc.Suite, pool.Config{
 		Target:  sc.Profile.PoolTarget,

@@ -43,7 +43,7 @@ func TestDaemonMatchesCLIByteForByte(t *testing.T) {
 	sc := scenario.Generate(prof)
 	r := rng.New(seed)
 	ctx := context.Background()
-	pl := sc.BuildPoolContext(ctx, workers, r.Split(), tracer)
+	pl := sc.BuildPoolStored(ctx, workers, r.Split(), tracer, nil)
 	cfg := core.Config{MaxIter: maxIter, Workers: workers, MaxX: prof.Options, Trace: tracer}
 	res, err := core.RepairWithAlgorithm(ctx, alg, pl, sc.Suite, r.Split(), cfg)
 	if err != nil {

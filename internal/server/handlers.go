@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -73,11 +74,18 @@ func retryAfterSeconds(d time.Duration) string {
 	return strconv.Itoa(s)
 }
 
-func handleSubmit(m *Manager, w http.ResponseWriter, r *http.Request) {
+// decodeSpec reads one job spec, rejecting unknown fields.
+func decodeSpec(r io.Reader) (Spec, error) {
 	var spec Spec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
+	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	err := dec.Decode(&spec)
+	return spec, err
+}
+
+func handleSubmit(m *Manager, w http.ResponseWriter, r *http.Request) {
+	spec, err := decodeSpec(http.MaxBytesReader(w, r.Body, maxSpecBytes))
+	if err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
 			writeError(w, http.StatusRequestEntityTooLarge,

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/lang"
 	"repro/internal/mutation"
 	"repro/internal/mwu"
 	"repro/internal/scenario"
@@ -164,6 +165,50 @@ func (s *Spec) subjectName() string {
 	return "custom"
 }
 
+// Admission limits. A spec above any of them is rejected with a 400: each
+// bounds what a single POST can make the daemon spend.
+const (
+	// maxWorkers bounds a job's probe and precompute goroutines.
+	maxWorkers = 256
+	// maxAgents bounds the learner's per-cycle evaluators (the
+	// distributed learner's population): it is the distributed learner's
+	// own tractability bound, so every population the learners accept is
+	// admitted.
+	maxAgents = 150000
+	// maxPoolTarget bounds the phase-1 pool size and with it the
+	// precompute's attempt cap (200 × target). The largest registry
+	// profile targets 5508 entries (5000 options).
+	maxPoolTarget = 8192
+	// maxTestSteps bounds one test's interpreter step budget (5× the
+	// default lang.DefaultMaxSteps).
+	maxTestSteps = 1_000_000
+	// maxSuiteSteps bounds the suite's total step budget, Σ maxSteps with
+	// 0 counting as lang.DefaultMaxSteps. Admission runs a custom suite
+	// once inside the HTTP handler, so this caps that run.
+	maxSuiteSteps = 5_000_000
+)
+
+// steps is the suite's total interpreter step budget: the sum of every
+// test's maxSteps, a non-positive one counting as lang.DefaultMaxSteps.
+// It rejects a test above maxTestSteps as soon as it meets one, so the
+// sum cannot overflow.
+func (s *SuiteSpec) steps() (int, error) {
+	total := 0
+	for _, tests := range [][]TestSpec{s.Positive, s.Negative} {
+		for _, t := range tests {
+			n := t.MaxSteps
+			if n <= 0 {
+				n = lang.DefaultMaxSteps
+			}
+			if n > maxTestSteps {
+				return 0, fmt.Errorf("test %q: maxSteps %d exceeds the limit of %d", t.Name, n, maxTestSteps)
+			}
+			total += n
+		}
+	}
+	return total, nil
+}
+
 // validate checks the spec and eagerly decodes the custom-program path
 // (parse + suite admission checks run the suite once — milliseconds —
 // so a malformed job is a 400 at submit, not a failed job minutes
@@ -187,6 +232,9 @@ func (s *Spec) validate() (*scenario.Scenario, error) {
 	if s.MaxIter < 0 || s.Workers < 1 || s.Cutoff < 0 || s.PoolTarget < 0 || s.TraceSample < 1 {
 		return nil, fmt.Errorf("maxIter, cutoff and poolTarget must be >= 0; workers and traceSample >= 1")
 	}
+	if s.Workers > maxWorkers || s.Agents > maxAgents || s.PoolTarget > maxPoolTarget {
+		return nil, fmt.Errorf("workers, agents and poolTarget must be at most %d, %d and %d", maxWorkers, maxAgents, maxPoolTarget)
+	}
 	if !(s.FaultRate >= 0 && s.FaultRate <= 1) {
 		return nil, fmt.Errorf("faultRate must be in [0,1], got %v", s.FaultRate)
 	}
@@ -207,6 +255,13 @@ func (s *Spec) validate() (*scenario.Scenario, error) {
 	}
 	if s.Suite == nil {
 		return nil, fmt.Errorf("custom program jobs require a suite")
+	}
+	steps, err := s.Suite.steps()
+	if err != nil {
+		return nil, err
+	}
+	if steps > maxSuiteSteps {
+		return nil, fmt.Errorf("suite step budget %d (sum of maxSteps, 0 counting %d) exceeds the limit of %d", steps, lang.DefaultMaxSteps, maxSuiteSteps)
 	}
 	return scenario.FromSource(s.subjectName(), s.Program, s.Suite.suite(), s.PoolTarget, 0)
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/lang"
 	"repro/internal/obs"
 )
 
@@ -259,6 +260,17 @@ func TestSubmitValidation(t *testing.T) {
 				Negative: []TestSpec{{Input: []int64{2}, Want: []int64{2}}},
 			},
 		}},
+		// One row per admission limit, one above it.
+		{"workers above limit", map[string]any{"scenario": "units", "workers": maxWorkers + 1}},
+		{"agents above limit", map[string]any{"scenario": "units", "agents": maxAgents + 1}},
+		{"poolTarget above limit", map[string]any{
+			"program": repairableSrc, "suite": repairableSuite(), "poolTarget": maxPoolTarget + 1}},
+		{"test maxSteps above limit", map[string]any{"program": repairableSrc, "suite": &SuiteSpec{
+			Positive: []TestSpec{{Input: []int64{1, 2}, Want: []int64{3}, MaxSteps: maxTestSteps + 1}},
+			Negative: repairableSuite().Negative,
+		}}},
+		{"suite steps above limit", map[string]any{
+			"program": repairableSrc, "suite": stepSuite(maxSuiteSteps + 1)}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -267,6 +279,41 @@ func TestSubmitValidation(t *testing.T) {
 				t.Fatalf("status %d, want 400", resp.StatusCode)
 			}
 		})
+	}
+}
+
+// stepSuite is repairableSuite grown by extra copies of its "small"
+// positive test, each with an explicit maxSteps of at most maxTestSteps,
+// until the suite's total step budget is exactly steps.
+func stepSuite(steps int) *SuiteSpec {
+	suite := repairableSuite()
+	for left := steps - 4*lang.DefaultMaxSteps; left > 0; { // four default-budget tests
+		n := min(left, maxTestSteps)
+		suite.Positive = append(suite.Positive, TestSpec{Name: "extra", Input: []int64{1, 2}, Want: []int64{3}, MaxSteps: n})
+		left -= n
+	}
+	return suite
+}
+
+// TestSubmitLimitsAdmitBoundary: a spec exactly at every admission limit
+// is admitted, as are the registry defaults and the repo's own job specs.
+func TestSubmitLimitsAdmitBoundary(t *testing.T) {
+	if got, err := stepSuite(maxSuiteSteps).steps(); err != nil || got != maxSuiteSteps {
+		t.Fatalf("stepSuite(maxSuiteSteps) budget = %d, %v", got, err)
+	}
+	specs := map[string]Spec{
+		"registry": {Scenario: "units", Workers: maxWorkers, Agents: maxAgents},
+		"custom at limits": {Program: repairableSrc, Suite: stepSuite(maxSuiteSteps),
+			PoolTarget: maxPoolTarget, Workers: maxWorkers, Agents: maxAgents},
+		"registry profile defaults": {Program: repairableSrc, Suite: repairableSuite(),
+			PoolTarget: 5508, Agents: 250},
+		"repairable": repairableSpec(),
+		"slow":       slowSpec(),
+	}
+	for name, spec := range specs {
+		if _, err := spec.validate(); err != nil {
+			t.Errorf("%s: rejected: %v", name, err)
+		}
 	}
 }
 
