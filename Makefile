@@ -112,6 +112,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReload$$' -fuzztime 5s ./internal/wrs
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime 5s ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadSnapshot$$' -fuzztime 5s ./internal/store
+	$(GO) test -run '^$$' -fuzz '^FuzzRecoverPackDir$$' -fuzztime 5s ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRoundTrip$$' -fuzztime 5s ./internal/lang
 	$(GO) test -run '^$$' -fuzz '^FuzzRunContained$$' -fuzztime 5s ./internal/lang
 	$(GO) test -run '^$$' -fuzz '^FuzzSubmitSpec$$' -fuzztime 5s ./internal/server

@@ -91,7 +91,7 @@ func BenchmarkSampleUpdateCycle(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("slate/k=%d", k), func(b *testing.B) {
 			s := mwu.NewSlate(mwu.SlateConfig{K: k}, rng.New(uint64(k)))
-			rewards := make([]float64, s.N())
+			rewards := make([]float64, s.Agents()) // one reward per slate member
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				arms := s.Sample()

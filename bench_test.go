@@ -100,7 +100,8 @@ func BenchmarkTable1Congestion(b *testing.B) {
 	}
 	b.ReportMetric(maxLoad/float64(b.N), "distributed-congestion")
 	b.ReportMetric(congestion.BallsIntoBinsBound(n), "lnn-lnlnn-bound")
-	b.ReportMetric(float64(congestion.StandardCongestion(n)), "standard-congestion")
+	// Standard and Slate: every agent reports to the weight-vector holder.
+	b.ReportMetric(float64(n), "standard-congestion")
 }
 
 // BenchmarkTable1Memory regenerates the memory row of Table I from real
@@ -112,7 +113,10 @@ func BenchmarkTable1Memory(b *testing.B) {
 	var std, dst, slt float64
 	for i := 0; i < b.N; i++ {
 		s := mwu.NewStandard(mwu.StandardConfig{K: k}, seed.Split())
-		d := mwu.MustDistributed(mwu.DistributedConfig{K: k}, seed.Split())
+		d, err := mwu.NewDistributed(mwu.DistributedConfig{K: k}, seed.Split())
+		if err != nil {
+			b.Fatal(err)
+		}
 		l := mwu.NewSlate(mwu.SlateConfig{K: k}, seed.Split())
 		std = float64(s.Metrics().MemoryFloats)
 		dst = float64(d.Metrics().MemoryFloats)

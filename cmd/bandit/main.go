@@ -31,11 +31,11 @@ import (
 
 func main() {
 	var (
-		dsName  = flag.String("dataset", "random256", "dataset name (see -list)")
-		list    = flag.Bool("list", false, "list dataset names and exit")
-		alg     = flag.String("algorithm", "standard", "standard | distributed | slate | optimistic | congestion")
-		maxIter = flag.Int("maxiter", 10000, "iteration limit")
-		seed    = flag.Uint64("seed", 1, "random seed")
+		dsName     = flag.String("dataset", "random256", "dataset name (see -list)")
+		list       = flag.Bool("list", false, "list dataset names and exit")
+		alg        = flag.String("algorithm", "standard", "standard | distributed | slate | optimistic | congestion")
+		maxIter    = flag.Int("maxiter", 10000, "iteration limit")
+		seed       = flag.Uint64("seed", 1, "random seed")
 		printEvery = flag.Int("print-every", 0, "print a progress line every N iterations (0 = off)")
 
 		faultRate = flag.Float64("faultrate", 0, "inject probe faults at this base rate (0 = off)")

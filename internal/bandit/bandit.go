@@ -11,7 +11,6 @@ package bandit
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/dist"
@@ -66,14 +65,6 @@ func (p *Problem) Pulls(i int) int64 { return p.pulls[i].Load() }
 // "fitness evaluations" currency of Sec. IV-G.
 func (p *Problem) TotalPulls() int64 { return p.total.Load() }
 
-// ResetCounts zeroes the pull accounting (the distribution is unchanged).
-func (p *Problem) ResetCounts() {
-	for i := range p.pulls {
-		p.pulls[i].Store(0)
-	}
-	p.total.Store(0)
-}
-
 // Accuracy scores a final choice against the hindsight best (Table III).
 func (p *Problem) Accuracy(chosen int) float64 { return p.d.Accuracy(chosen) }
 
@@ -106,40 +97,3 @@ func (o *FuncOracle) Probe(i int, r *rng.RNG) Reward {
 
 // TotalPulls returns how many probes have been issued.
 func (o *FuncOracle) TotalPulls() int64 { return o.total.Load() }
-
-// Replay records a full probe transcript so an identical reward sequence
-// can be replayed against different learners — used by tests that compare
-// algorithm behaviour on the exact same sample path.
-type Replay struct {
-	mu     sync.Mutex
-	inner  Oracle
-	Events []ProbeEvent
-}
-
-// ProbeEvent is one recorded probe.
-type ProbeEvent struct {
-	Arm    int
-	Reward Reward
-}
-
-// NewReplay wraps an oracle and records every probe.
-func NewReplay(inner Oracle) *Replay { return &Replay{inner: inner} }
-
-// Arms returns the wrapped oracle's arm count.
-func (rp *Replay) Arms() int { return rp.inner.Arms() }
-
-// Probe forwards to the wrapped oracle and appends the event.
-func (rp *Replay) Probe(i int, r *rng.RNG) Reward {
-	v := rp.inner.Probe(i, r)
-	rp.mu.Lock()
-	rp.Events = append(rp.Events, ProbeEvent{Arm: i, Reward: v})
-	rp.mu.Unlock()
-	return v
-}
-
-// Len returns the number of recorded probes.
-func (rp *Replay) Len() int {
-	rp.mu.Lock()
-	defer rp.mu.Unlock()
-	return len(rp.Events)
-}

@@ -36,10 +36,6 @@ func TestProblemAccounting(t *testing.T) {
 	if p.Pulls(0) != 10 || p.Pulls(1) != 3 || p.TotalPulls() != 13 {
 		t.Fatalf("pulls = %d/%d total %d", p.Pulls(0), p.Pulls(1), p.TotalPulls())
 	}
-	p.ResetCounts()
-	if p.Pulls(0) != 0 || p.TotalPulls() != 0 {
-		t.Fatal("reset did not zero counts")
-	}
 }
 
 func TestProblemConcurrentProbes(t *testing.T) {
@@ -105,46 +101,5 @@ func TestFuncOracle(t *testing.T) {
 	}
 	if o.TotalPulls() != 2 {
 		t.Fatalf("total pulls = %d", o.TotalPulls())
-	}
-}
-
-func TestReplayRecordsEvents(t *testing.T) {
-	inner := NewProblem(dist.New("x", []float64{0, 1}))
-	rp := NewReplay(inner)
-	r := rng.New(6)
-	rp.Probe(1, r)
-	rp.Probe(0, r)
-	if rp.Len() != 2 {
-		t.Fatalf("len = %d", rp.Len())
-	}
-	if rp.Events[0] != (ProbeEvent{Arm: 1, Reward: 1}) {
-		t.Fatalf("event[0] = %+v", rp.Events[0])
-	}
-	if rp.Events[1] != (ProbeEvent{Arm: 0, Reward: 0}) {
-		t.Fatalf("event[1] = %+v", rp.Events[1])
-	}
-	if rp.Arms() != 2 {
-		t.Fatalf("arms = %d", rp.Arms())
-	}
-}
-
-func TestReplayConcurrent(t *testing.T) {
-	inner := NewProblem(dist.New("x", []float64{0.5}))
-	rp := NewReplay(inner)
-	var wg sync.WaitGroup
-	base := rng.New(7)
-	for g := 0; g < 8; g++ {
-		r := base.Split()
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				rp.Probe(0, r)
-			}
-		}()
-	}
-	wg.Wait()
-	if rp.Len() != 800 {
-		t.Fatalf("len = %d, want 800", rp.Len())
 	}
 }

@@ -138,9 +138,6 @@ func coverageOf(p *lang.Program, tests []testsuite.Test) []bool {
 	return cov
 }
 
-// Runner exposes the shared evaluation runner (for inspecting counters).
-func (pr *Problem) Runner() *testsuite.Runner { return pr.runner }
-
 // Targets returns the fault-localized statement indices.
 func (pr *Problem) Targets() []int { return append([]int(nil), pr.targets...) }
 

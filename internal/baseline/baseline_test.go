@@ -114,13 +114,13 @@ func TestAEDeduplicationEconomy(t *testing.T) {
 	// equivalence-class economy AE is named for.
 	sc := smallScenario(t, 10)
 	pr := NewProblem(sc.Program, sc.Suite)
-	before := pr.Runner().Evals()
+	before := pr.runner.Evals()
 	pr.evaluate([]mutation.Mutation{{Op: mutation.Delete, At: sc.DefectStmts[0]}})
 	pr.evaluate([]mutation.Mutation{{Op: mutation.Delete, At: sc.DefectStmts[0]}})
-	if got := pr.Runner().Evals() - before; got != 1 {
+	if got := pr.runner.Evals() - before; got != 1 {
 		t.Fatalf("identical mutants cost %d evals, want 1", got)
 	}
-	if pr.Runner().CacheHits() == 0 {
+	if pr.runner.CacheHits() == 0 {
 		t.Fatal("no cache hits recorded")
 	}
 }

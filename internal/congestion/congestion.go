@@ -54,10 +54,6 @@ func BallsIntoBinsBound(n int) float64 {
 	return math.Log(float64(n)) / ll
 }
 
-// StandardCongestion is the per-iteration congestion of Standard and
-// Slate with n agents: every agent reports to the weight-vector holder.
-func StandardCongestion(n int) int { return n }
-
 // LoadsInto tallies the load profile of one assignment into loads (length
 // k, zeroed first): loads[a] becomes the number of agents whose arm is a.
 // It returns the maximum load — the realized congestion of the assignment,
@@ -75,13 +71,6 @@ func LoadsInto(loads, arms []int) int {
 		}
 	}
 	return maxLoad
-}
-
-// Loads is LoadsInto with a freshly allocated profile over k options.
-func Loads(arms []int, k int) ([]int, int) {
-	loads := make([]int, k)
-	maxLoad := LoadsInto(loads, arms)
-	return loads, maxLoad
 }
 
 // SharedGain is the congestion-game payoff of one probe: a success's
@@ -117,22 +106,4 @@ func Profile(n, trials int, r *rng.RNG) (mean float64, max int) {
 		}
 	}
 	return float64(sum) / float64(trials), max
-}
-
-// ExceedanceRate returns the fraction of trials in which the maximum load
-// exceeded c times the BallsIntoBinsBound. Table I's starred bounds hold
-// with probability at least 1 − 1/n; the harness checks that the
-// exceedance rate at a suitable constant is consistent with that.
-func ExceedanceRate(n, trials int, c float64, r *rng.RNG) float64 {
-	if trials <= 0 {
-		panic("congestion: trials must be positive")
-	}
-	bound := c * BallsIntoBinsBound(n)
-	exceed := 0
-	for i := 0; i < trials; i++ {
-		if float64(MaxLoad(n, n, r)) > bound {
-			exceed++
-		}
-	}
-	return float64(exceed) / float64(trials)
 }

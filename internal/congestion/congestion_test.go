@@ -163,7 +163,8 @@ func TestLoadsInto(t *testing.T) {
 }
 
 func TestLoadsAllocates(t *testing.T) {
-	loads, maxLoad := Loads([]int{1, 1, 3}, 5)
+	loads := make([]int, 5)
+	maxLoad := LoadsInto(loads, []int{1, 1, 3})
 	if maxLoad != 2 {
 		t.Fatalf("max load = %d, want 2", maxLoad)
 	}
@@ -201,4 +202,23 @@ func TestSharedGain(t *testing.T) {
 		}
 		prev = g
 	}
+}
+
+// StandardCongestion is the per-iteration congestion of Standard and
+// Slate with n agents: every agent reports to the weight-vector holder.
+func StandardCongestion(n int) int { return n }
+
+// ExceedanceRate returns the fraction of trials in which the maximum load
+// exceeded c times the BallsIntoBinsBound. Table I's starred bounds hold
+// with probability at least 1 − 1/n; the exceedance tests check that the
+// rate at a suitable constant is consistent with that.
+func ExceedanceRate(n, trials int, c float64, r *rng.RNG) float64 {
+	bound := c * BallsIntoBinsBound(n)
+	exceed := 0
+	for i := 0; i < trials; i++ {
+		if float64(MaxLoad(n, n, r)) > bound {
+			exceed++
+		}
+	}
+	return float64(exceed) / float64(trials)
 }

@@ -116,7 +116,10 @@ func TestRepairDeterministicUnderSeed(t *testing.T) {
 
 func TestRepairLearnerMismatchPanics(t *testing.T) {
 	sc, pl := smallScenario(t, 6)
-	learner := mwu.MustNewLearner(mwu.Config{Algorithm: "standard", K: 3}, rng.New(1)) // wrong arm count
+	learner, err := mwu.NewLearner(mwu.Config{Algorithm: "standard", K: 3}, rng.New(1)) // wrong arm count
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")

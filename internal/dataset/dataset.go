@@ -129,18 +129,6 @@ func Names() []string {
 	return out
 }
 
-// NamesOfKind returns the dataset names in one group.
-func NamesOfKind(k Kind) []string {
-	specsOnce.Do(initSpecs)
-	var out []string
-	for _, s := range specs {
-		if s.kind == k {
-			out = append(out, s.name)
-		}
-	}
-	return out
-}
-
 // Get builds (or returns the memoized) dataset by name.
 func Get(name string) (*Dataset, error) {
 	specsOnce.Do(initSpecs)

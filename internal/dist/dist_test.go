@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/rng"
+	"repro/internal/stats"
 )
 
 func TestNewClampsValues(t *testing.T) {
@@ -211,4 +212,39 @@ func TestStringFormat(t *testing.T) {
 	if got := d.String(); got != "demo(k=2, best=1@0.800)" {
 		t.Fatalf("String() = %q", got)
 	}
+}
+
+// ModeIndex returns the option index at which the unimodal curve peaks for
+// a size-k domain: the closed form the shape tests check Best against.
+func (p UnimodalParams) ModeIndex(k int) int {
+	// Peak of a·x·e^(−bx) is at x = 1/b with x = i+1.
+	i := int(math.Round(1/p.B)) - 1
+	if i < 0 {
+		i = 0
+	}
+	if i >= k {
+		i = k - 1
+	}
+	return i
+}
+
+// IsUnimodal reports whether the value sequence rises to a single peak and
+// then falls, within tolerance tol: the dataset shape the unimodal tests
+// assert.
+func IsUnimodal(values []float64, tol float64) bool {
+	if len(values) < 3 {
+		return true
+	}
+	peak := stats.ArgMax(values)
+	for i := 1; i <= peak; i++ {
+		if values[i] < values[i-1]-tol {
+			return false
+		}
+	}
+	for i := peak + 1; i < len(values); i++ {
+		if values[i] > values[i-1]+tol {
+			return false
+		}
+	}
+	return true
 }

@@ -80,15 +80,6 @@ func CalibrateCostModel(cells []Cell) *Calibration {
 	return cal
 }
 
-// PredictIterations applies a fitted constant to the asymptotic form.
-func (cal *Calibration) PredictIterations(alg costmodel.Algorithm, k, n int) float64 {
-	c, ok := cal.Constant[alg]
-	if !ok {
-		return math.NaN()
-	}
-	return c * costmodel.Predict(alg, costmodel.Params{K: k, N: n}).Convergence
-}
-
 // RenderCalibration renders the fitted constants.
 func RenderCalibration(cal *Calibration) string {
 	var b strings.Builder

@@ -118,7 +118,7 @@ func TestRenderIntractableDash(t *testing.T) {
 
 func TestRenderNonConverged(t *testing.T) {
 	cell := Cell{Dataset: "x", Kind: dataset.KindRandom, Size: 64, Algorithm: "slate", Runs: 2}
-	cell.Iterations.AddAll([]float64{10000, 10000})
+	cell.Iterations = summaryOf(10000, 10000)
 	out := RenderTable(TableConvergence, []Cell{cell}, 10000)
 	if !strings.Contains(out, "≥10000") {
 		t.Fatalf("non-converged cell not marked:\n%s", out)
@@ -134,14 +134,14 @@ func TestVerifyTableOne(t *testing.T) {
 	if len(r.Cells) != len(mwu.Names) {
 		t.Fatalf("cells = %d, want one per registered learner (%d)", len(r.Cells), len(mwu.Names))
 	}
-	std, dis, slate := r.Cell("standard"), r.Cell("distributed"), r.Cell("slate")
+	std, dis, slate := cellOf(r, "standard"), cellOf(r, "distributed"), cellOf(r, "slate")
 	// Memory: k for Standard/Slate, O(1) for Distributed, 2k for the
 	// stream learners (weights plus their side vector).
 	if std.Memory != 256 || slate.Memory != 256 || dis.Memory != 1 {
 		t.Fatalf("memory row: %+v", r.Cells)
 	}
 	for _, alg := range []string{"optimistic", "congestion"} {
-		if c := r.Cell(alg); c.Memory != 512 {
+		if c := cellOf(r, alg); c.Memory != 512 {
 			t.Fatalf("%s memory = %d, want 2k = 512", alg, c.Memory)
 		}
 	}
@@ -154,7 +154,7 @@ func TestVerifyTableOne(t *testing.T) {
 	if dis.Congestion >= int64(dis.Agents/10) {
 		t.Fatalf("distributed congestion %d not ≪ population %d", dis.Congestion, dis.Agents)
 	}
-	if cg := r.Cell("congestion"); cg.Congestion < 1 || cg.Congestion > int64(cg.Agents) {
+	if cg := cellOf(r, "congestion"); cg.Congestion < 1 || cg.Congestion > int64(cg.Agents) {
 		t.Fatalf("congestion-game max load %d outside [1, %d]", cg.Congestion, cg.Agents)
 	}
 	if dis.CongestionBound <= 0 {
@@ -168,7 +168,7 @@ func TestVerifyTableOne(t *testing.T) {
 
 func TestVerifyTableOneIntractableRow(t *testing.T) {
 	rows := VerifyTableOne([]int{16384}, 10, 1)
-	if !rows[0].Cell("distributed").Intractable {
+	if !cellOf(rows[0], "distributed").Intractable {
 		t.Fatal("16384 should be intractable for distributed")
 	}
 	out := RenderTableOne(rows)
@@ -242,4 +242,15 @@ func TestStandardLeastAccurateOnRandom(t *testing.T) {
 	if std > dst || std > slt {
 		t.Fatalf("accuracy ordering violated: standard %.2f, distributed %.2f, slate %.2f", std, dst, slt)
 	}
+}
+
+// cellOf returns the row's cell for the named algorithm, or nil if the
+// algorithm was not measured.
+func cellOf(r TableOneRow, alg string) *TableOneCell {
+	for i := range r.Cells {
+		if r.Cells[i].Algorithm == alg {
+			return &r.Cells[i]
+		}
+	}
+	return nil
 }

@@ -7,15 +7,25 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/costmodel"
 	"repro/internal/dataset"
+	"repro/internal/stats"
 )
+
+func summaryOf(xs ...float64) stats.Summary {
+	var s stats.Summary
+	for _, x := range xs {
+		s.Add(x)
+	}
+	return s
+}
 
 func sampleCells() []Cell {
 	a := Cell{Dataset: "random64", Kind: dataset.KindRandom, Size: 64, Algorithm: "standard", Runs: 2, ConvergedRuns: 2, Agents: 16, MemoryFloats: 64}
-	a.Iterations.AddAll([]float64{100, 120})
-	a.Accuracy.AddAll([]float64{95, 97})
-	a.CPUIterations.AddAll([]float64{1600, 1920})
-	a.Congestion.AddAll([]float64{16, 16})
+	a.Iterations = summaryOf(100, 120)
+	a.Accuracy = summaryOf(95, 97)
+	a.CPUIterations = summaryOf(1600, 1920)
+	a.Congestion = summaryOf(16, 16)
 	b := Cell{Dataset: "random16384", Kind: dataset.KindRandom, Size: 16384, Algorithm: "distributed", Intractable: true}
 	return []Cell{a, b}
 }
@@ -94,9 +104,10 @@ func TestCalibrateCostModel(t *testing.T) {
 	if c <= 0 {
 		t.Fatalf("constant = %v", c)
 	}
-	// PredictIterations at the calibration point reproduces the measured
-	// mean exactly (single cell -> geometric mean is that ratio).
-	got := cal.PredictIterations(0, 64, 16)
+	// The fitted constant times the asymptotic form at the calibration
+	// point reproduces the measured mean exactly (single cell -> geometric
+	// mean is that ratio).
+	got := c * costmodel.Predict(costmodel.Standard, costmodel.Params{K: 64, N: 16}).Convergence
 	if got < 109 || got > 111 {
 		t.Fatalf("prediction = %v, want ~110", got)
 	}
@@ -108,7 +119,7 @@ func TestCalibrateCostModel(t *testing.T) {
 
 func TestCalibrateSkipsNonConverged(t *testing.T) {
 	cell := Cell{Dataset: "x", Size: 64, Algorithm: "slate", Runs: 2, Agents: 4}
-	cell.Iterations.AddAll([]float64{10000, 10000}) // never converged
+	cell.Iterations = summaryOf(10000, 10000) // never converged
 	cal := CalibrateCostModel([]Cell{cell})
 	if len(cal.Constant) != 0 {
 		t.Fatalf("non-converged cell used: %v", cal.Constant)

@@ -43,17 +43,6 @@ type TableOneRow struct {
 	Cells []TableOneCell
 }
 
-// Cell returns the row's cell for the named algorithm, or nil if the
-// algorithm was not measured.
-func (r *TableOneRow) Cell(alg string) *TableOneCell {
-	for i := range r.Cells {
-		if r.Cells[i].Algorithm == alg {
-			return &r.Cells[i]
-		}
-	}
-	return nil
-}
-
 // VerifyTableOne measures the Table I quantities on random instances of
 // the given sizes. Every quantity comes from real learner accounting — the
 // congestion, memory and agent numbers are read out of the mwu.Metrics of

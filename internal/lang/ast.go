@@ -176,35 +176,3 @@ func (p *Program) Labels() map[string]int {
 	}
 	return m
 }
-
-// Vars returns the set of variable names assigned or read anywhere in the
-// program (used by mutation operators that need a variable inventory).
-func (p *Program) Vars() []string {
-	seen := map[string]bool{}
-	var order []string
-	add := func(name string) {
-		if name != "" && !seen[name] {
-			seen[name] = true
-			order = append(order, name)
-		}
-	}
-	var walk func(e Expr)
-	walk = func(e Expr) {
-		switch x := e.(type) {
-		case *VarRef:
-			add(x.Name)
-		case *UnaryExpr:
-			walk(x.X)
-		case *BinExpr:
-			walk(x.L)
-			walk(x.R)
-		}
-	}
-	for _, s := range p.Stmts {
-		add(s.Var)
-		if s.Expr != nil {
-			walk(s.Expr)
-		}
-	}
-	return order
-}

@@ -35,9 +35,6 @@ type Result struct {
 	Err error
 }
 
-// Passed reports whether execution completed without a runtime error.
-func (r *Result) Passed() bool { return r.Err == nil }
-
 // Options control one execution.
 type Options struct {
 	// Input is the queue consumed by input statements.

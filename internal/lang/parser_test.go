@@ -1,7 +1,6 @@
 package lang
 
 import (
-	"strings"
 	"testing"
 )
 
@@ -152,15 +151,6 @@ func TestLabels(t *testing.T) {
 	m := p.Labels()
 	if m["a"] != 0 || m["b"] != 2 {
 		t.Fatalf("labels = %v", m)
-	}
-}
-
-func TestVars(t *testing.T) {
-	p := MustParse("input n\nset acc = n + m * 2\nprint acc\n")
-	vars := p.Vars()
-	joined := strings.Join(vars, ",")
-	if joined != "n,acc,m" {
-		t.Fatalf("vars = %v", vars)
 	}
 }
 

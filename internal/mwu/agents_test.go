@@ -93,7 +93,7 @@ func TestMessagePassingMatchesSynchronousStatistically(t *testing.T) {
 	cfg := DistributedConfig{K: 8, PopSize: 400}
 
 	seed := rng.New(77)
-	sync := MustDistributed(cfg, seed.Split())
+	sync := mustDistributed(t, cfg, seed.Split())
 	syncRes := Run(context.Background(), sync, mkProblem(1), seed.Split(), RunConfig{MaxIter: 500, Workers: 1})
 
 	mpRes, err := RunMessagePassing(context.Background(), cfg, mkProblem(2), rng.New(78), 500)

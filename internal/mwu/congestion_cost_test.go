@@ -14,7 +14,7 @@ import (
 func runPriced(t *testing.T, alg string, lambda float64, workers int) RunResult {
 	t.Helper()
 	seed := rng.New(55)
-	l := MustNewLearner(Config{Algorithm: alg, K: 16}, seed.Split())
+	l := mustLearner(t, Config{Algorithm: alg, K: 16}, seed.Split())
 	p := bandit.NewProblem(dist.Random("cost", 16, rng.New(3)))
 	return Run(context.Background(), l, p, seed.Split(), RunConfig{
 		MaxIter: 60, Workers: workers, CongestionLambda: lambda,

@@ -189,16 +189,6 @@ func NewDistributed(cfg DistributedConfig, r *rng.RNG) (*Distributed, error) {
 	return d, nil
 }
 
-// MustDistributed is NewDistributed for callers that know the
-// configuration is tractable (tests, examples); it panics on error.
-func MustDistributed(cfg DistributedConfig, r *rng.RNG) *Distributed {
-	d, err := NewDistributed(cfg, r)
-	if err != nil {
-		panic(err)
-	}
-	return d
-}
-
 // Name implements Learner.
 func (d *Distributed) Name() string { return "distributed" }
 
@@ -207,9 +197,6 @@ func (d *Distributed) K() int { return d.cfg.K }
 
 // Agents implements Learner.
 func (d *Distributed) Agents() int { return d.cfg.PopSize }
-
-// PopSize returns the population size.
-func (d *Distributed) PopSize() int { return d.cfg.PopSize }
 
 // Sample implements Fig. 3 lines 7–15: each agent picks a random option
 // with probability μ, otherwise observes a uniformly random neighbor's

@@ -13,12 +13,12 @@ import (
 )
 
 func TestDistributedDefaults(t *testing.T) {
-	d := MustDistributed(DistributedConfig{K: 10}, rng.New(1))
+	d := mustDistributed(t, DistributedConfig{K: 10}, rng.New(1))
 	if d.cfg.Mu != 0.05 || d.cfg.Beta != 0.71 || d.cfg.Alpha != 0.01 || d.cfg.Plurality != 0.30 {
 		t.Fatalf("defaults wrong: %+v", d.cfg)
 	}
-	if d.PopSize() != DefaultPopSize(10, 0.71) {
-		t.Fatalf("popsize = %d", d.PopSize())
+	if d.cfg.PopSize != DefaultPopSize(10, 0.71) {
+		t.Fatalf("popsize = %d", d.cfg.PopSize)
 	}
 	if d.Metrics().MemoryFloats != 1 {
 		t.Fatalf("memory = %d, want O(1)", d.Metrics().MemoryFloats)
@@ -80,11 +80,11 @@ func TestDistributedAlphaBetaOrder(t *testing.T) {
 			t.Fatal("expected panic for alpha > beta")
 		}
 	}()
-	MustDistributed(DistributedConfig{K: 4, PopSize: 100, Alpha: 0.9, Beta: 0.5}, rng.New(1))
+	mustDistributed(t, DistributedConfig{K: 4, PopSize: 100, Alpha: 0.9, Beta: 0.5}, rng.New(1))
 }
 
 func TestDistributedInitRoundRobin(t *testing.T) {
-	d := MustDistributed(DistributedConfig{K: 4, PopSize: 100}, rng.New(2))
+	d := mustDistributed(t, DistributedConfig{K: 4, PopSize: 100}, rng.New(2))
 	pop := d.Popularity()
 	for i, c := range pop {
 		if c != 25 {
@@ -94,7 +94,7 @@ func TestDistributedInitRoundRobin(t *testing.T) {
 }
 
 func TestDistributedSampleMixesExploreAndObserve(t *testing.T) {
-	d := MustDistributed(DistributedConfig{K: 50, PopSize: 10000, Mu: 0.5}, rng.New(3))
+	d := mustDistributed(t, DistributedConfig{K: 50, PopSize: 10000, Mu: 0.5}, rng.New(3))
 	arms := d.Sample()
 	if len(arms) != 10000 {
 		t.Fatalf("sample size %d", len(arms))
@@ -108,7 +108,7 @@ func TestDistributedSampleMixesExploreAndObserve(t *testing.T) {
 
 func TestDistributedAdoption(t *testing.T) {
 	// β = 1, α = tiny: successful observations are always adopted.
-	d := MustDistributed(DistributedConfig{K: 2, PopSize: 1000, Beta: 1, Alpha: 1e-12, Mu: 0.05}, rng.New(4))
+	d := mustDistributed(t, DistributedConfig{K: 2, PopSize: 1000, Beta: 1, Alpha: 1e-12, Mu: 0.05}, rng.New(4))
 	// Oracle: option 1 always succeeds, option 0 always fails.
 	o := &bandit.FuncOracle{K: 2, F: func(arm int, r *rng.RNG) float64 {
 		if arm == 1 {
@@ -133,7 +133,7 @@ func TestDistributedConvergesToPlurality(t *testing.T) {
 	values := []float64{0.1, 0.1, 0.9, 0.1, 0.1, 0.1, 0.1, 0.1}
 	p := bandit.NewProblem(dist.New("gap", values))
 	seed := rng.New(6)
-	d := MustDistributed(DistributedConfig{K: 8, PopSize: 800}, seed.Split())
+	d := mustDistributed(t, DistributedConfig{K: 8, PopSize: 800}, seed.Split())
 	res := Run(context.Background(), d, p, seed.Split(), RunConfig{MaxIter: 500, Workers: 1})
 	if !res.Converged {
 		t.Fatalf("did not converge in %d iterations (leader %d @ %v)",
@@ -150,7 +150,7 @@ func TestDistributedConvergesToPlurality(t *testing.T) {
 func TestDistributedCongestionIsSublinear(t *testing.T) {
 	// Balls-into-bins: with n agents choosing among n neighbors, max
 	// in-degree should be Θ(ln n / ln ln n), far below n.
-	d := MustDistributed(DistributedConfig{K: 10, PopSize: 10000, Mu: 0.05}, rng.New(7))
+	d := mustDistributed(t, DistributedConfig{K: 10, PopSize: 10000, Mu: 0.05}, rng.New(7))
 	o := &bandit.FuncOracle{K: 10, F: func(int, *rng.RNG) float64 { return 0 }}
 	seed := rng.New(8)
 	ev := newEvaluator(o, seed, 1)
@@ -172,7 +172,7 @@ func TestDistributedPopularityInvariant(t *testing.T) {
 	// Popularity counts must always sum to the population size.
 	p := bandit.NewProblem(dist.Random("r", 16, rng.New(400)))
 	seed := rng.New(9)
-	d := MustDistributed(DistributedConfig{K: 16, PopSize: 500}, seed.Split())
+	d := mustDistributed(t, DistributedConfig{K: 16, PopSize: 500}, seed.Split())
 	ev := newEvaluator(p, seed.Split(), 1)
 	for i := 0; i < 50; i++ {
 		arms := d.Sample()
@@ -192,7 +192,7 @@ func TestDistributedDeterministicUnderSeed(t *testing.T) {
 	run := func() (int, int) {
 		p := bandit.NewProblem(dist.Random("r", 16, rng.New(500)))
 		seed := rng.New(10)
-		d := MustDistributed(DistributedConfig{K: 16, PopSize: 400}, seed.Split())
+		d := mustDistributed(t, DistributedConfig{K: 16, PopSize: 400}, seed.Split())
 		res := Run(context.Background(), d, p, seed.Split(), RunConfig{MaxIter: 200, Workers: 1})
 		return res.Choice, res.Iterations
 	}
@@ -206,7 +206,7 @@ func TestDistributedDeterministicUnderSeed(t *testing.T) {
 func TestDistributedMemorylessProperty(t *testing.T) {
 	// The learner's state is exactly the choice vector: no weights exist.
 	// Popularity is derived from choices; verify they agree.
-	d := MustDistributed(DistributedConfig{K: 5, PopSize: 50}, rng.New(11))
+	d := mustDistributed(t, DistributedConfig{K: 5, PopSize: 50}, rng.New(11))
 	counts := make([]int, 5)
 	for _, c := range d.choices {
 		counts[c]++

@@ -34,15 +34,15 @@ func TestFactoryUnknown(t *testing.T) {
 func TestFactoryStandardAgentScaling(t *testing.T) {
 	// Standard's agent count floors at 16 and tracks ceil(0.05k) above
 	// that, matching Slate's slate size for comparability (Sec. IV-B).
-	small := MustNewLearner(Config{Algorithm: "standard", K: 64}, rng.New(1))
+	small := mustLearner(t, Config{Algorithm: "standard", K: 64}, rng.New(1))
 	if small.Agents() != 16 {
 		t.Fatalf("agents(64) = %d, want floor 16", small.Agents())
 	}
-	big := MustNewLearner(Config{Algorithm: "standard", K: 16384}, rng.New(1))
+	big := mustLearner(t, Config{Algorithm: "standard", K: 16384}, rng.New(1))
 	if big.Agents() != 820 { // ceil(0.05·16384)
 		t.Fatalf("agents(16384) = %d, want 820", big.Agents())
 	}
-	slate := MustNewLearner(Config{Algorithm: "slate", K: 16384}, rng.New(1))
+	slate := mustLearner(t, Config{Algorithm: "slate", K: 16384}, rng.New(1))
 	if slate.Agents() != big.Agents() {
 		t.Fatalf("standard %d and slate %d agents should match at scale", big.Agents(), slate.Agents())
 	}
@@ -52,15 +52,6 @@ func TestFactoryDistributedIntractable(t *testing.T) {
 	if _, err := NewLearner(Config{Algorithm: "distributed", K: 16384}, rng.New(1)); err == nil {
 		t.Fatal("distributed at 16384 should be intractable")
 	}
-}
-
-func TestMustNewLearnerPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	MustNewLearner(Config{Algorithm: "distributed", K: 16384}, rng.New(1))
 }
 
 func TestRunDefaultsMaxIter(t *testing.T) {
@@ -119,4 +110,26 @@ func TestMetricsMeanCongestion(t *testing.T) {
 	if m.String() == "" {
 		t.Fatal("metrics string empty")
 	}
+}
+
+// mustLearner is NewLearner for a known-good configuration; it fails the
+// test on error.
+func mustLearner(tb testing.TB, cfg Config, r *rng.RNG) Learner {
+	tb.Helper()
+	l, err := NewLearner(cfg, r)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return l
+}
+
+// mustDistributed is NewDistributed for a tractable configuration; it
+// fails the test on error.
+func mustDistributed(tb testing.TB, cfg DistributedConfig, r *rng.RNG) *Distributed {
+	tb.Helper()
+	d, err := NewDistributed(cfg, r)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return d
 }

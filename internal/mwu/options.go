@@ -106,13 +106,3 @@ func defaultAgents(k int) int {
 	}
 	return agents
 }
-
-// MustNewLearner is NewLearner for callers with known-good configurations;
-// it panics on error.
-func MustNewLearner(cfg Config, r *rng.RNG) Learner {
-	l, err := NewLearner(cfg, r)
-	if err != nil {
-		panic(err)
-	}
-	return l
-}

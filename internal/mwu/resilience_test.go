@@ -21,7 +21,7 @@ func TestFaultScheduleWorkerCountInvariant(t *testing.T) {
 		for _, managed := range []bool{false, true} {
 			run := func(workers int) (RunResult, faults.Stats) {
 				seed := rng.New(42)
-				l := MustNewLearner(Config{Algorithm: name, K: 64}, seed.Split())
+				l := mustLearner(t, Config{Algorithm: name, K: 64}, seed.Split())
 				p := bandit.NewProblem(dist.Random("r", 64, rng.New(7)))
 				cfg := RunConfig{
 					MaxIter: 150,
@@ -56,7 +56,7 @@ func TestFaultScheduleWorkerCountInvariant(t *testing.T) {
 func TestNoFaultTrajectoryUnchangedByPolicies(t *testing.T) {
 	run := func(pol faults.Policies) RunResult {
 		seed := rng.New(4)
-		l := MustNewLearner(Config{Algorithm: "standard", K: 32}, seed.Split())
+		l := mustLearner(t, Config{Algorithm: "standard", K: 32}, seed.Split())
 		p := bandit.NewProblem(dist.Random("r", 32, rng.New(5)))
 		return Run(context.Background(), l, p, seed.Split(), RunConfig{MaxIter: 200, Workers: 4, Policies: pol})
 	}
@@ -73,7 +73,7 @@ func TestNoFaultTrajectoryUnchangedByPolicies(t *testing.T) {
 func TestStandardStallsWhereDistributedDegrades(t *testing.T) {
 	run := func(name string) (RunResult, faults.Stats) {
 		seed := rng.New(10)
-		l := MustNewLearner(Config{Algorithm: name, K: 64}, seed.Split())
+		l := mustLearner(t, Config{Algorithm: name, K: 64}, seed.Split())
 		p := bandit.NewProblem(dist.Random("r", 64, rng.New(11)))
 		res := Run(context.Background(), l, p, seed.Split(), RunConfig{
 			MaxIter: 100,
@@ -106,7 +106,7 @@ func TestStandardStallsWhereDistributedDegrades(t *testing.T) {
 // barrier.
 func TestManagedPoliciesUnstallStandard(t *testing.T) {
 	seed := rng.New(20)
-	l := MustNewLearner(Config{Algorithm: "standard", K: 64}, seed.Split())
+	l := mustLearner(t, Config{Algorithm: "standard", K: 64}, seed.Split())
 	p := bandit.NewProblem(dist.Random("r", 64, rng.New(21)))
 	res := Run(context.Background(), l, p, seed.Split(), RunConfig{
 		MaxIter:         100,
@@ -142,7 +142,7 @@ func TestCancellationReturnsPartialWithoutLeaks(t *testing.T) {
 	before := countGoroutines()
 	ctx, cancel := context.WithCancel(context.Background())
 	seed := rng.New(30)
-	l := MustNewLearner(Config{Algorithm: "standard", K: 64}, seed.Split())
+	l := mustLearner(t, Config{Algorithm: "standard", K: 64}, seed.Split())
 	p := bandit.NewProblem(dist.Random("r", 64, rng.New(31)))
 	iters := 0
 	res := Run(ctx, l, p, seed.Split(), RunConfig{

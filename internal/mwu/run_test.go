@@ -20,7 +20,7 @@ func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 	for _, name := range Names {
 		run := func(workers int) RunResult {
 			seed := rng.New(42)
-			l := MustNewLearner(Config{Algorithm: name, K: 64}, seed.Split())
+			l := mustLearner(t, Config{Algorithm: name, K: 64}, seed.Split())
 			p := bandit.NewProblem(dist.Random("r", 64, rng.New(7)))
 			return Run(context.Background(), l, p, seed.Split(), RunConfig{MaxIter: 300, Workers: workers})
 		}

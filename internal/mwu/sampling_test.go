@@ -2,8 +2,9 @@ package mwu
 
 import (
 	"context"
-
+	"fmt"
 	"math"
+	"sort"
 	"testing"
 
 	"repro/internal/bandit"
@@ -50,7 +51,7 @@ func TestSlateSampleOwned(t *testing.T) {
 }
 
 func TestDistributedSampleOwned(t *testing.T) {
-	d := MustDistributed(DistributedConfig{K: 4, PopSize: 40}, rng.New(44))
+	d := mustDistributed(t, DistributedConfig{K: 4, PopSize: 40}, rng.New(44))
 	assertSampleOwned(t, d.Sample, func(arms []int) {
 		d.Update(arms, make([]float64, len(arms)))
 	})
@@ -143,7 +144,7 @@ func TestStandardSumDriftBounded(t *testing.T) {
 // The sub-linear samplers must not change what a fixed seed computes. The
 // reference learners below reproduce the pre-wrs sampling code verbatim
 // (per-agent linear-scan Categorical for Standard, sort-based
-// CapDistribution for Slate); running them against the same seeds and
+// capDistribution for Slate); running them against the same seeds and
 // oracles as the production learners pins the full Run trajectory.
 
 type naiveStandard struct{ *Standard }
@@ -160,7 +161,7 @@ type naiveSlate struct{ *Slate }
 
 func (s naiveSlate) Sample() []int {
 	n, k := s.cfg.N, s.cfg.K
-	q := simplex.CapDistribution(s.weights, n)
+	q := capDistribution(s.weights, n)
 	if s.marginals == nil {
 		s.marginals = make([]float64, k)
 	}
@@ -172,6 +173,81 @@ func (s naiveSlate) Sample() []int {
 	arms := make([]int, len(slate))
 	copy(arms, slate)
 	return arms
+}
+
+// capDistribution projects the probability vector p onto the set of
+// distributions with all components at most 1/n: components are scaled up
+// uniformly, any component exceeding the cap is pinned to 1/n, and the
+// remainder is renormalized (the standard water-filling projection). The
+// result q satisfies sum(q) = 1, q_i <= 1/n, and preserves the order of p.
+// It panics if p has fewer than n components or non-positive total mass.
+// It is the pre-wrs sort-based projection, a copy of simplex's test
+// reference, which the Slate learner now computes with simplex.Capper.
+func capDistribution(p []float64, n int) []float64 {
+	k := len(p)
+	if n <= 0 || n > k {
+		panic(fmt.Sprintf("simplex: invalid slate size %d for %d options", n, k))
+	}
+	total := 0.0
+	for _, v := range p {
+		if v < 0 || math.IsNaN(v) {
+			panic("simplex: negative or NaN weight")
+		}
+		total += v
+	}
+	if !(total > 0) || math.IsInf(total, 1) {
+		panic("simplex: non-positive or infinite total weight")
+	}
+	cap := 1.0 / float64(n)
+
+	// Sort indices by weight descending; pin the largest components to the
+	// cap one at a time until the scaled remainder fits under the cap.
+	idx := make([]int, k)
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.Slice(idx, func(a, b int) bool { return p[idx[a]] > p[idx[b]] })
+
+	q := make([]float64, k)
+	pinned := 0        // number of components pinned at the cap
+	remaining := total // mass of unpinned components of p
+	for pinned < k {
+		// Scale factor that would make unpinned components sum to the
+		// leftover probability mass.
+		leftover := 1 - float64(pinned)*cap
+		if leftover <= 0 {
+			// All mass is consumed by pinned components (only possible
+			// when pinned == n and the rest get zero).
+			break
+		}
+		largest := p[idx[pinned]]
+		if largest*leftover/remaining <= cap+1e-9 {
+			// No more components exceed the cap after scaling.
+			scale := leftover / remaining
+			for _, i := range idx[pinned:] {
+				q[i] = p[i] * scale
+			}
+			break
+		}
+		q[idx[pinned]] = cap
+		remaining -= largest
+		pinned++
+		if remaining <= 0 && pinned < k {
+			// The unpinned components of p carry no mass. Any probability
+			// not consumed by the pinned components is spread uniformly
+			// over them (e.g. p = [1,0,0] with n = 2 caps to
+			// [1/2, 1/4, 1/4]) so the result is still a distribution.
+			leftover := 1 - float64(pinned)*cap
+			if leftover > 0 {
+				share := leftover / float64(k-pinned)
+				for _, i := range idx[pinned:] {
+					q[i] = share
+				}
+			}
+			break
+		}
+	}
+	return q
 }
 
 // runPair drives a production learner and its naive reference against
@@ -213,7 +289,7 @@ func TestSlateRunMatchesNaive(t *testing.T) {
 // TestDistributedLeaderCache pins the lazy leader cache to the reference
 // smallest-index-argmax scan through a run with many adoptions.
 func TestDistributedLeaderCache(t *testing.T) {
-	d := MustDistributed(DistributedConfig{K: 8, PopSize: 64}, rng.New(314))
+	d := mustDistributed(t, DistributedConfig{K: 8, PopSize: 64}, rng.New(314))
 	o := bandit.NewProblem(dist.Random("dl", 8, rng.New(315)))
 	for cycle := 0; cycle < 200; cycle++ {
 		arms := d.Sample()

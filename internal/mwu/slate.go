@@ -108,9 +108,6 @@ func (s *Slate) K() int { return s.cfg.K }
 // Agents implements Learner: one evaluator per slate position.
 func (s *Slate) Agents() int { return s.cfg.N }
 
-// N returns the slate size.
-func (s *Slate) N() int { return s.cfg.N }
-
 // maxInclusion is the highest inclusion probability any option can attain
 // given the exploration mixture.
 func (s *Slate) maxInclusion() float64 {
@@ -224,15 +221,6 @@ func (s *Slate) Leader() int { return stats.ArgMax(s.weights) }
 func (s *Slate) LeaderProb() float64 {
 	lead := s.Leader()
 	return s.weights[lead] / stats.Sum(s.weights)
-}
-
-// LeaderInclusion returns the leader's current slate-inclusion
-// probability (diagnostic; requires at least one Sample call).
-func (s *Slate) LeaderInclusion() float64 {
-	if s.marginals == nil {
-		return 0
-	}
-	return s.marginals[s.Leader()]
 }
 
 // Weights returns a copy of the current weight vector.

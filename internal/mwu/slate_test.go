@@ -13,10 +13,10 @@ import (
 
 func TestSlateDefaults(t *testing.T) {
 	s := NewSlate(SlateConfig{K: 100}, rng.New(1))
-	if s.N() != 5 { // ceil(0.05 * 100)
-		t.Fatalf("default slate size = %d, want 5", s.N())
+	if s.cfg.N != 5 { // ceil(0.05 * 100)
+		t.Fatalf("default slate size = %d, want 5", s.cfg.N)
 	}
-	if s.Agents() != s.N() {
+	if s.Agents() != s.cfg.N {
 		t.Fatalf("agents = %d, want slate size", s.Agents())
 	}
 	wantEta := 0.05 * 5.0 / 100.0
@@ -30,15 +30,15 @@ func TestSlateDefaults(t *testing.T) {
 
 func TestSlateMinimumSize(t *testing.T) {
 	s := NewSlate(SlateConfig{K: 10}, rng.New(1)) // ceil(0.5) = 1, bumped to 2
-	if s.N() != 2 {
-		t.Fatalf("slate size = %d, want min 2", s.N())
+	if s.cfg.N != 2 {
+		t.Fatalf("slate size = %d, want min 2", s.cfg.N)
 	}
 }
 
 func TestSlateSizeCappedAtK(t *testing.T) {
 	s := NewSlate(SlateConfig{K: 3, N: 10}, rng.New(1))
-	if s.N() != 3 {
-		t.Fatalf("slate size = %d, want K", s.N())
+	if s.cfg.N != 3 {
+		t.Fatalf("slate size = %d, want K", s.cfg.N)
 	}
 }
 
@@ -131,15 +131,15 @@ func TestSlateConvergenceCriterion(t *testing.T) {
 	res := Run(context.Background(), s, p, seed.Split(), RunConfig{MaxIter: 5000, Workers: 1})
 	if !res.Converged {
 		t.Fatalf("did not converge (leader inclusion %v, max %v)",
-			s.LeaderInclusion(), s.maxInclusion())
+			leaderInclusion(s), s.maxInclusion())
 	}
 	if res.Choice != 2 {
 		t.Fatalf("converged to %d", res.Choice)
 	}
 	// At convergence the leader's inclusion probability is within Tol of
 	// the maximum possible.
-	if s.maxInclusion()-s.LeaderInclusion() > s.cfg.Tol {
-		t.Fatalf("inclusion %v not at max %v", s.LeaderInclusion(), s.maxInclusion())
+	if s.maxInclusion()-leaderInclusion(s) > s.cfg.Tol {
+		t.Fatalf("inclusion %v not at max %v", leaderInclusion(s), s.maxInclusion())
 	}
 }
 
@@ -240,4 +240,13 @@ func TestSlateSamplerEquivalence(t *testing.T) {
 	if wins < 4 {
 		t.Fatalf("systematic slate sampler converged to the best arm in %d/5 runs", wins)
 	}
+}
+
+// leaderInclusion returns the leader's current slate-inclusion
+// probability (0 before the first Sample call).
+func leaderInclusion(s *Slate) float64 {
+	if s.marginals == nil {
+		return 0
+	}
+	return s.marginals[s.Leader()]
 }

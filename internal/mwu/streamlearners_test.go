@@ -19,7 +19,7 @@ func TestStreamLearnersConverge(t *testing.T) {
 	for _, alg := range streamAlgs {
 		t.Run(alg, func(t *testing.T) {
 			p := bandit.NewProblem(dist.New("gap", []float64{0.2, 0.2, 0.9, 0.3}))
-			l := MustNewLearner(Config{Algorithm: alg, K: 4}, rng.New(3))
+			l := mustLearner(t, Config{Algorithm: alg, K: 4}, rng.New(3))
 			res := Run(context.Background(), l, p, rng.New(4), RunConfig{MaxIter: 5000, Workers: 4})
 			if !res.Converged {
 				t.Fatalf("did not converge in %d iterations (leader %d p=%.3f)",
@@ -39,7 +39,7 @@ func TestStreamLearnersConvergeLargeK(t *testing.T) {
 	for _, alg := range streamAlgs {
 		t.Run(alg, func(t *testing.T) {
 			p := bandit.NewProblem(dist.Random("r", 256, rng.New(12)))
-			l := MustNewLearner(Config{Algorithm: alg, K: 256}, rng.New(13))
+			l := mustLearner(t, Config{Algorithm: alg, K: 256}, rng.New(13))
 			res := Run(context.Background(), l, p, rng.New(14), RunConfig{MaxIter: 10000, Workers: 8})
 			if !res.Converged {
 				t.Fatalf("did not converge in %d iterations (p=%.3f)", res.Iterations, res.LeaderProb)
@@ -59,7 +59,7 @@ func TestStreamRunWorkerInvariance(t *testing.T) {
 		t.Run(alg, func(t *testing.T) {
 			run := func(workers int) RunResult {
 				p := bandit.NewProblem(dist.Random("r", 64, rng.New(21)))
-				l := MustNewLearner(Config{Algorithm: alg, K: 64}, rng.New(22))
+				l := mustLearner(t, Config{Algorithm: alg, K: 64}, rng.New(22))
 				return Run(context.Background(), l, p, rng.New(23), RunConfig{MaxIter: 2000, Workers: workers})
 			}
 			base := run(1)
@@ -78,8 +78,8 @@ func TestStreamRunWorkerInvariance(t *testing.T) {
 func TestStreamSampleMatchesDriverPath(t *testing.T) {
 	for _, alg := range streamAlgs {
 		t.Run(alg, func(t *testing.T) {
-			a := MustNewLearner(Config{Algorithm: alg, K: 32}, rng.New(31))
-			b := MustNewLearner(Config{Algorithm: alg, K: 32}, rng.New(31))
+			a := mustLearner(t, Config{Algorithm: alg, K: 32}, rng.New(31))
+			b := mustLearner(t, Config{Algorithm: alg, K: 32}, rng.New(31))
 			arms := a.Sample()
 			s, err := b.(StreamSampler).FreezeSampler()
 			if err != nil {
@@ -145,7 +145,7 @@ func TestCongestionUpdateRule(t *testing.T) {
 func TestStreamLearnersUpdateMissing(t *testing.T) {
 	for _, alg := range streamAlgs {
 		t.Run(alg, func(t *testing.T) {
-			l := MustNewLearner(Config{Algorithm: alg, K: 8}, rng.New(5))
+			l := mustLearner(t, Config{Algorithm: alg, K: 8}, rng.New(5))
 			pu := l.(PartialUpdater)
 			pu.UpdateMissing([]int{3, 5}, []float64{1, 0}, []bool{false, true})
 			w := l.(interface{ Weights() []float64 }).Weights()

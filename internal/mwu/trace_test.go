@@ -21,7 +21,7 @@ func traceBytes(t *testing.T, alg string, workers int, managed bool) []byte {
 	var buf bytes.Buffer
 	tr := obs.New(obs.NewJSONL(&buf), obs.WithRun("det"), obs.WithSample(3))
 	seed := rng.New(1234)
-	l := MustNewLearner(Config{Algorithm: alg, K: 32}, seed.Split())
+	l := mustLearner(t, Config{Algorithm: alg, K: 32}, seed.Split())
 	p := bandit.NewProblem(dist.Random("det", 32, rng.New(9)))
 	cfg := RunConfig{
 		MaxIter: 120,
@@ -124,7 +124,7 @@ func TestOnIterationObservationFreshUnderFaults(t *testing.T) {
 		for _, m := range modes {
 			t.Run(alg+"/"+m.name, func(t *testing.T) {
 				seed := rng.New(99)
-				l := MustNewLearner(Config{Algorithm: alg, K: 24}, seed.Split())
+				l := mustLearner(t, Config{Algorithm: alg, K: 24}, seed.Split())
 				p := bandit.NewProblem(dist.Random("fresh", 24, rng.New(11)))
 				cfg := RunConfig{MaxIter: 150, Workers: 8}
 				if m.rate > 0 {

@@ -27,8 +27,8 @@ func TestUpdateEqualsAllArrivedUpdateMissing(t *testing.T) {
 	}
 	for _, name := range Names {
 		t.Run(name, func(t *testing.T) {
-			clean := MustNewLearner(Config{Algorithm: name, K: k}, rng.New(17))
-			twin := MustNewLearner(Config{Algorithm: name, K: k}, rng.New(17))
+			clean := mustLearner(t, Config{Algorithm: name, K: k}, rng.New(17))
+			twin := mustLearner(t, Config{Algorithm: name, K: k}, rng.New(17))
 			partial, ok := twin.(PartialUpdater)
 			if !ok {
 				t.Fatalf("%s does not implement PartialUpdater", name)

@@ -228,14 +228,6 @@ func (t *Tracer) Sampled(iter int) bool {
 	return t != nil && t.active && iter%t.sample == 0
 }
 
-// SampleInterval returns the detail-sampling interval (0 when inactive).
-func (t *Tracer) SampleInterval() int {
-	if !t.Active() {
-		return 0
-	}
-	return t.sample
-}
-
 // Emit stamps the event with the next sequence number and the run label,
 // then forwards it to the sink. Nil-safe (drops the event).
 func (t *Tracer) Emit(e Event) {

@@ -20,9 +20,6 @@ func TestNilTracerIsSafe(t *testing.T) {
 	if tr.Sampled(0) {
 		t.Fatal("nil tracer reports sampled")
 	}
-	if tr.SampleInterval() != 0 {
-		t.Fatal("nil tracer reports a sample interval")
-	}
 	tr.Emit(Event{Type: TypeIterStart}) // must not panic
 	if tr.Scoped("x") != nil {
 		t.Fatal("nil tracer Scoped returned non-nil")
@@ -74,8 +71,8 @@ func TestTracerSampling(t *testing.T) {
 			t.Errorf("Sampled(%d)=%v, want %v", tc.iter, got, tc.want)
 		}
 	}
-	if tr.SampleInterval() != 10 {
-		t.Fatalf("SampleInterval=%d, want 10", tr.SampleInterval())
+	if tr.sample != 10 {
+		t.Fatalf("sample interval=%d, want 10", tr.sample)
 	}
 }
 

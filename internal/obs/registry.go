@@ -87,25 +87,16 @@ func (h *Histogram) Observe(v float64) {
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 { return h.n.Load() }
 
-// Quantile estimates the q-quantile (q in [0,1]) of the observed
-// distribution from the bucket counts, NaN when the histogram is empty.
-// The estimate interpolates linearly inside the bucket containing the
-// quantile rank, so it carries bucket-width error — but it is the *same*
-// estimate any consumer of the serialized bucket counts computes (see
-// QuantileFromBuckets), which is what lets a /debug/metrics scrape and an
-// external load harness agree on p50/p95/p99.
-func (h *Histogram) Quantile(q float64) float64 {
-	bounds, counts := h.Buckets()
-	return QuantileFromBuckets(bounds, counts, q)
-}
-
-// QuantileFromBuckets is Histogram.Quantile over already-extracted bucket
-// state: bounds are the ascending finite upper bounds and counts has
-// len(bounds)+1 entries, the last being the +Inf bucket — exactly the
-// shape the registry's JSON snapshot serializes. Interpolation follows
-// the Prometheus histogram_quantile convention: linear within the target
-// bucket (the first bucket's lower edge is 0), and the highest finite
-// bound when the quantile lands in the +Inf bucket. Returns NaN for an
+// QuantileFromBuckets estimates the q-quantile (q in [0,1]) of a
+// histogram from its bucket state (Histogram.Buckets or the registry's
+// JSON snapshot): bounds are the ascending finite upper bounds and counts
+// has len(bounds)+1 entries, the last being the +Inf bucket. Because the
+// daemon and an external load harness both estimate from the same
+// buckets, a /debug/metrics scrape and the harness agree on p50/p95/p99.
+// Interpolation follows the Prometheus histogram_quantile convention:
+// linear within the target bucket (the first bucket's lower edge is 0),
+// and the highest finite bound when the quantile lands in the +Inf
+// bucket, so the estimate carries bucket-width error. Returns NaN for an
 // empty histogram; q is clamped to [0,1].
 func QuantileFromBuckets(bounds []float64, counts []int64, q float64) float64 {
 	var total int64

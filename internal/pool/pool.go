@@ -274,9 +274,6 @@ func (pl *Pool) Mutations() []mutation.Mutation {
 	return append([]mutation.Mutation(nil), pl.mutations...)
 }
 
-// Get returns the i-th pool mutation.
-func (pl *Pool) Get(i int) mutation.Mutation { return pl.mutations[i] }
-
 // Sample draws x distinct pool mutations uniformly at random. It panics if
 // x exceeds the pool size.
 func (pl *Pool) Sample(x int, r *rng.RNG) []mutation.Mutation {
@@ -317,13 +314,6 @@ func (pl *Pool) Add(m mutation.Mutation) bool {
 	pl.mutations = append(pl.mutations, m)
 	pl.stats.Safe = len(pl.mutations)
 	return true
-}
-
-// Contains reports whether a mutation with the same identity is in the
-// pool.
-func (pl *Pool) Contains(m mutation.Mutation) bool {
-	_, ok := pl.index()[m.ID()]
-	return ok
 }
 
 // Revalidate re-checks every pool mutation against an updated suite and
@@ -404,19 +394,4 @@ func Load(r io.Reader) (*Pool, error) {
 		}
 	}
 	return &Pool{original: prog, mutations: f.Mutations, stats: f.Stats}, nil
-}
-
-// FromMutations builds a pool directly from a known-safe mutation list
-// (used by tests and by scenario construction).
-func FromMutations(p *lang.Program, muts []mutation.Mutation) *Pool {
-	for _, m := range muts {
-		if err := m.Validate(p.Len()); err != nil {
-			panic(err)
-		}
-	}
-	return &Pool{
-		original:  p.Clone(),
-		mutations: append([]mutation.Mutation(nil), muts...),
-		stats:     Stats{Safe: len(muts), Evaluated: len(muts), Attempts: len(muts)},
-	}
 }

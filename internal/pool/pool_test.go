@@ -197,7 +197,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatalf("size %d != %d", back.Size(), pl.Size())
 	}
 	for i := range pl.Mutations() {
-		if back.Get(i) != pl.Get(i) {
+		if back.mutations[i] != pl.mutations[i] {
 			t.Fatalf("mutation %d differs", i)
 		}
 	}
@@ -232,7 +232,7 @@ func TestRevalidateDropsNewlyUnsafe(t *testing.T) {
 	if removed != 1 {
 		t.Fatalf("removed = %d, want 1", removed)
 	}
-	if pl.Size() != 1 || pl.Get(0).ID() != "del@8" {
+	if pl.Size() != 1 || pl.mutations[0].ID() != "del@8" {
 		t.Fatalf("pool after revalidate = %v", pl.Mutations())
 	}
 }
@@ -255,4 +255,19 @@ func TestPrecomputePanicsWithoutCoverage(t *testing.T) {
 		}
 	}()
 	Precompute(context.Background(), p, empty, Config{Target: 1}, rng.New(1))
+}
+
+// FromMutations builds a pool directly from a known-safe mutation list,
+// skipping the suite-driven build the tests here do not exercise.
+func FromMutations(p *lang.Program, muts []mutation.Mutation) *Pool {
+	for _, m := range muts {
+		if err := m.Validate(p.Len()); err != nil {
+			panic(err)
+		}
+	}
+	return &Pool{
+		original:  p.Clone(),
+		mutations: append([]mutation.Mutation(nil), muts...),
+		stats:     Stats{Safe: len(muts), Evaluated: len(muts), Attempts: len(muts)},
+	}
 }

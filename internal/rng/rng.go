@@ -19,10 +19,6 @@ import "math"
 // Split to derive one generator per goroutine.
 type RNG struct {
 	s0, s1, s2, s3 uint64
-
-	// cache for the second variate of each Box–Muller pair.
-	spare    float64
-	hasSpare bool
 }
 
 // splitmix64 advances the given state and returns the next output. It is
@@ -146,27 +142,6 @@ func (r *RNG) Bool(p float64) bool {
 	return r.Float64() < p
 }
 
-// NormFloat64 returns a standard normal variate via the polar Box–Muller
-// transform. The generator caches the second variate of each pair.
-func (r *RNG) NormFloat64() float64 {
-	if r.hasSpare {
-		r.hasSpare = false
-		return r.spare
-	}
-	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
-		if s >= 1 || s == 0 {
-			continue
-		}
-		f := math.Sqrt(-2 * math.Log(s) / s)
-		r.spare = v * f
-		r.hasSpare = true
-		return u * f
-	}
-}
-
 // ExpFloat64 returns an exponential variate with rate 1.
 func (r *RNG) ExpFloat64() float64 {
 	for {
@@ -175,16 +150,6 @@ func (r *RNG) ExpFloat64() float64 {
 			return -math.Log(u)
 		}
 	}
-}
-
-// Perm returns a uniformly random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	r.Shuffle(len(p), func(i, j int) { p[i], p[j] = p[j], p[i] })
-	return p
 }
 
 // Shuffle performs a Fisher–Yates shuffle of n elements using swap.

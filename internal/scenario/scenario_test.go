@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/lang"
 	"repro/internal/mutation"
+	"repro/internal/pool"
 	"repro/internal/rng"
 	"repro/internal/testsuite"
 )
@@ -121,8 +122,9 @@ func TestBuildPoolProducesSafeMutations(t *testing.T) {
 	// Spot-check safety of a few pool members.
 	runner := testsuite.NewRunner(sc.Suite)
 	r := rng.New(101)
+	muts := pl.Mutations()
 	for i := 0; i < 10; i++ {
-		m := pl.Get(r.Intn(pl.Size()))
+		m := muts[r.Intn(len(muts))]
 		mutant := mutation.Apply(sc.Program, []mutation.Mutation{m})
 		if !runner.Eval(context.Background(), mutant).Safe() {
 			t.Fatalf("pool mutation %v unsafe", m.ID())
@@ -288,7 +290,7 @@ func TestMultiEditPoolContainsAllRepairers(t *testing.T) {
 	sc := Generate(multiEdit(23, 3))
 	pl := sc.BuildPool(4, rng.New(700))
 	for _, d := range sc.DefectStmts {
-		if !pl.Contains(mutation.Mutation{Op: mutation.Delete, At: d}) {
+		if !poolHas(pl, mutation.Mutation{Op: mutation.Delete, At: d}) {
 			t.Fatalf("pool missing delete@%d", d)
 		}
 	}
@@ -369,7 +371,7 @@ func TestWrongCodeAnyTwinRepairs(t *testing.T) {
 func TestWrongCodePoolContainsRepairer(t *testing.T) {
 	sc := Generate(wrongCode(35))
 	pl := sc.BuildPool(4, rng.New(800))
-	if !pl.Contains(sc.Repairers[0]) {
+	if !poolHas(pl, sc.Repairers[0]) {
 		t.Fatal("pool missing the canonical replacement repairer")
 	}
 }
@@ -378,4 +380,14 @@ func TestDefectKindString(t *testing.T) {
 	if DefectDelete.String() != "delete" || DefectWrongCode.String() != "wrong-code" {
 		t.Fatal("kind strings wrong")
 	}
+}
+
+// poolHas reports whether a mutation with m's identity is in pl.
+func poolHas(pl *pool.Pool, m mutation.Mutation) bool {
+	for _, pm := range pl.Mutations() {
+		if pm.ID() == m.ID() {
+			return true
+		}
+	}
+	return false
 }

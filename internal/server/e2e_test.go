@@ -101,7 +101,7 @@ func TestDaemonMatchesCLIByteForByte(t *testing.T) {
 	}
 
 	// Traces byte-identical.
-	daemonTrace := j.TracePath()
+	daemonTrace := tracePathOf(j)
 	if daemonTrace == "" {
 		t.Fatal("daemon job has no trace")
 	}

@@ -67,6 +67,8 @@ type Spec struct {
 	// slate | distributed | optimistic | congestion (default standard).
 	Algorithm string `json:"algorithm,omitempty"`
 	// MaxIter bounds online update cycles (default 2000, as the CLI).
+	// Admission sets no upper limit: nothing the daemon allocates grows
+	// with it, and a job's run time is bounded by Timeout and DELETE.
 	MaxIter int `json:"maxIter,omitempty"`
 	// Workers is the per-job probe-evaluation parallelism (default 8).
 	Workers int `json:"workers,omitempty"`
@@ -94,7 +96,8 @@ type Spec struct {
 
 	// Trace requests a per-job JSONL trace (requires the daemon's
 	// -trace-dir); TraceSample is the detail-sampling interval (default
-	// 1).
+	// 1). TraceSample has no upper limit: it only thins the probe-level
+	// and state events and allocates nothing.
 	Trace       bool `json:"trace,omitempty"`
 	TraceSample int  `json:"traceSample,omitempty"`
 }
@@ -369,13 +372,6 @@ func (j *Job) State() State {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.state
-}
-
-// TracePath returns the job's JSONL trace file path ("" when untraced).
-func (j *Job) TracePath() string {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.tracePath
 }
 
 // Result returns a copy of the terminal result (nil before completion).

@@ -258,12 +258,6 @@ func (m *Manager) Get(id string) (*Job, bool) {
 	return j, ok
 }
 
-// Jobs returns every known job in admission order.
-func (m *Manager) Jobs() []*Job {
-	jobs, _ := m.JobsPage(0, 0)
-	return jobs
-}
-
 // JobsPage returns the admission-ordered job window [offset, offset+limit)
 // plus the total table size; limit 0 means "to the end". The sort is
 // O(n log n) — a load test leaves tens of thousands of terminal jobs in
@@ -333,13 +327,6 @@ func (m *Manager) Draining() bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.draining
-}
-
-// QueueDepth returns the current admission-queue length.
-func (m *Manager) QueueDepth() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.queue)
 }
 
 // Shutdown drains the manager: admission stops (Submit returns

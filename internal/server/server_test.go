@@ -652,7 +652,7 @@ func TestShutdownDrainsAndFlushesTraces(t *testing.T) {
 	if r.State() != StateCancelled {
 		t.Fatalf("running job is %s after shutdown, want cancelled", r.State())
 	}
-	tracePath := r.TracePath()
+	tracePath := tracePathOf(r)
 	if tracePath == "" {
 		t.Fatal("traced job has no trace path")
 	}
@@ -710,4 +710,11 @@ func TestRateOutsideDomainFailsJobNotDaemon(t *testing.T) {
 	if got := waitTerminal(t, m, st.ID, 30*time.Second); got != StateDone {
 		t.Fatalf("good job after bad ones ended %s, want done", got)
 	}
+}
+
+// tracePathOf returns j's JSONL trace file path ("" when untraced).
+func tracePathOf(j *Job) string {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.tracePath
 }

@@ -5,16 +5,20 @@ import (
 	"math"
 )
 
-// Capper computes the same water-filling projection as CapDistribution but
-// is built for the Slate learner's per-iteration hot path: instead of
-// sorting all k components (O(k log k)) it partially selects only the top
-// candidates that can possibly be pinned at the 1/n cap — the pinning loop
-// provably pins fewer than n components (the floatTol slack on the pin
-// condition keeps the n-th pin from ever firing while unpinned mass
-// remains), so a running top-n min-heap is sufficient — and it reuses its
-// buffers across calls, so a call is O(k + m log n) with zero allocations,
-// where m is the number of components reaching the running n-th-largest
-// (typically a handful once the weights separate).
+// Capper projects a weight vector p onto the distributions with every
+// component at most 1/n: components are scaled up uniformly, any that
+// exceeds the cap is pinned to 1/n, and the remainder is renormalized (the
+// standard water-filling projection). The result sums to 1 and preserves
+// the order of p. It is built for the Slate learner's per-iteration hot
+// path: where the sorting reference (CapDistribution, in this package's
+// tests) sorts all k components (O(k log k)), Capper partially selects
+// only the top candidates that can possibly be pinned at the 1/n cap — the
+// pinning loop provably pins fewer than n components (the floatTol slack
+// on the pin condition keeps the n-th pin from ever firing while unpinned
+// mass remains), so a running top-n min-heap is sufficient — and it reuses
+// its buffers across calls, so a call is O(k + m log n) with zero
+// allocations, where m is the number of components reaching the running
+// n-th-largest (typically a handful once the weights separate).
 //
 // Capper is not safe for concurrent use; the returned slice is owned by
 // the Capper and valid until the next Cap call.
@@ -27,7 +31,7 @@ type Capper struct {
 }
 
 // NewCapper returns a Capper for k-option vectors and slate size n. It
-// panics on an invalid (k, n) pair, like CapDistribution.
+// panics on an invalid (k, n) pair.
 func NewCapper(k, n int) *Capper {
 	if n <= 0 || n > k {
 		panic(fmt.Sprintf("simplex: invalid slate size %d for %d options", n, k))

@@ -1,6 +1,6 @@
 // Package stats provides the small statistical toolkit used by the
-// experiment harness: online moment accumulation (Welford), quantiles,
-// histograms, and confidence intervals.
+// experiment harness: online moment accumulation (Welford) and the
+// argmax and sum of a weight vector.
 //
 // Every table in the paper reports a mean and standard deviation over 100
 // seeded replications; Summary is the accumulator those tables are built
@@ -10,7 +10,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Summary accumulates a stream of observations with Welford's online
@@ -20,37 +19,15 @@ type Summary struct {
 	n    int
 	mean float64
 	m2   float64
-	min  float64
-	max  float64
 }
 
 // Add incorporates one observation.
 func (s *Summary) Add(x float64) {
 	s.n++
-	if s.n == 1 {
-		s.min, s.max = x, x
-	} else {
-		if x < s.min {
-			s.min = x
-		}
-		if x > s.max {
-			s.max = x
-		}
-	}
 	delta := x - s.mean
 	s.mean += delta / float64(s.n)
 	s.m2 += delta * (x - s.mean)
 }
-
-// AddAll incorporates a slice of observations.
-func (s *Summary) AddAll(xs []float64) {
-	for _, x := range xs {
-		s.Add(x)
-	}
-}
-
-// N returns the number of observations.
-func (s *Summary) N() int { return s.n }
 
 // Mean returns the sample mean (0 for an empty summary).
 func (s *Summary) Mean() float64 { return s.mean }
@@ -66,25 +43,6 @@ func (s *Summary) Variance() float64 {
 // StdDev returns the unbiased sample standard deviation.
 func (s *Summary) StdDev() float64 { return math.Sqrt(s.Variance()) }
 
-// Min returns the smallest observation (0 for an empty summary).
-func (s *Summary) Min() float64 { return s.min }
-
-// Max returns the largest observation (0 for an empty summary).
-func (s *Summary) Max() float64 { return s.max }
-
-// StdErr returns the standard error of the mean.
-func (s *Summary) StdErr() float64 {
-	if s.n == 0 {
-		return 0
-	}
-	return s.StdDev() / math.Sqrt(float64(s.n))
-}
-
-// CI95 returns the half-width of an approximate 95% confidence interval
-// for the mean (normal approximation, appropriate for the paper's n=100
-// replications).
-func (s *Summary) CI95() float64 { return 1.96 * s.StdErr() }
-
 // Merge combines another summary into s (parallel Welford merge), so
 // per-worker accumulators can be reduced without losing precision.
 func (s *Summary) Merge(o *Summary) {
@@ -99,12 +57,6 @@ func (s *Summary) Merge(o *Summary) {
 	delta := o.mean - s.mean
 	mean := s.mean + delta*float64(o.n)/float64(n)
 	m2 := s.m2 + o.m2 + delta*delta*float64(s.n)*float64(o.n)/float64(n)
-	if o.min < s.min {
-		s.min = o.min
-	}
-	if o.max > s.max {
-		s.max = o.max
-	}
 	s.n, s.mean, s.m2 = n, mean, m2
 }
 
@@ -113,53 +65,6 @@ func (s *Summary) Merge(o *Summary) {
 func (s *Summary) String() string {
 	return fmt.Sprintf("%.1f (%.1f)", s.Mean(), s.StdDev())
 }
-
-// Mean returns the arithmetic mean of xs (0 for empty input).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
-// StdDev returns the unbiased sample standard deviation of xs.
-func StdDev(xs []float64) float64 {
-	var s Summary
-	s.AddAll(xs)
-	return s.StdDev()
-}
-
-// Quantile returns the q-quantile (0 <= q <= 1) of xs using linear
-// interpolation between order statistics (type-7, the numpy default).
-// It panics on empty input or q outside [0,1].
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: Quantile of empty slice")
-	}
-	if q < 0 || q > 1 {
-		panic("stats: quantile out of [0,1]")
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if len(sorted) == 1 {
-		return sorted[0]
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// Median returns the 0.5-quantile of xs.
-func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
 
 // ArgMax returns the index of the largest element (first on ties) and -1
 // for an empty slice.
@@ -173,18 +78,6 @@ func ArgMax(xs []float64) int {
 	return best
 }
 
-// ArgMin returns the index of the smallest element (first on ties) and -1
-// for an empty slice.
-func ArgMin(xs []float64) int {
-	best := -1
-	for i, x := range xs {
-		if best == -1 || x < xs[best] {
-			best = i
-		}
-	}
-	return best
-}
-
 // Sum returns the sum of xs.
 func Sum(xs []float64) float64 {
 	s := 0.0
@@ -192,70 +85,4 @@ func Sum(xs []float64) float64 {
 		s += x
 	}
 	return s
-}
-
-// Normalize scales xs in place so it sums to 1 and returns xs. It panics
-// if the sum is not positive and finite.
-func Normalize(xs []float64) []float64 {
-	total := Sum(xs)
-	if !(total > 0) || math.IsInf(total, 1) {
-		panic("stats: Normalize requires positive finite sum")
-	}
-	for i := range xs {
-		xs[i] /= total
-	}
-	return xs
-}
-
-// Histogram is a fixed-bin histogram over [Lo, Hi).
-type Histogram struct {
-	Lo, Hi   float64
-	Counts   []int
-	Under    int // observations below Lo
-	Over     int // observations at or above Hi
-	binWidth float64
-}
-
-// NewHistogram creates a histogram with the given bounds and bin count.
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins <= 0 || !(hi > lo) {
-		panic("stats: invalid histogram parameters")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins), binWidth: (hi - lo) / float64(bins)}
-}
-
-// Add records an observation.
-func (h *Histogram) Add(x float64) {
-	switch {
-	case x < h.Lo:
-		h.Under++
-	case x >= h.Hi:
-		h.Over++
-	default:
-		i := int((x - h.Lo) / h.binWidth)
-		if i >= len(h.Counts) { // guard float roundoff at the top edge
-			i = len(h.Counts) - 1
-		}
-		h.Counts[i]++
-	}
-}
-
-// Total returns the number of observations including out-of-range ones.
-func (h *Histogram) Total() int {
-	t := h.Under + h.Over
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
-}
-
-// Mode returns the midpoint of the most populated bin.
-func (h *Histogram) Mode() float64 {
-	best := 0
-	for i, c := range h.Counts {
-		if c > h.Counts[best] {
-			best = i
-		}
-	}
-	return h.Lo + (float64(best)+0.5)*h.binWidth
 }

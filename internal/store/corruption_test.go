@@ -289,3 +289,32 @@ func TestForeignFileInStoreDirIgnored(t *testing.T) {
 		t.Fatalf("Stats = %+v", st)
 	}
 }
+
+// TestTruncatedPackBehindSnapshotFallsBackToScan: a pack cut below the
+// offset the snapshot vouches for no longer backs the snapshot, so Open
+// recovers from the packs alone, and a second Open agrees with the first.
+func TestTruncatedPackBehindSnapshotFallsBackToScan(t *testing.T) {
+	dir := t.TempDir()
+	s := openT(t, dir)
+	for i := 0; i < 10; i++ {
+		s.PutEval(EvalRecord{Prog: uint64(i), Suite: 1, Level: LevelOutcome, Safe: true})
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Cut the pack mid-record 8, behind the snapshot's offset.
+	if err := os.Truncate(filepath.Join(dir, packName(1)), int64(len(packMagic))+7*recordSize+recordSize/2); err != nil {
+		t.Fatal(err)
+	}
+	for round := 1; round <= 2; round++ {
+		s := openT(t, dir)
+		st := s.Stats()
+		_, served := s.GetEval(9, 1)
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if st.EvalRecords != 7 || served {
+			t.Fatalf("open %d: %d records (record 9 served: %v), want the 7 the pack still holds", round, st.EvalRecords, served)
+		}
+	}
+}

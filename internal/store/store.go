@@ -193,6 +193,13 @@ func Open(opts Options) (*Store, error) {
 func (s *Store) recover() error {
 	snap, snapOK := loadSnapshot(filepath.Join(s.opts.Dir, snapshotName))
 	if snapOK {
+		// The snapshot vouches for its pack up to appliedOff. A pack that
+		// is gone or shorter no longer backs it: scan everything instead
+		// of serving records the packs have lost.
+		fi, err := os.Stat(filepath.Join(s.opts.Dir, packName(snap.appliedSeq)))
+		snapOK = err == nil && fi.Size() >= snap.appliedOff
+	}
+	if snapOK {
 		for _, e := range snap.evals {
 			s.evals[evalKey{e.Prog, e.Suite}] = e
 		}
@@ -610,9 +617,6 @@ func (s *Store) Stats() Stats {
 	s.wmu.Unlock()
 	return st
 }
-
-// Dir returns the store's data directory.
-func (s *Store) Dir() string { return s.opts.Dir }
 
 // Close stops the flusher, drains the buffer, snapshots, and closes the
 // active pack. The store is unusable afterwards.

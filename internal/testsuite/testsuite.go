@@ -51,9 +51,6 @@ func (s *Suite) All() []Test {
 	return out
 }
 
-// Size returns the total number of tests |S|.
-func (s *Suite) Size() int { return len(s.Positive) + len(s.Negative) }
-
 // RunTest executes one test: it passes iff the program runs without a
 // runtime error and produces exactly the expected output.
 func RunTest(p *lang.Program, tc Test) bool {
@@ -81,9 +78,6 @@ type Fitness struct {
 	// PosTotal and NegTotal record the suite sizes for ratio reporting.
 	PosTotal, NegTotal int
 }
-
-// Passed returns the total number of passing tests f(P,S).
-func (f Fitness) Passed() int { return f.PosPassed + f.NegPassed }
 
 // Safe reports whether all positive tests pass — the paper's definition of
 // a safe program variant (required functionality retained).
@@ -172,9 +166,6 @@ type Runner struct {
 func NewRunner(s *Suite) *Runner {
 	return &Runner{suite: s, entries: make(map[uint64]*cacheEntry)}
 }
-
-// Suite returns the underlying suite.
-func (r *Runner) Suite() *Suite { return r.suite }
 
 // lock acquires the cache lock, counting the acquisition as contended
 // when the lock was not immediately available.

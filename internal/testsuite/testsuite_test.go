@@ -75,8 +75,8 @@ func TestFitnessOnCorrectAndBuggy(t *testing.T) {
 	if !good.Repair() || !good.Safe() {
 		t.Fatalf("correct program fitness = %v", good)
 	}
-	if good.Passed() != 4 {
-		t.Fatalf("passed = %d", good.Passed())
+	if passed := good.PosPassed + good.NegPassed; passed != 4 {
+		t.Fatalf("passed = %d", passed)
 	}
 
 	bad := r.Eval(context.Background(), lang.MustParse(buggySumSrc))
@@ -203,8 +203,8 @@ print 1
 
 func TestSuiteAllAndSize(t *testing.T) {
 	s := sumSuite()
-	if s.Size() != 4 || len(s.All()) != 4 {
-		t.Fatalf("size = %d, all = %d", s.Size(), len(s.All()))
+	if size := len(s.Positive) + len(s.Negative); size != 4 || len(s.All()) != 4 {
+		t.Fatalf("size = %d, all = %d", size, len(s.All()))
 	}
 	if s.All()[3].Name != "n1" {
 		t.Fatal("negative tests must come last")
