@@ -165,7 +165,10 @@ type Result struct {
 	Repaired bool
 	// Patch is the mutation set of the first repair found (nil otherwise).
 	Patch []mutation.Mutation
-	// Program is the repaired program (nil if not repaired).
+	// Program is the repaired program (nil if not repaired). It is a
+	// mutation.Apply mutant and shares its statements with the pool's
+	// original; statements are immutable (lang.Stmt), so Clone it before
+	// editing.
 	Program *lang.Program
 	// Iterations is the number of online update cycles executed — the
 	// latency proxy: with n parallel evaluators, wall-clock latency is

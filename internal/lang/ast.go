@@ -92,6 +92,13 @@ func (k StmtKind) String() string {
 //	input <Var>
 //	halt
 //	nop
+//
+// A statement and the expressions under it are immutable once built: the
+// parser and the scenario generator construct them, and nothing assigns a
+// field afterwards. Mutants share their original's statements
+// (mutation.Apply copies only the statement slice), so writing to a
+// statement reached through any program would change every program that
+// shares it. Clone the statement first to edit it.
 type Stmt struct {
 	Kind   StmtKind
 	Var    string
@@ -133,12 +140,15 @@ func (s *Stmt) Clone() *Stmt {
 }
 
 // Program is a sequence of statements. The statement index is the unit of
-// mutation (whole-statement edits, as in GenProg-family tools).
+// mutation (whole-statement edits, as in GenProg-family tools). Programs
+// may share *Stmt values (see Stmt): the slice is a program's own, the
+// statements it points to are not.
 type Program struct {
 	Stmts []*Stmt
 }
 
-// Clone deep-copies the program.
+// Clone deep-copies the program: the copy shares no statement or
+// expression with p.
 func (p *Program) Clone() *Program {
 	out := &Program{Stmts: make([]*Stmt, len(p.Stmts))}
 	for i, s := range p.Stmts {
@@ -151,8 +161,10 @@ func (p *Program) Clone() *Program {
 func (p *Program) Len() int { return len(p.Stmts) }
 
 // String renders the whole program as canonical source, one statement per
-// line. Parse(p.String()) reproduces an equivalent program, and the text
-// serves as the program's identity for mutant deduplication.
+// line. Parse(p.String()) reproduces an equivalent program. Mutant
+// deduplication does not render the text: testsuite.ProgramKey hashes the
+// same fields String prints straight from the tree, so two programs share
+// a key exactly when they share a rendering.
 func (p *Program) String() string {
 	var b strings.Builder
 	for _, s := range p.Stmts {

@@ -14,6 +14,7 @@ package mutation
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/lang"
 	"repro/internal/rng"
@@ -26,9 +27,9 @@ const (
 	// Delete removes the target statement (implemented as replacement
 	// with nop so statement indices remain stable under composition).
 	Delete Op = iota
-	// Replace overwrites the target with a copy of the source statement.
+	// Replace overwrites the target with the source statement.
 	Replace
-	// Insert inserts a copy of the source statement after the target.
+	// Insert inserts the source statement after the target.
 	Insert
 	// Swap exchanges the target and source statements.
 	Swap
@@ -101,15 +102,23 @@ func (m Mutation) Validate(n int) error {
 	}
 }
 
-// Apply composes the mutations onto a copy of the original program. The
-// original is never modified. In-place operators apply in slice order
-// (later mutations targeting the same statement win); insertions apply
-// afterwards in descending target order so every insertion lands at its
-// original-coordinate position. Source statements are always taken from
-// the unmodified original, making composition independent of the order in
-// which in-place edits were generated.
+// nop is the statement every Delete points at. Like all statements it is
+// never written after construction, so one value serves every mutant.
+var nop = &lang.Stmt{Kind: lang.StmtNop}
+
+// Apply composes the mutations onto a copy of the original program's
+// statement slice. The original is never modified. In-place operators
+// apply in slice order (later mutations targeting the same statement win);
+// insertions apply afterwards in descending target order so every
+// insertion lands at its original-coordinate position. Source statements
+// are always taken from the unmodified original, making composition
+// independent of the order in which in-place edits were generated.
+//
+// The mutant shares the original's statements rather than cloning them:
+// a probe copies one pointer per statement, not the tree under it. This
+// relies on statements being immutable after construction (lang.Stmt).
 func Apply(original *lang.Program, muts []Mutation) *lang.Program {
-	out := original.Clone()
+	out := &lang.Program{Stmts: slices.Clone(original.Stmts)}
 	n := original.Len()
 	var inserts []Mutation
 	for _, m := range muts {
@@ -118,9 +127,9 @@ func Apply(original *lang.Program, muts []Mutation) *lang.Program {
 		}
 		switch m.Op {
 		case Delete:
-			out.Stmts[m.At] = &lang.Stmt{Kind: lang.StmtNop}
+			out.Stmts[m.At] = nop
 		case Replace:
-			out.Stmts[m.At] = original.Stmts[m.From].Clone()
+			out.Stmts[m.At] = original.Stmts[m.From]
 		case Swap:
 			// Swap uses the current working copy so two swaps compose like
 			// transpositions; sources within the copy keep the operator
@@ -142,7 +151,7 @@ func Apply(original *lang.Program, muts []Mutation) *lang.Program {
 	insertsAt := make(map[int][]*lang.Stmt, len(inserts))
 	for i := len(inserts) - 1; i >= 0; i-- {
 		m := inserts[i]
-		insertsAt[m.At] = append(insertsAt[m.At], original.Stmts[m.From].Clone())
+		insertsAt[m.At] = append(insertsAt[m.At], original.Stmts[m.From])
 	}
 	rebuilt := make([]*lang.Stmt, 0, len(out.Stmts)+len(inserts))
 	for i, s := range out.Stmts {
@@ -168,17 +177,4 @@ func Random(p *lang.Program, covered []int, r *rng.RNG) Mutation {
 		m.From = r.Intn(p.Len())
 	}
 	return m
-}
-
-// Distinct reports whether all mutations in the slice have distinct IDs.
-func Distinct(muts []Mutation) bool {
-	seen := make(map[string]struct{}, len(muts))
-	for _, m := range muts {
-		id := m.ID()
-		if _, dup := seen[id]; dup {
-			return false
-		}
-		seen[id] = struct{}{}
-	}
-	return true
 }

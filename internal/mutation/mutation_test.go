@@ -2,6 +2,8 @@ package mutation
 
 import (
 	"encoding/json"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -187,21 +189,6 @@ func TestRandomProducesAllOps(t *testing.T) {
 	}
 }
 
-func TestDistinct(t *testing.T) {
-	a := Mutation{Op: Delete, At: 1}
-	b := Mutation{Op: Delete, At: 2}
-	if !Distinct([]Mutation{a, b}) {
-		t.Fatal("distinct mutations misreported")
-	}
-	if Distinct([]Mutation{a, a}) {
-		t.Fatal("duplicate mutations misreported")
-	}
-	// Symmetric swaps are duplicates.
-	if Distinct([]Mutation{{Op: Swap, At: 1, From: 2}, {Op: Swap, At: 2, From: 1}}) {
-		t.Fatal("symmetric swaps should collide")
-	}
-}
-
 func TestJSONRoundTrip(t *testing.T) {
 	m := Mutation{Op: Insert, At: 3, From: 7}
 	data, err := json.Marshal(m)
@@ -255,6 +242,49 @@ func TestQuickApplyDeterministic(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Mutants share the original's statements, so neither building a mutant
+// nor running it may write to one: over random patches, the original's
+// text, its statement pointers and the field values a deep Clone captured
+// beforehand all stay as they were.
+func TestApplyLeavesSharedStatementsUntouched(t *testing.T) {
+	p := lang.MustParse(`input n
+set i = 0
+set acc = 1
+label loop
+if !(i < n) goto done
+set acc = (acc * 3 + -i) % 65521
+set i = i + 1
+goto loop
+label done
+print acc
+halt
+`)
+	text, ptrs, fields := p.String(), slices.Clone(p.Stmts), p.Clone()
+	covered := make([]int, p.Len())
+	for i := range covered {
+		covered[i] = i
+	}
+	r := rng.New(9)
+	for trial := 0; trial < 300; trial++ {
+		muts := make([]Mutation, 1+r.Intn(8))
+		for i := range muts {
+			muts[i] = Random(p, covered, r)
+		}
+		lang.Run(Apply(p, muts), lang.Options{Input: []int64{int64(r.Intn(20))}, MaxSteps: 2000, Trace: true})
+	}
+	if p.String() != text {
+		t.Fatalf("original text changed:\n%s", p)
+	}
+	for i, s := range p.Stmts {
+		if s != ptrs[i] {
+			t.Fatalf("statement %d pointer replaced", i)
+		}
+		if !reflect.DeepEqual(s, fields.Stmts[i]) {
+			t.Fatalf("statement %d fields changed: %#v, want %#v", i, s, fields.Stmts[i])
+		}
 	}
 }
 

@@ -289,7 +289,10 @@ func (pl *Pool) Sample(x int, r *rng.RNG) []mutation.Mutation {
 }
 
 // ApplySample applies x random distinct pool mutations to the original
-// program and returns the mutant along with the mutations used.
+// program and returns the mutant along with the mutations used. The mutant
+// shares its statements with the pool's private original (mutation.Apply);
+// statements are immutable (lang.Stmt), so Clone the mutant before editing
+// it.
 func (pl *Pool) ApplySample(x int, r *rng.RNG) (*lang.Program, []mutation.Mutation) {
 	muts := pl.Sample(x, r)
 	return mutation.Apply(pl.original, muts), muts

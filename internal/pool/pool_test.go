@@ -146,7 +146,11 @@ func TestSampleDistinct(t *testing.T) {
 	r := rng.New(7)
 	for i := 0; i < 100; i++ {
 		muts := pl.Sample(3, r)
-		if len(muts) != 3 || !mutation.Distinct(muts) {
+		ids := map[string]bool{}
+		for _, m := range muts {
+			ids[m.ID()] = true
+		}
+		if len(muts) != 3 || len(ids) != len(muts) {
 			t.Fatalf("sample = %v", muts)
 		}
 	}

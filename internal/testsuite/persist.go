@@ -21,18 +21,27 @@ import (
 	"repro/internal/store"
 )
 
-// ProgramKey returns the cache/store identity of a program: an FNV64a
-// hash of its canonical text. Two mutants that serialize identically are
-// the same program.
+// ProgramKey returns the cache/store identity of a program: a structural
+// FNV-1a 64 hash of its statements that allocates nothing. Two programs
+// share a key exactly when they render the same String().
 func ProgramKey(p *lang.Program) uint64 { return programKey(p) }
 
-// Fingerprint hashes the suite's full content — test names, inputs,
-// expected outputs, step bounds, and the positive/negative split. Stored
-// evaluation records are keyed by this fingerprint, so any change to the
-// suite (even reordering tests) keys new records rather than reusing
+// keyScheme tags the program-key encoding in every fingerprint. Records
+// written under another encoding (scheme 1 hashed each statement's text)
+// then sit under fingerprints no current suite produces, so a store
+// written before the change warm-starts nothing instead of answering
+// lookups with keys from a different hash.
+const keyScheme = "K\x02"
+
+// Fingerprint hashes the program-key scheme and the suite's full content
+// — test names, inputs, expected outputs, step bounds, and the
+// positive/negative split. Stored evaluation and pool records are keyed by
+// this fingerprint, so any change to the suite (even reordering tests), or
+// to how programKey encodes programs, keys new records rather than reusing
 // stale ones.
 func (s *Suite) Fingerprint() uint64 {
 	h := fnv.New64a()
+	h.Write([]byte(keyScheme))
 	var buf [8]byte
 	w64 := func(v int64) {
 		binary.LittleEndian.PutUint64(buf[:], uint64(v))

@@ -10,7 +10,6 @@ package testsuite
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
 	"sync"
 	"sync/atomic"
 
@@ -268,15 +267,85 @@ func (r *Runner) evalAt(key uint64, level uint8, compute func() (probeResult, bo
 	}
 }
 
-// programKey hashes the program's canonical text — two mutants that
-// serialize identically are the same program.
+// programKey hashes the program's structure without rendering it: an
+// FNV-1a 64 walk over each statement's kind followed by exactly the fields
+// lang.Stmt.String prints for that kind. Strings are length-prefixed and
+// every expression node is tagged, so the byte stream is prefix-free and
+// decodes to one statement list; two programs therefore share a key
+// exactly when they share a String() rendering (up to 64-bit collisions).
+// The hash is fixed across processes and platforms because store records
+// persist it; changing the encoding means changing the key-scheme tag in
+// Suite.Fingerprint. The walk allocates nothing: it sits on every probe's
+// path, ahead of the cache lookup.
 func programKey(p *lang.Program) uint64 {
-	h := fnv.New64a()
+	h := keyHash(fnvOffset64)
 	for _, s := range p.Stmts {
-		h.Write([]byte(s.String()))
-		h.Write([]byte{'\n'})
+		h = h.uvarint(uint64(s.Kind))
+		switch s.Kind {
+		case lang.StmtSet:
+			h = h.str(s.Var).expr(s.Expr)
+		case lang.StmtPrint:
+			h = h.expr(s.Expr)
+		case lang.StmtIf:
+			h = h.expr(s.Expr).str(s.Target)
+		case lang.StmtGoto, lang.StmtLabel:
+			h = h.str(s.Target)
+		case lang.StmtInput:
+			h = h.str(s.Var)
+		}
 	}
-	return h.Sum64()
+	return uint64(h)
+}
+
+// FNV-1a 64 parameters (the ones hash/fnv uses).
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// keyHash is a running FNV-1a 64 state; each method folds in one encoded
+// value and returns the new state.
+type keyHash uint64
+
+func (h keyHash) byte(b byte) keyHash { return (h ^ keyHash(b)) * fnvPrime64 }
+
+// uvarint folds in v in LEB128 form: short lengths and kinds cost a byte.
+func (h keyHash) uvarint(v uint64) keyHash {
+	for ; v >= 0x80; v >>= 7 {
+		h = h.byte(byte(v) | 0x80)
+	}
+	return h.byte(byte(v))
+}
+
+func (h keyHash) str(s string) keyHash {
+	h = h.uvarint(uint64(len(s)))
+	for i := 0; i < len(s); i++ {
+		h = h.byte(s[i])
+	}
+	return h
+}
+
+// expr folds in one expression tree, each node behind its own tag. A nil
+// expression (which String renders as a formatting error) has a tag too.
+func (h keyHash) expr(e lang.Expr) keyHash {
+	switch e := e.(type) {
+	case nil:
+		return h.byte(0)
+	case *lang.NumLit:
+		h = h.byte('n')
+		for i := 0; i < 64; i += 8 {
+			h = h.byte(byte(uint64(e.Value) >> i))
+		}
+		return h
+	case *lang.VarRef:
+		return h.byte('v').str(e.Name)
+	case *lang.UnaryExpr:
+		return h.byte('u').str(e.Op).expr(e.X)
+	case *lang.BinExpr:
+		return h.byte('b').str(e.Op).expr(e.L).expr(e.R)
+	default:
+		panic(fmt.Sprintf("testsuite: unknown expression type %T", e))
+	}
 }
 
 // Eval evaluates the program on the full suite, counting one fitness
