@@ -63,11 +63,20 @@ chaos:
 # Trace smoke: one end-to-end mwrepair run with fault injection and the
 # JSONL event stream on, then a schema check of the emitted trace (known
 # event types, dense sequence numbers). Guards the obs wiring the same way
-# chaos guards the E11 export.
+# chaos guards the E11 export. The run saves its pool; a second run loads
+# it and must print the identical patch block (a reloaded pool reproduces
+# the run that saved it).
 trace:
 	$(GO) run ./cmd/mwrepair -scenario lighttpd-1806-1807 -maxiter 500 -workers 4 -seed 3 \
-		-faultrate 0.05 -managed -trace /tmp/trace-smoke.jsonl -trace-sample 5 >/dev/null
+		-faultrate 0.05 -managed -trace /tmp/trace-smoke.jsonl -trace-sample 5 \
+		-savepool /tmp/trace-smoke.pool >/tmp/trace-smoke.out
 	$(GO) run ./cmd/benchjson -validate-trace /tmp/trace-smoke.jsonl
+	$(GO) run ./cmd/mwrepair -scenario lighttpd-1806-1807 -maxiter 500 -workers 4 -seed 3 \
+		-faultrate 0.05 -managed -loadpool /tmp/trace-smoke.pool >/tmp/trace-reload.out
+	sed -n '/patch (/,$$p' /tmp/trace-smoke.out >/tmp/trace-smoke.patch
+	sed -n '/patch (/,$$p' /tmp/trace-reload.out >/tmp/trace-reload.patch
+	test -s /tmp/trace-smoke.patch
+	cmp /tmp/trace-smoke.patch /tmp/trace-reload.patch
 
 # Daemon smoke: build the real mwrepaird + mwrepair binaries, start the
 # daemon on an ephemeral port, submit a scenario job over HTTP, poll it to

@@ -15,6 +15,10 @@
 // the iteration-level event stream (internal/obs JSONL schema); the
 // stream is seed-deterministic, byte-identical at any -workers count.
 //
+// -savepool writes the phase-1 pool; -loadpool reads one back instead of
+// building it (it must be for the scenario's program), and the run then
+// repeats the saving run's phase 2 exactly.
+//
 // -store opens (or creates) a persistent evaluation store in the given
 // data directory: pool precompute and the online phase reuse verdicts
 // recorded by earlier runs over the same suite, and record new ones for
@@ -24,7 +28,6 @@ package main
 
 import (
 	"context"
-
 	"flag"
 	"fmt"
 	"os"
@@ -32,24 +35,26 @@ import (
 
 	"repro/internal/cliutil"
 	"repro/internal/core"
-	"repro/internal/faults"
 	"repro/internal/mutation"
-	"repro/internal/obs"
 	"repro/internal/pool"
-	"repro/internal/rng"
 	"repro/internal/scenario"
 	"repro/internal/store"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is main with an exit code, so that every deferred cleanup (trace
+// flush, store close) runs before the process exits.
+func run() int {
+	def := core.Job{}.WithDefaults()
 	var (
 		name     = flag.String("scenario", "lighttpd-1806-1807", "registry scenario name")
 		list     = flag.Bool("list", false, "list available scenarios and exit")
-		alg      = flag.String("algorithm", "standard", "MWU realization: standard | distributed | slate | optimistic | congestion")
-		maxIter  = flag.Int("maxiter", 2000, "online phase iteration limit")
-		workers  = flag.Int("workers", 8, "parallel workers for pool build and probes")
-		seed     = flag.Uint64("seed", 1, "random seed")
-		savePool = flag.String("savepool", "", "write the precomputed pool to this file")
+		alg      = flag.String("algorithm", def.Algorithm, "MWU realization: standard | distributed | slate | optimistic | congestion")
+		maxIter  = flag.Int("maxiter", def.MaxIter, "online phase iteration limit (0 = default)")
+		workers  = flag.Int("workers", def.Workers, "parallel workers for pool build and probes")
+		seed     = flag.Uint64("seed", def.Seed, "random seed (0 = default)")
+		savePool = flag.String("savepool", "", "write the phase-1 pool to this file")
 		loadPool = flag.String("loadpool", "", "read a previously saved pool instead of precomputing")
 		storeDir = flag.String("store", "", "persistent evaluation-store data directory (warm-starts this run, records for the next)")
 		verbose  = flag.Bool("v", false, "print the defective program and the repaired program")
@@ -80,12 +85,12 @@ func main() {
 			}
 			fmt.Printf("%-20s family=%-12s options=%-5d blocks=%d%s\n", p.Name, p.FamilyName(), p.Options, p.Blocks, extra)
 		}
-		return
+		return 0
 	}
 
 	prof, err := scenario.ByName(*name)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	fmt.Printf("scenario %s: generating program and test suite...\n", prof.Name)
 	sc := scenario.Generate(prof)
@@ -97,31 +102,30 @@ func main() {
 		fmt.Println("-------------------------")
 	}
 
-	tracer, reg, obsCleanup := obsFlags.Setup("mwrepair", obs.RunID(*seed, "mwrepair", prof.Name, *alg))
+	job := core.Job{
+		Scenario:  sc,
+		Algorithm: *alg,
+		Seed:      *seed,
+		MaxIter:   *maxIter,
+		Workers:   *workers,
+		FaultRate: *faultRate,
+		Managed:   *managed,
+		Cutoff:    *cutoff,
+	}
+	var obsCleanup func()
+	job.Trace, job.Registry, obsCleanup = obsFlags.Setup("mwrepair", job.Label())
 	defer obsCleanup()
 
-	// The store must be flushed and snapshotted on every exit path;
-	// os.Exit skips defers, so the manual exits below call closeStore
-	// explicitly (it is idempotent) and fatal runs registered hooks.
-	var st *store.Store
-	closeStore := func() {
-		if st == nil {
-			return
-		}
-		s := st
-		st = nil
-		if err := s.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "mwrepair: store close:", err)
-		}
-	}
-	defer closeStore()
 	if *storeDir != "" {
-		var err error
-		if st, err = store.Open(store.Options{Dir: *storeDir}); err != nil {
-			fatal(err)
+		if job.Store, err = store.Open(store.Options{Dir: *storeDir}); err != nil {
+			return fail(err)
 		}
-		fatalHooks = append(fatalHooks, closeStore)
-		ss := st.Stats()
+		defer func() {
+			if err := job.Store.Close(); err != nil {
+				fmt.Fprintln(os.Stderr, "mwrepair: store close:", err)
+			}
+		}()
+		ss := job.Store.Stats()
 		fmt.Printf("store %s: %d eval records, %d pool records, %d pack(s)\n",
 			*storeDir, ss.EvalRecords, ss.PoolRecords, ss.Packs)
 	}
@@ -137,115 +141,76 @@ func main() {
 		defer cancel()
 	}
 
-	r := rng.New(*seed)
-	var pl *pool.Pool
 	if *loadPool != "" {
-		f, err := os.Open(*loadPool)
-		if err != nil {
-			fatal(err)
+		if job.Pool, err = pool.LoadFile(*loadPool); err != nil {
+			return fail(err)
 		}
-		pl, err = pool.Load(f)
-		f.Close()
-		if err != nil {
-			fatal(err)
+		fmt.Printf("phase 1: loaded pool of %d safe mutations from %s\n", job.Pool.Size(), *loadPool)
+	}
+	t0 := time.Now()
+	job.OnPool = func(pl *pool.Pool) {
+		if *loadPool == "" {
+			ps := pl.Stats()
+			fmt.Printf("phase 1: precomputed %d safe mutations in %v (%d candidates evaluated, %.0f%% safe)\n",
+				pl.Size(), time.Since(t0).Round(time.Millisecond), ps.Evaluated, 100*ps.SafeRate())
+			if ps.StoreHits > 0 {
+				fmt.Printf("  store: %d warm verdicts reused\n", ps.StoreHits)
+			}
 		}
-		fmt.Printf("phase 1: loaded pool of %d safe mutations from %s\n", pl.Size(), *loadPool)
-	} else {
-		t0 := time.Now()
-		pl = sc.BuildPoolStored(ctx, *workers, r.Split(), tracer, st)
-		ps := pl.Stats()
-		ps.Export(reg, "pool")
-		fmt.Printf("phase 1: precomputed %d safe mutations in %v (%d candidates evaluated, %.0f%% safe)\n",
-			pl.Size(), time.Since(t0).Round(time.Millisecond), ps.Evaluated, 100*ps.SafeRate())
-		if ps.StoreHits > 0 {
-			fmt.Printf("  store: %d warm verdicts reused\n", ps.StoreHits)
+		if pl.Size() > 0 && sc.Drift.Len() > 0 {
+			fmt.Printf("  drift schedule: %d steps (%s), first at %d probes\n",
+				sc.Drift.Len(), prof.DriftKind, sc.Drift.Steps[0].AfterProbes)
 		}
+		t0 = time.Now()
+	}
+	pl, res, err := core.RunJob(ctx, job)
+	elapsed := time.Since(t0).Round(time.Millisecond)
+	if err != nil && job.Pool != nil && pl == nil {
+		err = fmt.Errorf("-loadpool %s: %w", *loadPool, err)
+	}
+	if err != nil {
+		return fail(err)
 	}
 	if *savePool != "" {
-		f, err := os.Create(*savePool)
-		if err != nil {
-			fatal(err)
+		if err := pl.SaveFile(*savePool); err != nil {
+			return fail(err)
 		}
-		if err := pl.Save(f); err != nil {
-			fatal(err)
-		}
-		f.Close()
 		fmt.Printf("  pool saved to %s\n", *savePool)
 	}
-
 	if pl.Size() == 0 {
-		if ctx.Err() != nil {
-			fmt.Println("phase 1: CANCELLED before any safe mutation was found")
-			closeStore()
-			obsCleanup()
-			os.Exit(1)
-		}
-		fatal(fmt.Errorf("empty mutation pool: no safe mutations found for %s", prof.Name))
+		fmt.Println("phase 1: CANCELLED before any safe mutation was found")
+		return 1
 	}
-
-	cfg := core.Config{
-		MaxIter:          *maxIter,
-		Workers:          *workers,
-		MaxX:             prof.Options,
-		StragglerCutoff:  *cutoff,
-		Trace:            tracer,
-		Registry:         reg,
-		Store:            st,
-		Drift:            sc.Drift,
-		CongestionLambda: prof.CongestionLambda,
-	}
-	if sc.Drift.Len() > 0 {
-		fmt.Printf("  drift schedule: %d steps (%s), first at %d probes\n",
-			sc.Drift.Len(), prof.DriftKind, sc.Drift.Steps[0].AfterProbes)
-	}
-	if *faultRate > 0 {
-		cfg.Faults = faults.New(faults.Uniform(*seed, *faultRate))
-	}
-	if *managed {
-		cfg.Policies = faults.DefaultPolicies()
-	}
-
-	t0 := time.Now()
-	res, err := core.RepairWithAlgorithm(ctx, *alg, pl, sc.Suite, r.Split(), cfg)
-	if err != nil {
-		fatal(err)
-	}
-	elapsed := time.Since(t0).Round(time.Millisecond)
 
 	if res.Faults.Any() {
 		fmt.Printf("  faults: %s (degraded: %v)\n", res.Faults.String(), res.Degraded)
 	}
-	familyStats := func() {
-		if res.DriftSteps > 0 {
-			fmt.Printf("  drift: %d suite change(s) applied mid-run\n", res.DriftSteps)
-		}
-		if res.CongestionCost > 0 {
-			fmt.Printf("  congestion: total probe cost %.0f (lambda=%g), max arm load %d\n",
-				res.CongestionCost, prof.CongestionLambda, res.MaxLoad)
-		}
+	switch {
+	case res.Repaired:
+		fmt.Printf("phase 2 (%s MWU): REPAIRED in %d iterations × %d agents (%d probes, %d fitness evals, %v)\n",
+			*alg, res.Iterations, res.Agents, res.Probes, res.FitnessEvals, elapsed)
+	case res.Cancelled:
+		fmt.Printf("phase 2: CANCELLED before a repair in %d iterations (%d probes, %d fitness evals, %v)\n",
+			res.Iterations, res.Probes, res.FitnessEvals, elapsed)
+	default:
+		fmt.Printf("phase 2: NO repair found in %d iterations (%d probes, %d fitness evals, %v)\n",
+			res.Iterations, res.Probes, res.FitnessEvals, elapsed)
 	}
-	if !res.Repaired {
-		state := "NO repair found"
-		if res.Cancelled {
-			state = "CANCELLED before a repair"
-		}
-		fmt.Printf("phase 2: %s in %d iterations (%d probes, %d fitness evals, %v)\n",
-			state, res.Iterations, res.Probes, res.FitnessEvals, elapsed)
-		fmt.Printf("  cache: %d hits (%d dedup-suppressed), %d contended cache-lock waits\n",
-			res.CacheHits, res.DedupSuppressed, res.ShardContention)
-		familyStats()
-		closeStore()
-		obsCleanup() // os.Exit skips defers; flush the trace first
-		os.Exit(1)
-	}
-	fmt.Printf("phase 2 (%s MWU): REPAIRED in %d iterations × %d agents (%d probes, %d fitness evals, %v)\n",
-		*alg, res.Iterations, res.Agents, res.Probes, res.FitnessEvals, elapsed)
 	fmt.Printf("  cache: %d hits (%d dedup-suppressed), %d contended cache-lock waits\n",
 		res.CacheHits, res.DedupSuppressed, res.ShardContention)
 	if res.WarmEntries > 0 {
 		fmt.Printf("  store: %d entries warm-started, %d warm hits\n", res.WarmEntries, res.WarmHits)
 	}
-	familyStats()
+	if res.DriftSteps > 0 {
+		fmt.Printf("  drift: %d suite change(s) applied mid-run\n", res.DriftSteps)
+	}
+	if res.CongestionCost > 0 {
+		fmt.Printf("  congestion: total probe cost %.0f (lambda=%g), max arm load %d\n",
+			res.CongestionCost, prof.CongestionLambda, res.MaxLoad)
+	}
+	if !res.Repaired {
+		return 1
+	}
 	fmt.Printf("  learned composition size x* = %d\n", res.LearnedArm)
 	fmt.Printf("  patch (%d mutations):\n", len(res.Patch))
 	for _, m := range res.Patch {
@@ -256,6 +221,7 @@ func main() {
 		fmt.Print(res.Program.String())
 		fmt.Println("------------------------")
 	}
+	return 0
 }
 
 func describeMutation(sc *scenario.Scenario, m mutation.Mutation) string {
@@ -274,15 +240,7 @@ func describeMutation(sc *scenario.Scenario, m mutation.Mutation) string {
 	}
 }
 
-// fatalHooks run (newest first) before fatal exits; os.Exit skips
-// deferred cleanups, so anything that must flush on a fatal error —
-// today just the evaluation store — registers itself here.
-var fatalHooks []func()
-
-func fatal(err error) {
+func fail(err error) int {
 	fmt.Fprintln(os.Stderr, "mwrepair:", err)
-	for i := len(fatalHooks) - 1; i >= 0; i-- {
-		fatalHooks[i]()
-	}
-	os.Exit(1)
+	return 1
 }

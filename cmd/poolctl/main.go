@@ -14,6 +14,9 @@
 //	poolctl -compact -store data/
 //	poolctl -store-stats -store data/
 //
+// -build seeds phase 1 from -seed exactly as mwrepair does (core.BuildPool),
+// so `mwrepair -loadpool` of its pool reproduces plain `mwrepair -seed`.
+//
 // -revalidate reruns every pool mutation against the scenario's current
 // suite and drops newly unsafe entries — the paper's incremental-update
 // path for when a repaired bug's failing test joins the suite.
@@ -40,15 +43,16 @@ import (
 	"time"
 
 	"repro/internal/cliutil"
+	"repro/internal/core"
 	"repro/internal/mutation"
 	"repro/internal/obs"
 	"repro/internal/pool"
-	"repro/internal/rng"
 	"repro/internal/scenario"
 	"repro/internal/store"
 )
 
 func main() {
+	def := core.Job{}.WithDefaults()
 	var (
 		build      = flag.Bool("build", false, "precompute a pool for -scenario")
 		inspect    = flag.Bool("inspect", false, "print a pool summary")
@@ -62,8 +66,8 @@ func main() {
 		out        = flag.String("out", "", "output pool file")
 		storeDir   = flag.String("store", "", "persistent evaluation-store data directory")
 		target     = flag.Int("target", 0, "pool size target (default: scenario profile)")
-		workers    = flag.Int("workers", 8, "parallel evaluation workers")
-		seed       = flag.Uint64("seed", 1, "random seed")
+		workers    = flag.Int("workers", def.Workers, "parallel evaluation workers")
+		seed       = flag.Uint64("seed", def.Seed, "random seed; -build seeds phase 1 as mwrepair does (0 = default)")
 	)
 	obsFlags := cliutil.RegisterObsFlags()
 	flag.Parse()
@@ -124,9 +128,8 @@ func main() {
 		}
 		sc := scenario.Generate(prof)
 		t0 := time.Now()
-		pl := sc.BuildPoolStored(ctx, *workers, rng.New(*seed), tracer, st)
+		pl := core.BuildPool(ctx, core.Job{Scenario: sc, Seed: *seed, Workers: *workers, Trace: tracer, Registry: reg, Store: st})
 		ps := pl.Stats()
-		ps.Export(reg, "pool")
 		fmt.Printf("built pool for %s: %d safe mutations in %v (%d candidates, %.0f%% safe, %d cache hits, %d dedup-suppressed)\n",
 			prof.Name, pl.Size(), time.Since(t0).Round(time.Millisecond), ps.Evaluated, 100*ps.SafeRate(),
 			ps.CacheHits, ps.DedupSuppressed)
@@ -209,10 +212,7 @@ func main() {
 }
 
 func save(pl *pool.Pool, path string) {
-	f, err := os.Create(path)
-	fatalIf(err)
-	defer f.Close()
-	fatalIf(pl.Save(f))
+	fatalIf(pl.SaveFile(path))
 	fmt.Printf("wrote %s\n", path)
 }
 
@@ -220,10 +220,7 @@ func load(path string) *pool.Pool {
 	if path == "" {
 		cliutil.Fatalf("poolctl", "missing -in")
 	}
-	f, err := os.Open(path)
-	fatalIf(err)
-	defer f.Close()
-	pl, err := pool.Load(f)
+	pl, err := pool.LoadFile(path)
 	fatalIf(err)
 	return pl
 }

@@ -82,18 +82,10 @@ func (p *Problem) String() string {
 type FuncOracle struct {
 	K int
 	F func(arm int, r *rng.RNG) Reward
-
-	total atomic.Int64
 }
 
 // Arms returns the number of options.
 func (o *FuncOracle) Arms() int { return o.K }
 
-// Probe invokes the wrapped function and counts the call.
-func (o *FuncOracle) Probe(i int, r *rng.RNG) Reward {
-	o.total.Add(1)
-	return o.F(i, r)
-}
-
-// TotalPulls returns how many probes have been issued.
-func (o *FuncOracle) TotalPulls() int64 { return o.total.Load() }
+// Probe invokes the wrapped function.
+func (o *FuncOracle) Probe(i int, r *rng.RNG) Reward { return o.F(i, r) }

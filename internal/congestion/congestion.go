@@ -88,22 +88,3 @@ func SharedGain(reward float64, load int, lambda float64) float64 {
 	}
 	return reward / (1 + lambda*float64(load-1))
 }
-
-// Profile measures the empirical distribution of MaxLoad over the given
-// number of trials, returning mean and observed maximum. The experiment
-// harness uses it to verify that Distributed congestion tracks
-// Θ(ln n / ln ln n) while Standard/Slate congestion tracks Θ(n).
-func Profile(n, trials int, r *rng.RNG) (mean float64, max int) {
-	if trials <= 0 {
-		panic("congestion: trials must be positive")
-	}
-	sum := 0
-	for i := 0; i < trials; i++ {
-		m := MaxLoad(n, n, r)
-		sum += m
-		if m > max {
-			max = m
-		}
-	}
-	return float64(sum) / float64(trials), max
-}

@@ -222,3 +222,22 @@ func ExceedanceRate(n, trials int, c float64, r *rng.RNG) float64 {
 	}
 	return float64(exceed) / float64(trials)
 }
+
+// Profile measures the empirical distribution of MaxLoad over the given
+// number of trials, returning mean and observed maximum: the reference
+// the tests use to check that Distributed congestion tracks
+// Θ(ln n / ln ln n) while Standard/Slate congestion tracks Θ(n).
+func Profile(n, trials int, r *rng.RNG) (mean float64, max int) {
+	if trials <= 0 {
+		panic("congestion: trials must be positive")
+	}
+	sum := 0
+	for i := 0; i < trials; i++ {
+		m := MaxLoad(n, n, r)
+		sum += m
+		if m > max {
+			max = m
+		}
+	}
+	return float64(sum) / float64(trials), max
+}

@@ -145,9 +145,6 @@ type Progress struct {
 	// probability mass / popularity share.
 	BestArm   int
 	BestShare float64
-	// Repaired reports a full repair has been captured (the run is about
-	// to terminate).
-	Repaired bool
 	// Faults is the resilience ledger so far; Degraded mirrors
 	// Result.Degraded's mid-run view (missing rewards or stalled cycles).
 	Faults faults.Stats
@@ -325,10 +322,6 @@ func Repair(ctx context.Context, pl *pool.Pool, suite *testsuite.Suite, learner 
 	}
 	oracle := &repairOracle{pl: pl, runner: runner, k: k, policy: cfg.Reward}
 
-	var driftSteps []testsuite.DriftStep
-	if cfg.Drift != nil {
-		driftSteps = cfg.Drift.Steps
-	}
 	nextDrift := 0
 
 	tr := cfg.Trace
@@ -353,7 +346,7 @@ func Repair(ctx context.Context, pl *pool.Pool, suite *testsuite.Suite, learner 
 				tr.Emit(obs.Event{Type: obs.TypeCache, Iter: iter, N: runner.Lookups()})
 			}
 			patch, _ := oracle.repair()
-			if patch == nil && nextDrift < len(driftSteps) {
+			if patch == nil && nextDrift < cfg.Drift.Len() {
 				// Apply due drift steps at the cycle boundary, where no
 				// probe is in flight. Cumulative probe counts are worker-
 				// invariant, so the firing cycle — and the trace position of
@@ -362,8 +355,8 @@ func Repair(ctx context.Context, pl *pool.Pool, suite *testsuite.Suite, learner 
 				// race by design: it was a real repair for the suite its
 				// probe ran against.
 				probes := l.Metrics().Probes
-				for nextDrift < len(driftSteps) && probes >= driftSteps[nextDrift].AfterProbes {
-					step := driftSteps[nextDrift]
+				for nextDrift < cfg.Drift.Len() && probes >= cfg.Drift.Steps[nextDrift].AfterProbes {
+					step := cfg.Drift.Steps[nextDrift]
 					runner.SetSuite(step.Suite)
 					if tr.Active() {
 						tr.Emit(obs.Event{Type: obs.TypeDrift, Iter: iter, Kind: step.Kind, N: step.AfterProbes})
@@ -381,7 +374,6 @@ func Repair(ctx context.Context, pl *pool.Pool, suite *testsuite.Suite, learner 
 					SafeProbes:   oracle.safeProbes.Load(),
 					BestArm:      l.Leader() + 1,
 					BestShare:    l.LeaderProb(),
-					Repaired:     patch != nil,
 					Faults:       m.Faults,
 				})
 			}
@@ -401,7 +393,7 @@ func Repair(ctx context.Context, pl *pool.Pool, suite *testsuite.Suite, learner 
 		reg.Counter("cache.warm_entries").Set(runner.WarmEntries())
 		reg.Counter("cache.warm_hits").Set(runner.WarmHits())
 	}
-	res := Result{
+	return Result{
 		Repaired:        patch != nil,
 		Patch:           patch,
 		Program:         mutant,
@@ -422,7 +414,6 @@ func Repair(ctx context.Context, pl *pool.Pool, suite *testsuite.Suite, learner 
 		CongestionCost:  runRes.CongestionCost,
 		MaxLoad:         runRes.MaxLoad,
 	}
-	return res
 }
 
 // Arms returns the bandit arm count for a pool under a config:
@@ -442,8 +433,14 @@ func Arms(pl *pool.Pool, cfg Config) int {
 // MWU learner with evaluation defaults and runs Repair. Distributed
 // configurations beyond the tractability bound return an error.
 func RepairWithAlgorithm(ctx context.Context, algorithm string, pl *pool.Pool, suite *testsuite.Suite, seed *rng.RNG, cfg Config) (Result, error) {
-	k := Arms(pl, cfg)
-	learner, err := mwu.NewLearner(mwu.Config{Algorithm: algorithm, K: k}, seed.Split())
+	return repairWith(ctx, mwu.Config{Algorithm: algorithm}, pl, suite, seed, cfg)
+}
+
+// repairWith builds the learner lc describes, with K from Arms, on
+// seed's first split and runs Repair on its second.
+func repairWith(ctx context.Context, lc mwu.Config, pl *pool.Pool, suite *testsuite.Suite, seed *rng.RNG, cfg Config) (Result, error) {
+	lc.K = Arms(pl, cfg)
+	learner, err := mwu.NewLearner(lc, seed.Split())
 	if err != nil {
 		return Result{}, err
 	}

@@ -132,12 +132,6 @@ func Predict(a Algorithm, p Params) Costs {
 	}
 }
 
-// CPUIterations is Table IV's currency: update cycles × agents occupied
-// per cycle.
-func CPUIterations(iterations, agents int) int64 {
-	return int64(iterations) * int64(agents)
-}
-
 // Weights encode the relative importance of each cost feature for a given
 // deployment (Sec. IV-E-1's weighted asymptotic model). Zero weights drop
 // a feature from consideration.

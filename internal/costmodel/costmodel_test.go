@@ -65,15 +65,6 @@ func TestDistributedAgentsGrowWithK(t *testing.T) {
 	}
 }
 
-func TestCPUIterations(t *testing.T) {
-	if CPUIterations(100, 16) != 1600 {
-		t.Fatal("cpu-iterations wrong")
-	}
-	if CPUIterations(0, 5) != 0 {
-		t.Fatal("zero iterations should cost nothing")
-	}
-}
-
 func TestScoreLinear(t *testing.T) {
 	c := Costs{Communication: 2, Memory: 3, Convergence: 5, MinAgents: 7}
 	w := Weights{Communication: 1, Memory: 10, Convergence: 100, Agents: 1000}

@@ -55,9 +55,6 @@ func clamp01(v float64) float64 {
 	}
 }
 
-// Name returns the distribution's display name.
-func (d *Distribution) Name() string { return d.name }
-
 // Size returns the number of options k.
 func (d *Distribution) Size() int { return len(d.values) }
 

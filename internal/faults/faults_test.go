@@ -165,13 +165,10 @@ func TestUniformScalesRates(t *testing.T) {
 	}
 }
 
-// TestPoliciesAny: zero policies are inert.
+// TestPoliciesAny: zero policies are inert and the default ones are not.
 func TestPoliciesAny(t *testing.T) {
-	if (Policies{}).Any() {
-		t.Fatal("zero Policies reports Any")
-	}
-	if !DefaultPolicies().Any() {
-		t.Fatal("DefaultPolicies reports !Any")
+	if d := DefaultPolicies(); !d.Timeout.Enabled() || !d.Retry.Enabled() || !d.Hedge.Enabled() {
+		t.Fatal("DefaultPolicies has a disabled component")
 	}
 	if (Retry{}).Enabled() || (Timeout{}).Enabled() || (Hedge{}).Enabled() {
 		t.Fatal("zero policy components report Enabled")

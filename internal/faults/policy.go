@@ -90,11 +90,6 @@ type Policies struct {
 	Hedge   Hedge
 }
 
-// Any reports whether at least one policy is active.
-func (p Policies) Any() bool {
-	return p.Timeout.Enabled() || p.Retry.Enabled() || p.Hedge.Enabled()
-}
-
 // DefaultPolicies is the managed configuration the resilience experiment
 // and the CLIs use: detect silent failures after 200 ticks, retry up to 3
 // times with backoff 10·2^i capped at 160 ticks, hedge stragglers past

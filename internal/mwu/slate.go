@@ -75,7 +75,6 @@ func (c *SlateConfig) fill() {
 type Slate struct {
 	cfg       SlateConfig
 	weights   []float64
-	logShift  float64 // running normalization of log-weights
 	rng       *rng.RNG
 	capper    *simplex.Capper
 	marginals []float64
@@ -211,7 +210,6 @@ func (s *Slate) rescaleIfNeeded() {
 	for i := range s.weights {
 		s.weights[i] *= inv
 	}
-	s.logShift += math.Log(maxW)
 }
 
 // Leader implements Learner: the highest-weight option.

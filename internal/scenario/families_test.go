@@ -10,6 +10,13 @@ import (
 	"repro/internal/testsuite"
 )
 
+// The registry rows of each post-paper scenario family.
+var (
+	MultiHunkNames   = []string{"mh-pair", "mh-triple", "mh-quad"}
+	DriftingNames    = []string{"drift-grow", "drift-movingfault", "drift-mixed"}
+	AdversarialNames = []string{"adv-mild", "adv-rush"}
+)
+
 // Quick-to-build family profiles for unit tests (the registry profiles
 // are exercised once each by TestFamilyRegistryProfilesGenerate).
 

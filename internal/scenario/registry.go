@@ -65,13 +65,10 @@ var Registry = []Profile{
 }
 
 // CNames and JavaNames partition the paper's registry rows as in its
-// tables; the family name lists cover the post-paper scenario families.
+// tables.
 var (
-	CNames           = []string{"units", "gzip-2009-08-16", "gzip-2009-09-26", "libtiff-2005-12-14", "lighttpd-1806-1807"}
-	JavaNames        = []string{"Chart26", "Closure13", "Closure22", "Math8", "Math80"}
-	MultiHunkNames   = []string{"mh-pair", "mh-triple", "mh-quad"}
-	DriftingNames    = []string{"drift-grow", "drift-movingfault", "drift-mixed"}
-	AdversarialNames = []string{"adv-mild", "adv-rush"}
+	CNames    = []string{"units", "gzip-2009-08-16", "gzip-2009-09-26", "libtiff-2005-12-14", "lighttpd-1806-1807"}
+	JavaNames = []string{"Chart26", "Closure13", "Closure22", "Math8", "Math80"}
 )
 
 // ByName returns the registry profile with the given name.

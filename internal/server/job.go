@@ -1,8 +1,10 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -10,6 +12,7 @@ import (
 	"repro/internal/lang"
 	"repro/internal/mutation"
 	"repro/internal/mwu"
+	"repro/internal/pool"
 	"repro/internal/scenario"
 	"repro/internal/testsuite"
 )
@@ -43,10 +46,9 @@ func (s State) Terminal() bool {
 
 // Spec is the POST /v1/jobs request body: what to repair and how hard to
 // try. Exactly one of Scenario (a registry name) or Program (TinyLang
-// source, with Suite) selects the subject; the remaining knobs mirror
-// cmd/mwrepair's flags and mwu.Config, with identical defaults, so a
-// daemon job with the same scenario/seed/config is byte-identical to the
-// one-shot CLI run (see runLabel).
+// source, with Suite) selects the subject; the repair knobs become a
+// core.Job, whose defaults are cmd/mwrepair's, so a daemon job and the
+// one-shot CLI run of the same job are byte-identical.
 type Spec struct {
 	// Scenario is a registry scenario name (see GET /v1/scenarios or
 	// `mwrepair -list`). Mutually exclusive with Program.
@@ -129,26 +131,7 @@ func (s *SuiteSpec) suite() *testsuite.Suite {
 	return out
 }
 
-// normalize fills CLI-parity defaults in place.
-func (s *Spec) normalize() {
-	if s.Algorithm == "" {
-		s.Algorithm = "standard"
-	}
-	if s.MaxIter == 0 {
-		s.MaxIter = 2000
-	}
-	if s.Workers == 0 {
-		s.Workers = 8
-	}
-	if s.Seed == 0 {
-		s.Seed = 1
-	}
-	if s.TraceSample == 0 {
-		s.TraceSample = 1
-	}
-}
-
-// timeout parses the Timeout field (normalize-validated).
+// timeout parses the Timeout field (validate checked it).
 func (s *Spec) timeout() time.Duration {
 	if s.Timeout == "" {
 		return 0
@@ -212,61 +195,59 @@ func (s *SuiteSpec) steps() (int, error) {
 	return total, nil
 }
 
-// validate checks the spec and eagerly decodes the custom-program path
-// (parse + suite admission checks run the suite once — milliseconds —
-// so a malformed job is a 400 at submit, not a failed job minutes
-// later). The returned scenario is non-nil only for custom programs;
-// registry scenarios are generated lazily in the worker, where the
-// generation cost belongs.
-func (s *Spec) validate() (*scenario.Scenario, error) {
-	s.normalize()
+// validate checks the spec and returns its repair job, eagerly decoding
+// the custom-program path (parse + suite admission checks run the suite
+// once — milliseconds — so a malformed job is a 400 at submit, not a
+// failed job minutes later). The job's Scenario is set only for custom
+// programs; registry scenarios are generated lazily in the worker, where
+// the generation cost belongs. validate defaults TraceSample to 1.
+func (s *Spec) validate() (core.Job, error) {
+	s.TraceSample = cmp.Or(s.TraceSample, 1)
+	j := core.Job{
+		Algorithm: s.Algorithm, Seed: s.Seed, MaxIter: s.MaxIter, Workers: s.Workers,
+		Agents: s.Agents, Rate: s.Rate, Convergence: s.Convergence,
+		FaultRate: s.FaultRate, Managed: s.Managed, Cutoff: s.Cutoff,
+	}.WithDefaults()
 	if (s.Scenario == "") == (s.Program == "") {
-		return nil, fmt.Errorf("exactly one of \"scenario\" or \"program\" is required")
+		return j, fmt.Errorf("exactly one of \"scenario\" or \"program\" is required")
 	}
-	valid := false
-	for _, n := range mwu.Names {
-		if s.Algorithm == n {
-			valid = true
-		}
+	if !slices.Contains(mwu.Names, j.Algorithm) {
+		return j, fmt.Errorf("unknown algorithm %q (want one of %v)", j.Algorithm, mwu.Names)
 	}
-	if !valid {
-		return nil, fmt.Errorf("unknown algorithm %q (want one of %v)", s.Algorithm, mwu.Names)
+	if j.MaxIter < 0 || j.Workers < 1 || j.Cutoff < 0 || s.PoolTarget < 0 || s.TraceSample < 1 {
+		return j, fmt.Errorf("maxIter, cutoff and poolTarget must be >= 0; workers and traceSample >= 1")
 	}
-	if s.MaxIter < 0 || s.Workers < 1 || s.Cutoff < 0 || s.PoolTarget < 0 || s.TraceSample < 1 {
-		return nil, fmt.Errorf("maxIter, cutoff and poolTarget must be >= 0; workers and traceSample >= 1")
+	if j.Workers > maxWorkers || j.Agents > maxAgents || s.PoolTarget > maxPoolTarget {
+		return j, fmt.Errorf("workers, agents and poolTarget must be at most %d, %d and %d", maxWorkers, maxAgents, maxPoolTarget)
 	}
-	if s.Workers > maxWorkers || s.Agents > maxAgents || s.PoolTarget > maxPoolTarget {
-		return nil, fmt.Errorf("workers, agents and poolTarget must be at most %d, %d and %d", maxWorkers, maxAgents, maxPoolTarget)
-	}
-	if !(s.FaultRate >= 0 && s.FaultRate <= 1) {
-		return nil, fmt.Errorf("faultRate must be in [0,1], got %v", s.FaultRate)
+	if !(j.FaultRate >= 0 && j.FaultRate <= 1) {
+		return j, fmt.Errorf("faultRate must be in [0,1], got %v", j.FaultRate)
 	}
 	if s.Timeout != "" {
 		d, err := time.ParseDuration(s.Timeout)
 		if err != nil || d < 0 {
-			return nil, fmt.Errorf("timeout: not a non-negative duration: %q", s.Timeout)
+			return j, fmt.Errorf("timeout: not a non-negative duration: %q", s.Timeout)
 		}
 	}
 	if s.Scenario != "" {
 		if s.Suite != nil || s.Program != "" {
-			return nil, fmt.Errorf("scenario jobs must not carry program/suite")
+			return j, fmt.Errorf("scenario jobs must not carry program/suite")
 		}
-		if _, err := scenario.ByName(s.Scenario); err != nil {
-			return nil, err
-		}
-		return nil, nil
+		_, err := scenario.ByName(s.Scenario)
+		return j, err
 	}
 	if s.Suite == nil {
-		return nil, fmt.Errorf("custom program jobs require a suite")
+		return j, fmt.Errorf("custom program jobs require a suite")
 	}
 	steps, err := s.Suite.steps()
 	if err != nil {
-		return nil, err
+		return j, err
 	}
 	if steps > maxSuiteSteps {
-		return nil, fmt.Errorf("suite step budget %d (sum of maxSteps, 0 counting %d) exceeds the limit of %d", steps, lang.DefaultMaxSteps, maxSuiteSteps)
+		return j, fmt.Errorf("suite step budget %d (sum of maxSteps, 0 counting %d) exceeds the limit of %d", steps, lang.DefaultMaxSteps, maxSuiteSteps)
 	}
-	return scenario.FromSource(s.subjectName(), s.Program, s.Suite.suite(), s.PoolTarget, 0)
+	j.Scenario, err = scenario.FromSource(s.subjectName(), s.Program, s.Suite.suite(), s.PoolTarget, 0)
+	return j, err
 }
 
 // Job is one repair job owned by the Manager. All mutable fields are
@@ -275,12 +256,13 @@ func (s *Spec) validate() (*scenario.Scenario, error) {
 type Job struct {
 	// ID is the manager-assigned job identifier ("job-000001").
 	ID string
-	// Spec is the normalized submission.
+	// Spec is the submission, TraceSample defaulted.
 	Spec Spec
 
-	// sc is the eagerly decoded custom-program scenario (nil for
-	// registry jobs, which generate in the worker).
-	sc *scenario.Scenario
+	// job is the spec's repair job, defaults filled. Its Scenario is the
+	// eagerly decoded custom program, nil for registry jobs (generated in
+	// the worker).
+	job core.Job
 
 	seq   int64 // admission order: FIFO tie-break within a priority
 	index int   // heap index; -1 once claimed or removed
@@ -330,6 +312,43 @@ type Result struct {
 	DriftSteps     int     `json:"driftSteps,omitempty"`
 	CongestionCost float64 `json:"congestionCost,omitempty"`
 	MaxLoad        int64   `json:"maxLoad,omitempty"`
+}
+
+// resultOf is the job result of a finished core.RunJob: the repair's
+// counters and patch, and the phase-1 pool's size and cost.
+func resultOf(pl *pool.Pool, res core.Result) *Result {
+	st := pl.Stats()
+	out := &Result{
+		Repaired:        res.Repaired,
+		Iterations:      res.Iterations,
+		Agents:          res.Agents,
+		Probes:          res.Probes,
+		FitnessEvals:    res.FitnessEvals,
+		CacheHits:       res.CacheHits,
+		DedupSuppressed: res.DedupSuppressed,
+		LearnedArm:      res.LearnedArm,
+		Cancelled:       res.Cancelled,
+		Degraded:        res.Degraded,
+		PoolSize:        pl.Size(),
+		PoolEvaluated:   st.Evaluated,
+		PoolStoreHits:   st.StoreHits,
+		WarmEntries:     res.WarmEntries,
+		WarmHits:        res.WarmHits,
+		DriftSteps:      res.DriftSteps,
+		CongestionCost:  res.CongestionCost,
+		MaxLoad:         res.MaxLoad,
+	}
+	if res.Faults.Any() {
+		out.Faults = res.Faults.String()
+	}
+	if res.Repaired {
+		out.Patch = res.Patch
+		for _, m := range res.Patch {
+			out.PatchIDs = append(out.PatchIDs, m.ID())
+		}
+		out.Program = res.Program.String()
+	}
+	return out
 }
 
 // Status is the GET /v1/jobs/{id} response body.
@@ -401,8 +420,8 @@ func (j *Job) status() Status {
 		ID:        j.ID,
 		State:     j.state,
 		Scenario:  j.Spec.subjectName(),
-		Algorithm: j.Spec.Algorithm,
-		Seed:      j.Spec.Seed,
+		Algorithm: j.job.Algorithm,
+		Seed:      j.job.Seed,
 		Priority:  j.Spec.Priority,
 		Error:     j.errMsg,
 		Trace:     j.tracePath,

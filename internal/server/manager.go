@@ -14,12 +14,10 @@
 // to repair jobs whose unit of work is minutes of CPU rather than
 // milliseconds of disk.
 //
-// Determinism is preserved end to end: a job runs the exact code path of
-// the one-shot CLI — same RNG split discipline, same run label
-// (obs.RunID identifies the logical run, not the process) — so a
-// daemon-run repair's patch and optional JSONL trace are byte-identical
-// to the equivalent `mwrepair` invocation. The end-to-end test asserts
-// exactly that.
+// Determinism is preserved end to end: a job runs core.RunJob, the one
+// function `mwrepair` runs, under the same run label (core.Job.Label), so
+// a daemon job's patch and optional JSONL trace are byte-identical to the
+// equivalent `mwrepair` invocation. The end-to-end test asserts that.
 package server
 
 import (
@@ -34,10 +32,7 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/faults"
-	"repro/internal/mwu"
 	"repro/internal/obs"
-	"repro/internal/rng"
 	"repro/internal/scenario"
 	"repro/internal/store"
 )
@@ -213,7 +208,7 @@ func (m *Manager) logf(format string, args ...any) {
 // errors (HTTP 400); a full queue returns ErrQueueFull; a draining
 // manager returns ErrDraining.
 func (m *Manager) Submit(spec Spec) (*Job, error) {
-	sc, err := spec.validate()
+	job, err := spec.validate()
 	if err != nil {
 		m.rejected.Inc()
 		return nil, err
@@ -233,7 +228,7 @@ func (m *Manager) Submit(spec Spec) (*Job, error) {
 	j := &Job{
 		ID:       fmt.Sprintf("job-%06d", m.seq),
 		Spec:     spec,
-		sc:       sc,
+		job:      job,
 		seq:      m.seq,
 		state:    StateQueued,
 		queuedAt: time.Now(),
@@ -246,7 +241,7 @@ func (m *Manager) Submit(spec Spec) (*Job, error) {
 	m.mu.Unlock()
 	m.accepted.Inc()
 	m.logf("job %s: queued (scenario=%s alg=%s seed=%d prio=%d)",
-		j.ID, spec.subjectName(), spec.Algorithm, spec.Seed, spec.Priority)
+		j.ID, spec.subjectName(), job.Algorithm, job.Seed, spec.Priority)
 	return j, nil
 }
 
@@ -428,19 +423,8 @@ func (m *Manager) worker() {
 	}
 }
 
-// runLabel is the deterministic run ID a job's trace carries. The parts
-// match cmd/mwrepair's exactly — obs.RunID identifies the logical run,
-// not the process — which is what makes a daemon job's trace
-// byte-comparable against the one-shot CLI's.
-func runLabel(seed uint64, scenarioName, algorithm string) string {
-	return obs.RunID(seed, "mwrepair", scenarioName, algorithm)
-}
-
-// runJob executes one claimed job end to end: trace sink, scenario
-// decode, phase-1 pool build, phase-2 online repair, terminal bookkeeping.
-// The execution sequence (RNG splits, config assembly) mirrors
-// cmd/mwrepair statement for statement; divergence here breaks the
-// daemon-vs-CLI byte-identity guarantee and its end-to-end test.
+// runJob executes one claimed job end to end: the repair (execute) and
+// the terminal bookkeeping around it.
 func (m *Manager) runJob(j *Job) {
 	base, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -501,10 +485,6 @@ func (m *Manager) runJob(j *Job) {
 	}
 }
 
-// Store returns the shared persistent store, nil when the daemon runs
-// without one.
-func (m *Manager) Store() *store.Store { return m.cfg.Store }
-
 // exportStoreStats publishes the shared store's current state under
 // "server.store." so /debug/metrics tracks persistence alongside the job
 // counters. Called after each store-backed job; cheap (a directory
@@ -542,25 +522,27 @@ func (m *Manager) runningCount() float64 {
 	return float64(n)
 }
 
-// execute is the two-phase repair, mirroring cmd/mwrepair's main.
+// execute runs the job's repair through core.RunJob, the function
+// cmd/mwrepair runs, with the job's trace sink, progress callback and the
+// shared store attached.
 func (m *Manager) execute(ctx context.Context, j *Job) (*Result, error) {
-	spec := j.Spec
+	job := j.job
+	if job.Scenario == nil {
+		job.Scenario = scenario.Generate(scenario.MustByName(j.Spec.Scenario))
+	}
 
 	// Per-job trace sink. The tracer closes (flushing the JSONL buffer)
 	// before execute returns — including on cancellation — so SIGTERM
 	// never truncates a trace.
-	var tracer *obs.Tracer
-	if spec.Trace && m.cfg.TraceDir != "" {
+	if j.Spec.Trace && m.cfg.TraceDir != "" {
 		path := filepath.Join(m.cfg.TraceDir, j.ID+".jsonl")
 		f, err := os.Create(path)
 		if err != nil {
 			return nil, fmt.Errorf("trace: %w", err)
 		}
-		tracer = obs.New(obs.NewJSONL(f),
-			obs.WithRun(runLabel(spec.Seed, spec.subjectName(), spec.Algorithm)),
-			obs.WithSample(spec.TraceSample))
+		job.Trace = obs.New(obs.NewJSONL(f), obs.WithRun(job.Label()), obs.WithSample(j.Spec.TraceSample))
 		defer func() {
-			if err := tracer.Close(); err != nil {
+			if err := job.Trace.Close(); err != nil {
 				m.logf("job %s: closing trace: %v", j.ID, err)
 			}
 		}()
@@ -568,102 +550,18 @@ func (m *Manager) execute(ctx context.Context, j *Job) (*Result, error) {
 		j.tracePath = path
 		j.mu.Unlock()
 	}
+	job.OnProgress, job.Store = j.setProgress, m.cfg.Store
 
-	// Decode the subject: eagerly validated custom program, or registry
-	// scenario generated here (generation is deterministic but costly).
-	sc := j.sc
-	var prof scenario.Profile
-	if sc == nil {
-		prof = scenario.MustByName(spec.Scenario)
-		sc = scenario.Generate(prof)
-	} else {
-		prof = sc.Profile
-	}
-
-	// Phase 1 + phase 2, with cmd/mwrepair's exact RNG split discipline.
-	r := rng.New(spec.Seed)
-	pl := sc.BuildPoolStored(ctx, spec.Workers, r.Split(), tracer, m.cfg.Store)
-	st := pl.Stats()
-	if pl.Size() == 0 {
-		if ctx.Err() != nil {
-			return &Result{Cancelled: true, PoolEvaluated: st.Evaluated}, nil
-		}
-		return nil, fmt.Errorf("pool build found no safe mutations (%d candidates evaluated)", st.Evaluated)
-	}
-
-	cfg := core.Config{
-		MaxIter:          spec.MaxIter,
-		Workers:          spec.Workers,
-		MaxX:             prof.Options,
-		StragglerCutoff:  spec.Cutoff,
-		Trace:            tracer,
-		OnProgress:       j.setProgress,
-		Store:            m.cfg.Store,
-		Drift:            sc.Drift,
-		CongestionLambda: prof.CongestionLambda,
-	}
-	if spec.FaultRate > 0 {
-		cfg.Faults = faults.New(faults.Uniform(spec.Seed, spec.FaultRate))
-	}
-	if spec.Managed {
-		cfg.Policies = faults.DefaultPolicies()
-	}
-
-	// Inline core.RepairWithAlgorithm so Agents/Rate/Convergence
-	// overrides reach the learner. The CLI hands RepairWithAlgorithm a
-	// child RNG (r.Split()) which is then split again for the learner and
-	// the run; reproduce that exact two-level split order — flattening it
-	// changes every downstream random draw and breaks byte-identity.
-	r2 := r.Split()
-	k := core.Arms(pl, cfg)
-	learner, err := mwu.NewLearner(mwu.Config{
-		Algorithm:   spec.Algorithm,
-		K:           k,
-		Agents:      spec.Agents,
-		Rate:        spec.Rate,
-		Convergence: spec.Convergence,
-	}, r2.Split())
+	pl, res, err := core.RunJob(ctx, job)
 	if err != nil {
 		return nil, err
-	}
-	res := core.Repair(ctx, pl, sc.Suite, learner, r2.Split(), cfg)
-
-	out := &Result{
-		Repaired:        res.Repaired,
-		Iterations:      res.Iterations,
-		Agents:          res.Agents,
-		Probes:          res.Probes,
-		FitnessEvals:    res.FitnessEvals,
-		CacheHits:       res.CacheHits,
-		DedupSuppressed: res.DedupSuppressed,
-		LearnedArm:      res.LearnedArm,
-		Cancelled:       res.Cancelled,
-		Degraded:        res.Degraded,
-		PoolSize:        pl.Size(),
-		PoolEvaluated:   st.Evaluated,
-		PoolStoreHits:   st.StoreHits,
-		WarmEntries:     res.WarmEntries,
-		WarmHits:        res.WarmHits,
-		DriftSteps:      res.DriftSteps,
-		CongestionCost:  res.CongestionCost,
-		MaxLoad:         res.MaxLoad,
 	}
 	if m.cfg.Store != nil {
 		// Accumulate cross-job persistence wins and refresh the store
 		// gauges the /debug/metrics and /healthz endpoints serve.
-		m.storeHits.Add(st.StoreHits)
+		m.storeHits.Add(pl.Stats().StoreHits)
 		m.warmEntries.Add(res.WarmEntries)
 		m.exportStoreStats()
 	}
-	if res.Faults.Any() {
-		out.Faults = res.Faults.String()
-	}
-	if res.Repaired {
-		out.Patch = res.Patch
-		for _, mu := range res.Patch {
-			out.PatchIDs = append(out.PatchIDs, mu.ID())
-		}
-		out.Program = res.Program.String()
-	}
-	return out, nil
+	return resultOf(pl, res), nil
 }

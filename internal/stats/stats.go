@@ -43,23 +43,6 @@ func (s *Summary) Variance() float64 {
 // StdDev returns the unbiased sample standard deviation.
 func (s *Summary) StdDev() float64 { return math.Sqrt(s.Variance()) }
 
-// Merge combines another summary into s (parallel Welford merge), so
-// per-worker accumulators can be reduced without losing precision.
-func (s *Summary) Merge(o *Summary) {
-	if o.n == 0 {
-		return
-	}
-	if s.n == 0 {
-		*s = *o
-		return
-	}
-	n := s.n + o.n
-	delta := o.mean - s.mean
-	mean := s.mean + delta*float64(o.n)/float64(n)
-	m2 := s.m2 + o.m2 + delta*delta*float64(s.n)*float64(o.n)/float64(n)
-	s.n, s.mean, s.m2 = n, mean, m2
-}
-
 // String formats the summary as "mean (stddev)" in the style of the
 // paper's Tables II and III.
 func (s *Summary) String() string {

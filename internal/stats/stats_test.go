@@ -3,9 +3,6 @@ package stats
 import (
 	"math"
 	"testing"
-	"testing/quick"
-
-	"repro/internal/rng"
 )
 
 func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
@@ -50,64 +47,6 @@ func TestSummaryNumericalStability(t *testing.T) {
 	}
 	if !almostEq(s.Variance(), 0.25025, 1e-3) {
 		t.Fatalf("variance = %v, want ~0.2503", s.Variance())
-	}
-}
-
-func TestSummaryMergeMatchesSequential(t *testing.T) {
-	r := rng.New(1)
-	xs := make([]float64, 500)
-	for i := range xs {
-		xs[i] = r.Float64()*20 - 7
-	}
-	var whole Summary
-	addAll(&whole, xs)
-	var a, b Summary
-	addAll(&a, xs[:123])
-	addAll(&b, xs[123:])
-	a.Merge(&b)
-	if !almostEq(a.Mean(), whole.Mean(), 1e-9) || !almostEq(a.Variance(), whole.Variance(), 1e-9) {
-		t.Fatalf("merge mismatch: %v/%v vs %v/%v", a.Mean(), a.Variance(), whole.Mean(), whole.Variance())
-	}
-	if a.n != whole.n {
-		t.Fatal("merge n mismatch")
-	}
-}
-
-func TestSummaryMergeEmptyCases(t *testing.T) {
-	var a, b Summary
-	b.Add(4)
-	a.Merge(&b) // empty <- nonempty
-	if a.n != 1 || a.Mean() != 4 {
-		t.Fatal("merge into empty failed")
-	}
-	var c Summary
-	a.Merge(&c) // nonempty <- empty
-	if a.n != 1 || a.Mean() != 4 {
-		t.Fatal("merge of empty changed summary")
-	}
-}
-
-func TestQuickMergeAssociativity(t *testing.T) {
-	f := func(seed uint64, cut uint8) bool {
-		r := rng.New(seed)
-		n := 100
-		k := int(cut)%n + 1
-		var whole, left, right Summary
-		for i := 0; i < n; i++ {
-			x := r.Float64() * 100
-			whole.Add(x)
-			if i < k {
-				left.Add(x)
-			} else {
-				right.Add(x)
-			}
-		}
-		left.Merge(&right)
-		return almostEq(left.Mean(), whole.Mean(), 1e-8) &&
-			almostEq(left.Variance(), whole.Variance(), 1e-8)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 
