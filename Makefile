@@ -65,7 +65,8 @@ chaos:
 # event types, dense sequence numbers). Guards the obs wiring the same way
 # chaos guards the E11 export. The run saves its pool; a second run loads
 # it and must print the identical patch block (a reloaded pool reproduces
-# the run that saved it).
+# the run that saved it). A run whose phase 2 fails (unknown algorithm)
+# must still have saved its phase-1 pool.
 trace:
 	$(GO) run ./cmd/mwrepair -scenario lighttpd-1806-1807 -maxiter 500 -workers 4 -seed 3 \
 		-faultrate 0.05 -managed -trace /tmp/trace-smoke.jsonl -trace-sample 5 \
@@ -77,6 +78,9 @@ trace:
 	sed -n '/patch (/,$$p' /tmp/trace-reload.out >/tmp/trace-reload.patch
 	test -s /tmp/trace-smoke.patch
 	cmp /tmp/trace-smoke.patch /tmp/trace-reload.patch
+	rm -f /tmp/trace-fail.pool
+	! $(GO) run ./cmd/mwrepair -scenario units -algorithm bogus -savepool /tmp/trace-fail.pool >/dev/null 2>&1
+	test -s /tmp/trace-fail.pool
 
 # Daemon smoke: build the real mwrepaird + mwrepair binaries, start the
 # daemon on an ephemeral port, submit a scenario job over HTTP, poll it to

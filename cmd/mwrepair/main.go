@@ -15,9 +15,9 @@
 // the iteration-level event stream (internal/obs JSONL schema); the
 // stream is seed-deterministic, byte-identical at any -workers count.
 //
-// -savepool writes the phase-1 pool; -loadpool reads one back instead of
-// building it (it must be for the scenario's program), and the run then
-// repeats the saving run's phase 2 exactly.
+// -savepool writes the phase-1 pool as soon as phase 1 ends; -loadpool
+// reads one back instead of building it (it must be for the scenario's
+// program), and the run then repeats the saving run's phase 2 exactly.
 //
 // -store opens (or creates) a persistent evaluation store in the given
 // data directory: pool precompute and the online phase reuse verdicts
@@ -141,45 +141,53 @@ func run() int {
 		defer cancel()
 	}
 
+	// Phase 1, saved before phase 2 can fail or be interrupted. RunJob
+	// checks a loaded pool against the scenario.
+	t0 := time.Now()
 	if *loadPool != "" {
-		if job.Pool, err = pool.LoadFile(*loadPool); err != nil {
+		f, err := os.Open(*loadPool)
+		if err == nil {
+			job.Pool, err = pool.Load(f)
+			f.Close()
+		}
+		if err != nil {
 			return fail(err)
 		}
 		fmt.Printf("phase 1: loaded pool of %d safe mutations from %s\n", job.Pool.Size(), *loadPool)
-	}
-	t0 := time.Now()
-	job.OnPool = func(pl *pool.Pool) {
-		if *loadPool == "" {
-			ps := pl.Stats()
-			fmt.Printf("phase 1: precomputed %d safe mutations in %v (%d candidates evaluated, %.0f%% safe)\n",
-				pl.Size(), time.Since(t0).Round(time.Millisecond), ps.Evaluated, 100*ps.SafeRate())
-			if ps.StoreHits > 0 {
-				fmt.Printf("  store: %d warm verdicts reused\n", ps.StoreHits)
-			}
+	} else {
+		job.Pool = core.BuildPool(ctx, job)
+		ps := job.Pool.Stats()
+		fmt.Printf("phase 1: precomputed %d safe mutations in %v (%d candidates evaluated, %.0f%% safe)\n",
+			job.Pool.Size(), time.Since(t0).Round(time.Millisecond), ps.Evaluated, 100*ps.SafeRate())
+		if ps.StoreHits > 0 {
+			fmt.Printf("  store: %d warm verdicts reused\n", ps.StoreHits)
 		}
-		if pl.Size() > 0 && sc.Drift.Len() > 0 {
-			fmt.Printf("  drift schedule: %d steps (%s), first at %d probes\n",
-				sc.Drift.Len(), prof.DriftKind, sc.Drift.Steps[0].AfterProbes)
-		}
-		t0 = time.Now()
-	}
-	pl, res, err := core.RunJob(ctx, job)
-	elapsed := time.Since(t0).Round(time.Millisecond)
-	if err != nil && job.Pool != nil && pl == nil {
-		err = fmt.Errorf("-loadpool %s: %w", *loadPool, err)
-	}
-	if err != nil {
-		return fail(err)
 	}
 	if *savePool != "" {
-		if err := pl.SaveFile(*savePool); err != nil {
+		f, err := os.Create(*savePool)
+		if err == nil {
+			err = job.Pool.Save(f)
+			f.Close()
+		}
+		if err != nil {
 			return fail(err)
 		}
 		fmt.Printf("  pool saved to %s\n", *savePool)
 	}
-	if pl.Size() == 0 {
+	if job.Pool.Size() == 0 && ctx.Err() != nil {
 		fmt.Println("phase 1: CANCELLED before any safe mutation was found")
 		return 1
+	}
+	if job.Pool.Size() > 0 && sc.Drift.Len() > 0 {
+		fmt.Printf("  drift schedule: %d steps (%s), first at %d probes\n",
+			sc.Drift.Len(), prof.DriftKind, sc.Drift.Steps[0].AfterProbes)
+	}
+
+	t0 = time.Now()
+	_, res, err := core.RunJob(ctx, job)
+	elapsed := time.Since(t0).Round(time.Millisecond)
+	if err != nil {
+		return fail(err)
 	}
 
 	if res.Faults.Any() {

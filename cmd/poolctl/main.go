@@ -14,9 +14,6 @@
 //	poolctl -compact -store data/
 //	poolctl -store-stats -store data/
 //
-// -build seeds phase 1 from -seed exactly as mwrepair does (core.BuildPool),
-// so `mwrepair -loadpool` of its pool reproduces plain `mwrepair -seed`.
-//
 // -revalidate reruns every pool mutation against the scenario's current
 // suite and drops newly unsafe entries — the paper's incremental-update
 // path for when a repaired bug's failing test joins the suite.
@@ -212,7 +209,10 @@ func main() {
 }
 
 func save(pl *pool.Pool, path string) {
-	fatalIf(pl.SaveFile(path))
+	f, err := os.Create(path)
+	fatalIf(err)
+	defer f.Close()
+	fatalIf(pl.Save(f))
 	fmt.Printf("wrote %s\n", path)
 }
 
@@ -220,7 +220,10 @@ func load(path string) *pool.Pool {
 	if path == "" {
 		cliutil.Fatalf("poolctl", "missing -in")
 	}
-	pl, err := pool.LoadFile(path)
+	f, err := os.Open(path)
+	fatalIf(err)
+	defer f.Close()
+	pl, err := pool.Load(f)
 	fatalIf(err)
 	return pl
 }

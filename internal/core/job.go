@@ -16,39 +16,30 @@ import (
 )
 
 // Job is one repair job over a scenario, with the knobs mwrepair's flags
-// and the daemon's job spec share; RunJob runs it. The scenario's profile
-// supplies MaxX (Options), the pool target and the congestion λ, and its
-// Drift the suite-drift schedule.
+// and the daemon's job spec share; RunJob runs it. The scenario supplies
+// MaxX, the pool target, the congestion λ and the drift schedule.
 type Job struct {
 	Scenario *scenario.Scenario
-	// Pool, when non-nil, is a saved phase-1 pool that replaces the build;
-	// RunJob rejects it unless it was built for the scenario's program.
+	// Pool, when set, replaces the phase-1 build; RunJob rejects it
+	// unless it was built for the scenario's program.
 	Pool *pool.Pool
-
-	// A zero Algorithm, Seed, MaxIter or Workers takes its default
-	// (WithDefaults). Agents, Rate and Convergence override the learner's
-	// mwu.Config (0 = evaluation defaults).
+	// Zero Algorithm, Seed, MaxIter and Workers take WithDefaults' values;
+	// zero Agents, Rate and Convergence the learner's (mwu.Config).
 	Algorithm         string
 	Seed              uint64
 	MaxIter, Workers  int
 	Agents            int
 	Rate, Convergence float64
-	// FaultRate, when positive, injects probe faults at that base rate
-	// (faults.Uniform); Managed arms faults.DefaultPolicies; Cutoff is
-	// Config.StragglerCutoff.
+	// FaultRate > 0 injects probe faults (faults.Uniform), Managed arms
+	// faults.DefaultPolicies and Cutoff is Config.StragglerCutoff.
 	FaultRate float64
 	Managed   bool
 	Cutoff    int
-
-	// Trace, Registry, Store and OnProgress are Config's, and Trace,
-	// Registry and Store serve phase 1 as well. OnPool, when non-nil,
-	// receives the phase-1 pool (built, or loaded and checked) before
-	// phase 2 starts, empty or not.
+	// Trace, Registry and Store serve both phases; OnProgress is Config's.
 	Trace      *obs.Tracer
 	Registry   *obs.Registry
 	Store      *store.Store
 	OnProgress func(Progress)
-	OnPool     func(*pool.Pool)
 }
 
 // WithDefaults returns j with each zero knob set to the value mwrepair's
@@ -69,9 +60,8 @@ func (j Job) Label() string {
 	return obs.RunID(j.Seed, "mwrepair", j.Scenario.Profile.Name, j.Algorithm)
 }
 
-// BuildPool runs a job's phase 1 alone. Its seed is the job seed's first
-// split, the one RunJob builds from, so a pool saved from BuildPool and
-// loaded into RunJob reproduces RunJob's own build.
+// BuildPool runs a job's phase 1 alone, seeded by the job seed's first
+// split: the pool RunJob itself builds, and the seed it then skips.
 func BuildPool(ctx context.Context, j Job) *pool.Pool {
 	j = j.WithDefaults()
 	pl := j.Scenario.BuildPoolStored(ctx, j.Workers, rng.New(j.Seed).Split(), j.Trace, j.Store)
@@ -87,16 +77,12 @@ func BuildPool(ctx context.Context, j Job) *pool.Pool {
 // whenever phase 1 produced one.
 func RunJob(ctx context.Context, j Job) (*pool.Pool, Result, error) {
 	j = j.WithDefaults()
-	sc := j.Scenario
-	pl := j.Pool
+	sc, pl := j.Scenario, j.Pool
 	if pl == nil {
 		pl = BuildPool(ctx, j)
 	} else if orig := pl.Original(); testsuite.ProgramKey(orig) != testsuite.ProgramKey(sc.Program) {
 		return nil, Result{}, fmt.Errorf("pool was built for a %d-statement program that is not scenario %s's %d-statement program",
 			orig.Len(), sc.Profile.Name, sc.Program.Len())
-	}
-	if j.OnPool != nil {
-		j.OnPool(pl)
 	}
 	if pl.Size() == 0 {
 		if ctx.Err() != nil {

@@ -322,6 +322,10 @@ func Repair(ctx context.Context, pl *pool.Pool, suite *testsuite.Suite, learner 
 	}
 	oracle := &repairOracle{pl: pl, runner: runner, k: k, policy: cfg.Reward}
 
+	var driftSteps []testsuite.DriftStep
+	if cfg.Drift != nil {
+		driftSteps = cfg.Drift.Steps
+	}
 	nextDrift := 0
 
 	tr := cfg.Trace
@@ -346,7 +350,7 @@ func Repair(ctx context.Context, pl *pool.Pool, suite *testsuite.Suite, learner 
 				tr.Emit(obs.Event{Type: obs.TypeCache, Iter: iter, N: runner.Lookups()})
 			}
 			patch, _ := oracle.repair()
-			if patch == nil && nextDrift < cfg.Drift.Len() {
+			if patch == nil && nextDrift < len(driftSteps) {
 				// Apply due drift steps at the cycle boundary, where no
 				// probe is in flight. Cumulative probe counts are worker-
 				// invariant, so the firing cycle — and the trace position of
@@ -355,8 +359,8 @@ func Repair(ctx context.Context, pl *pool.Pool, suite *testsuite.Suite, learner 
 				// race by design: it was a real repair for the suite its
 				// probe ran against.
 				probes := l.Metrics().Probes
-				for nextDrift < cfg.Drift.Len() && probes >= cfg.Drift.Steps[nextDrift].AfterProbes {
-					step := cfg.Drift.Steps[nextDrift]
+				for nextDrift < len(driftSteps) && probes >= driftSteps[nextDrift].AfterProbes {
+					step := driftSteps[nextDrift]
 					runner.SetSuite(step.Suite)
 					if tr.Active() {
 						tr.Emit(obs.Event{Type: obs.TypeDrift, Iter: iter, Kind: step.Kind, N: step.AfterProbes})
@@ -393,7 +397,7 @@ func Repair(ctx context.Context, pl *pool.Pool, suite *testsuite.Suite, learner 
 		reg.Counter("cache.warm_entries").Set(runner.WarmEntries())
 		reg.Counter("cache.warm_hits").Set(runner.WarmHits())
 	}
-	return Result{
+	res := Result{
 		Repaired:        patch != nil,
 		Patch:           patch,
 		Program:         mutant,
@@ -414,6 +418,7 @@ func Repair(ctx context.Context, pl *pool.Pool, suite *testsuite.Suite, learner 
 		CongestionCost:  runRes.CongestionCost,
 		MaxLoad:         runRes.MaxLoad,
 	}
+	return res
 }
 
 // Arms returns the bandit arm count for a pool under a config:

@@ -19,7 +19,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"sync"
 
 	"repro/internal/lang"
@@ -379,29 +378,6 @@ func (pl *Pool) Save(w io.Writer) error {
 		Mutations: pl.mutations,
 		Stats:     pl.stats,
 	})
-}
-
-// SaveFile writes the pool to the named file, as Save does.
-func (pl *Pool) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := pl.Save(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// LoadFile reads a pool that SaveFile (or Save) wrote to the named file.
-func LoadFile(path string) (*Pool, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return Load(f)
 }
 
 // Load reads a pool written by Save and validates every mutation against

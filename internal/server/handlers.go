@@ -179,17 +179,15 @@ func handleCancel(m *Manager, w http.ResponseWriter, r *http.Request) {
 // patchBody is the GET /v1/jobs/{id}/patch response: the mutation set
 // and the repaired program.
 type patchBody struct {
-	ID       string       `json:"id"`
-	Scenario string       `json:"scenario"`
-	Patch    []patchEntry `json:"patch"`
-	Program  string       `json:"program"`
-}
-
-type patchEntry struct {
-	Op   int    `json:"op"`
-	At   int    `json:"at"`
-	From int    `json:"from,omitempty"`
-	Sig  string `json:"sig"`
+	ID       string `json:"id"`
+	Scenario string `json:"scenario"`
+	Patch    []struct {
+		Op   int    `json:"op"`
+		At   int    `json:"at"`
+		From int    `json:"from,omitempty"`
+		Sig  string `json:"sig"`
+	} `json:"patch"`
+	Program string `json:"program"`
 }
 
 func handlePatch(m *Manager, w http.ResponseWriter, r *http.Request) {
@@ -209,7 +207,12 @@ func handlePatch(m *Manager, w http.ResponseWriter, r *http.Request) {
 	}
 	body := patchBody{ID: j.ID, Scenario: j.Spec.subjectName(), Program: res.Program}
 	for i, mu := range res.Patch {
-		body.Patch = append(body.Patch, patchEntry{Op: int(mu.Op), At: mu.At, From: mu.From, Sig: res.PatchIDs[i]})
+		body.Patch = append(body.Patch, struct {
+			Op   int    `json:"op"`
+			At   int    `json:"at"`
+			From int    `json:"from,omitempty"`
+			Sig  string `json:"sig"`
+		}{Op: int(mu.Op), At: mu.At, From: mu.From, Sig: res.PatchIDs[i]})
 	}
 	writeJSON(w, http.StatusOK, body)
 }
@@ -232,7 +235,7 @@ func handleScenarios(w http.ResponseWriter, _ *http.Request) {
 
 func handleHealthz(m *Manager, w http.ResponseWriter, _ *http.Request) {
 	body := map[string]any{"status": "ok"}
-	if st := m.cfg.Store; st != nil {
+	if st := m.Store(); st != nil {
 		body["store"] = st.Stats()
 	}
 	if m.Draining() {

@@ -65,28 +65,20 @@ type Spec struct {
 	// their profile's target).
 	PoolTarget int `json:"poolTarget,omitempty"`
 
-	// Algorithm is the MWU realization — any name in mwu.Names: standard |
-	// slate | distributed | optimistic | congestion (default standard).
-	Algorithm string `json:"algorithm,omitempty"`
-	// MaxIter bounds online update cycles (default 2000, as the CLI).
-	// Admission sets no upper limit: nothing the daemon allocates grows
-	// with it, and a job's run time is bounded by Timeout and DELETE.
-	MaxIter int `json:"maxIter,omitempty"`
-	// Workers is the per-job probe-evaluation parallelism (default 8).
-	Workers int `json:"workers,omitempty"`
-	// Seed drives all job randomness (default 1).
-	Seed uint64 `json:"seed,omitempty"`
-	// Agents, Rate and Convergence mirror mwu.Config (0 = evaluation
-	// defaults).
+	// The repair knobs are core.Job's, with its defaults: Algorithm is
+	// any name in mwu.Names (default standard), MaxIter 2000, Workers 8
+	// and Seed 1. MaxIter has no admission limit: nothing the daemon
+	// allocates grows with it, and Timeout and DELETE bound a job's time.
+	Algorithm   string  `json:"algorithm,omitempty"`
+	MaxIter     int     `json:"maxIter,omitempty"`
+	Workers     int     `json:"workers,omitempty"`
+	Seed        uint64  `json:"seed,omitempty"`
 	Agents      int     `json:"agents,omitempty"`
 	Rate        float64 `json:"rate,omitempty"`
 	Convergence float64 `json:"convergence,omitempty"`
-
-	// FaultRate, Managed and Cutoff mirror the CLI's fault-injection
-	// flags.
-	FaultRate float64 `json:"faultRate,omitempty"`
-	Managed   bool    `json:"managed,omitempty"`
-	Cutoff    int     `json:"cutoff,omitempty"`
+	FaultRate   float64 `json:"faultRate,omitempty"`
+	Managed     bool    `json:"managed,omitempty"`
+	Cutoff      int     `json:"cutoff,omitempty"`
 
 	// Timeout is the per-job wall-clock budget as a Go duration string
 	// ("30s", "5m"); empty means none. On expiry the job returns its

@@ -485,6 +485,10 @@ func (m *Manager) runJob(j *Job) {
 	}
 }
 
+// Store returns the shared persistent store, nil when the daemon runs
+// without one.
+func (m *Manager) Store() *store.Store { return m.cfg.Store }
+
 // exportStoreStats publishes the shared store's current state under
 // "server.store." so /debug/metrics tracks persistence alongside the job
 // counters. Called after each store-backed job; cheap (a directory
