@@ -65,8 +65,9 @@ chaos:
 # event types, dense sequence numbers). Guards the obs wiring the same way
 # chaos guards the E11 export. The run saves its pool; a second run loads
 # it and must print the identical patch block (a reloaded pool reproduces
-# the run that saved it). A run whose phase 2 fails (unknown algorithm)
-# must still have saved its phase-1 pool.
+# the run that saved it). A run whose phase 2 fails (here: the loaded
+# pool belongs to another scenario's program) must still have saved its
+# phase-1 pool.
 trace:
 	$(GO) run ./cmd/mwrepair -scenario lighttpd-1806-1807 -maxiter 500 -workers 4 -seed 3 \
 		-faultrate 0.05 -managed -trace /tmp/trace-smoke.jsonl -trace-sample 5 \
@@ -79,7 +80,7 @@ trace:
 	test -s /tmp/trace-smoke.patch
 	cmp /tmp/trace-smoke.patch /tmp/trace-reload.patch
 	rm -f /tmp/trace-fail.pool
-	! $(GO) run ./cmd/mwrepair -scenario units -algorithm bogus -savepool /tmp/trace-fail.pool >/dev/null 2>&1
+	! $(GO) run ./cmd/mwrepair -scenario units -loadpool /tmp/trace-smoke.pool -savepool /tmp/trace-fail.pool >/dev/null 2>&1
 	test -s /tmp/trace-fail.pool
 
 # Daemon smoke: build the real mwrepaird + mwrepair binaries, start the
@@ -92,11 +93,12 @@ daemon-smoke:
 	DAEMON_SMOKE=1 $(GO) test -count=1 -run TestDaemonSmoke ./internal/server
 
 # Store gate: the corruption-recovery set (torn tail, bit flips,
-# quarantine, audit rebuild) and the warm-start determinism e2e tests
-# under the race detector, then the write-behind overhead bound (cold
-# store ≤ 1.05× no store on the probe hot path, STORE_BENCH-gated).
+# quarantine, audit rebuild), legacy pool-record stores and the
+# warm-start determinism e2e tests under the race detector, then the
+# write-behind overhead bound (cold store ≤ 1.05× no store on the probe
+# hot path, STORE_BENCH-gated).
 store:
-	$(GO) test -race -run 'Corrupt|Quarantine|Truncat|Duplicate|Audit|Snapshot|WarmStart|StoreShared' \
+	$(GO) test -race -run 'Corrupt|Quarantine|Truncat|Duplicate|Audit|Snapshot|WarmStart|StoreShared|Legacy' \
 		./internal/store ./internal/testsuite ./internal/core ./internal/server
 	STORE_BENCH=1 $(GO) test -count=1 -run TestProbeWriteBehindOverheadGate .
 

@@ -27,15 +27,18 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"time"
 
 	"repro/internal/cliutil"
 	"repro/internal/core"
 	"repro/internal/mutation"
+	"repro/internal/mwu"
 	"repro/internal/pool"
 	"repro/internal/scenario"
 	"repro/internal/store"
@@ -73,6 +76,11 @@ func run() int {
 	cliutil.Positive("mwrepair", "workers", *workers)
 	cliutil.NonNegativeDuration("mwrepair", "timeout", *timeout)
 	obsFlags.Validate("mwrepair")
+	// Checked here, as the daemon checks it at admission, so that a bad
+	// name fails before phase 1 builds the pool.
+	if a := cmp.Or(*alg, def.Algorithm); !slices.Contains(mwu.Names, a) {
+		cliutil.Fatalf("mwrepair", "unknown -algorithm %q (want one of %v)", a, mwu.Names)
+	}
 
 	if *list {
 		for _, p := range scenario.Registry {
@@ -126,8 +134,7 @@ func run() int {
 			}
 		}()
 		ss := job.Store.Stats()
-		fmt.Printf("store %s: %d eval records, %d pool records, %d pack(s)\n",
-			*storeDir, ss.EvalRecords, ss.PoolRecords, ss.Packs)
+		fmt.Printf("store %s: %d eval records, %d pack(s)\n", *storeDir, ss.EvalRecords, ss.Packs)
 	}
 
 	// SIGINT/SIGTERM cancels the run context: phase 1 stops at a batch

@@ -83,8 +83,7 @@ func main() {
 			logger.Fatalf("-store: %v", err)
 		}
 		ss := st.Stats()
-		logger.Printf("store %s: %d eval records, %d pool records, %d pack(s)",
-			*storeDir, ss.EvalRecords, ss.PoolRecords, ss.Packs)
+		logger.Printf("store %s: %d eval records, %d pack(s)", *storeDir, ss.EvalRecords, ss.Packs)
 	}
 
 	reg := obs.NewRegistry()

@@ -6,9 +6,8 @@
 // Usage:
 //
 //	poolctl -build -scenario units -out units.pool [-target 1100] [-workers 8]
-//	poolctl -build -scenario units -store data/            # persist into the store
+//	poolctl -build -scenario units -store data/            # record its verdicts in the store
 //	poolctl -inspect -in units.pool
-//	poolctl -inspect -scenario units -store data/          # read back from the store
 //	poolctl -revalidate -scenario units -in units.pool -out units2.pool
 //	poolctl -fsck -store data/
 //	poolctl -compact -store data/
@@ -18,13 +17,14 @@
 // suite and drops newly unsafe entries — the paper's incremental-update
 // path for when a repaired bug's failing test joins the suite.
 //
-// With -store, -build records the pool (and every suite verdict it paid
-// for) in the persistent evaluation store instead of requiring an ad-hoc
-// -out file, and -inspect reads it back. -fsck audits every pack file's
-// checksums, truncating a torn tail and quarantining corrupt packs (exit
-// 1 when a pack had to be quarantined — records were lost). -compact
-// rewrites the live records into a single pack, dropping superseded
-// duplicates. -store-stats prints the store's stats as JSON.
+// With -store, -build warm-starts from the verdicts in the persistent
+// evaluation store and records every suite verdict it pays for, so a
+// later build of the same program runs no suites for candidates already
+// judged; only -out saves the pool itself. -fsck audits every pack
+// file's checksums, truncating a torn tail and quarantining corrupt packs
+// (exit 1 when a pack had to be quarantined — records were lost).
+// -compact rewrites the live records into a single pack, dropping
+// superseded duplicates. -store-stats prints the store's stats as JSON.
 //
 // Exactly one action flag must be given; none or several is a usage
 // error (exit 2, like any flag-validation failure). Runtime failures —
@@ -93,11 +93,8 @@ func main() {
 	if *build && *out == "" && *storeDir == "" {
 		cliutil.Fatalf("poolctl", "-build requires -out or -store (or both)")
 	}
-	if *inspect && *in == "" && *storeDir == "" {
-		cliutil.Fatalf("poolctl", "-inspect requires -in, or -store with -scenario")
-	}
-	if *inspect && *in == "" && *scenarioFl == "" {
-		cliutil.Fatalf("poolctl", "-inspect from -store needs -scenario to identify the pool")
+	if (*inspect || *revalidate) && *in == "" {
+		cliutil.Fatalf("poolctl", "-inspect and -revalidate require -in")
 	}
 
 	tracer, reg, obsCleanup := obsFlags.Setup("poolctl", obs.RunID(*seed, "poolctl", *scenarioFl))
@@ -131,26 +128,14 @@ func main() {
 			prof.Name, pl.Size(), time.Since(t0).Round(time.Millisecond), ps.Evaluated, 100*ps.SafeRate(),
 			ps.CacheHits, ps.DedupSuppressed)
 		if st != nil {
-			fmt.Printf("persisted pool to store %s (%d verdicts reused from earlier runs)\n", *storeDir, ps.StoreHits)
+			fmt.Printf("recorded verdicts in store %s (%d reused from earlier runs)\n", *storeDir, ps.StoreHits)
 		}
 		if *out != "" {
 			save(pl, *out)
 		}
 
 	case *inspect:
-		var pl *pool.Pool
-		if *in != "" {
-			pl = load(*in)
-		} else {
-			prof, err := scenario.ByName(*scenarioFl)
-			fatalIf(err)
-			sc := scenario.Generate(prof)
-			pl, err = pool.FromStore(st, sc.Program, sc.Suite)
-			fatalIf(err)
-			if pl == nil {
-				fatalIf(fmt.Errorf("store %s has no pool records for scenario %s", *storeDir, prof.Name))
-			}
-		}
+		pl := load(*in)
 		ps := pl.Stats()
 		fmt.Printf("pool: %d safe mutations (program: %d statements)\n", pl.Size(), pl.Original().Len())
 		fmt.Printf("build stats: %d attempts, %d evaluated, %d duplicates skipped, safe rate %.0f%%\n",
@@ -217,9 +202,6 @@ func save(pl *pool.Pool, path string) {
 }
 
 func load(path string) *pool.Pool {
-	if path == "" {
-		cliutil.Fatalf("poolctl", "missing -in")
-	}
 	f, err := os.Open(path)
 	fatalIf(err)
 	defer f.Close()

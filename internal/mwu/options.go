@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/faults"
 	"repro/internal/rng"
 )
 
@@ -38,11 +37,6 @@ type Config struct {
 	// for Distributed and Congestion. 0 takes the default (1e-5 or 0.30
 	// respectively).
 	Convergence float64
-	// Faults is the fault injector for protocols that own their faults —
-	// today the message-passing Distributed runtime (agent crashes,
-	// message faults). Probe-level faults belong to RunConfig.Faults, not
-	// here: they are a property of the evaluation fabric, not the learner.
-	Faults *faults.Injector
 }
 
 // NewLearner is the unified factory: it builds the configured realization
@@ -82,7 +76,6 @@ func NewLearner(cfg Config, r *rng.RNG) (Learner, error) {
 			Mu:        0.05,
 			Beta:      cfg.Rate,
 			Plurality: cfg.Convergence,
-			Faults:    cfg.Faults,
 		}, r)
 	case "optimistic":
 		return NewOptimistic(OptimisticConfig{

@@ -254,9 +254,6 @@ func Precompute(ctx context.Context, p *lang.Program, suite *testsuite.Suite, cf
 	pl.stats.DedupSuppressed = runner.DedupSuppressed()
 	pl.stats.StoreHits = runner.WarmHits()
 	pl.stats.WarmEntries = runner.WarmEntries()
-	if cfg.Store != nil {
-		pl.Persist(cfg.Store, suite)
-	}
 	return pl
 }
 

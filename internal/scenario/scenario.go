@@ -672,11 +672,10 @@ func (sc *Scenario) BuildPool(workers int, seed *rng.RNG) *pool.Pool {
 // batch event stream (a nil tracer records nothing). With a non-nil
 // store, the precompute safety cache warm-starts from previously
 // persisted verdicts (candidates an earlier build already judged run no
-// tests), this build's verdicts are persisted for future runs, and the
-// finished pool — canonical repairers included — is saved as durable
-// pool records. The pool contents and the phase-1 trace are
-// byte-identical to a storeless build; only Stats.StoreHits/WarmEntries
-// and the suite-execution count differ.
+// tests) and this build's verdicts are persisted for future runs. The
+// pool contents and the phase-1 trace are byte-identical to a storeless
+// build; only Stats.StoreHits/WarmEntries and the suite-execution count
+// differ.
 func (sc *Scenario) BuildPoolStored(ctx context.Context, workers int, seed *rng.RNG, tr *obs.Tracer, st *store.Store) *pool.Pool {
 	pl := pool.Precompute(ctx, sc.Program, sc.Suite, pool.Config{
 		Target:  sc.Profile.PoolTarget,
@@ -686,11 +685,6 @@ func (sc *Scenario) BuildPoolStored(ctx context.Context, workers int, seed *rng.
 	}, seed)
 	for _, m := range sc.Repairers {
 		pl.Add(m)
-	}
-	if st != nil {
-		// Re-persist after the repairers joined so the stored pool is the
-		// complete one (Persist dedups, so only the repairers append).
-		pl.Persist(st, sc.Suite)
 	}
 	return pl
 }

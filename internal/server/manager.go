@@ -499,7 +499,6 @@ func (m *Manager) exportStoreStats() {
 	reg.Counter("server.store.packs").Set(int64(st.Packs))
 	reg.Counter("server.store.quarantined_packs").Set(int64(st.QuarantinedPacks))
 	reg.Counter("server.store.eval_records").Set(int64(st.EvalRecords))
-	reg.Counter("server.store.pool_records").Set(int64(st.PoolRecords))
 	reg.Counter("server.store.bytes").Set(st.Bytes)
 	reg.Counter("server.store.appends").Set(st.Appends)
 	reg.Counter("server.store.superseded").Set(st.Superseded)

@@ -81,8 +81,6 @@ func (s *Store) Audit() (AuditReport, error) {
 	// Rebuild the index from verified records only.
 	s.mu.Lock()
 	s.evals = make(map[evalKey]EvalRecord, len(s.evals))
-	s.pools = make(map[poolKey][]PoolRecord, len(s.pools))
-	s.poolIDs = make(map[poolID]struct{}, len(s.poolIDs))
 	for _, ps := range clean {
 		for _, rec := range ps.recs {
 			s.applyRecord(rec)

@@ -8,7 +8,8 @@
 // snapshot pointing past it, then delete old packs. A crash between any
 // two steps leaves a store that re-opens to the same index — at worst
 // with duplicate records across old and new packs, which the index
-// upsert (highest level wins, first-seen pool order) absorbs.
+// upsert (highest level wins) absorbs. Legacy pool records, never in the
+// index, are not rewritten: compaction purges them.
 package store
 
 import (
@@ -37,7 +38,6 @@ func (s *Store) Compact() (int, error) {
 	for _, e := range s.evals {
 		evals = append(evals, e)
 	}
-	pools := flattenPools(s.pools)
 	s.mu.RUnlock()
 
 	oldSeqs, err := listPacks(s.opts.Dir)
@@ -60,12 +60,9 @@ func (s *Store) Compact() (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	buf := make([]byte, 0, (len(evals)+len(pools))*recordSize)
+	buf := make([]byte, 0, len(evals)*recordSize)
 	for _, e := range evals {
 		buf = evalToRecord(e).encode(buf)
-	}
-	for _, p := range pools {
-		buf = poolToRecord(p).encode(buf)
 	}
 	if _, err := f.Write(buf); err != nil {
 		f.Close()
@@ -81,7 +78,7 @@ func (s *Store) Compact() (int, error) {
 
 	// Snapshot past the compacted pack so reopening skips the scan.
 	if err := s.snapshotLocked(); err != nil {
-		return len(evals) + len(pools), err
+		return len(evals), err
 	}
 
 	// Old packs are now fully redundant; delete them.
@@ -90,11 +87,11 @@ func (s *Store) Compact() (int, error) {
 			continue
 		}
 		if err := os.Remove(filepath.Join(s.opts.Dir, packName(seq))); err != nil && !os.IsNotExist(err) {
-			return len(evals) + len(pools), err
+			return len(evals), err
 		}
 	}
 	s.mu.Lock()
 	s.stats.Compactions++
 	s.mu.Unlock()
-	return len(evals) + len(pools), nil
+	return len(evals), nil
 }

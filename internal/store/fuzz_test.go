@@ -18,7 +18,7 @@ import (
 func FuzzDecodeRecord(f *testing.F) {
 	eval := evalToRecord(EvalRecord{Prog: 7, Suite: 9, Level: LevelFitness, Safe: true,
 		PosPassed: 3, NegPassed: 1, PosTotal: 3, NegTotal: 1}).encode(nil)
-	pool := poolToRecord(PoolRecord{Prog: 1, Suite: 2, Op: 3, At: 4, From: 5}).encode(nil)
+	pool := legacyPoolRecord(1, 2, 3, 4, 5)
 	f.Add(eval)
 	f.Add(pool)
 	f.Add(eval[:recordSize-1])
@@ -60,14 +60,10 @@ func FuzzLoadSnapshot(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte(snapshotMagic))
 	f.Add(encodeSnapshot(snapshot{appliedSeq: 1, appliedOff: int64(len(packMagic))}))
-	f.Add(encodeSnapshot(snapshot{
-		appliedSeq: 3, appliedOff: int64(len(packMagic)) + 2*recordSize,
-		evals: []EvalRecord{
-			{Prog: 1, Suite: 2, Level: LevelOutcome, Safe: true, Repair: true},
-			{Prog: 5, Suite: 2, Level: LevelFitness, PosPassed: 1, PosTotal: 2, NegTotal: 1},
-		},
-		pools: []PoolRecord{{Prog: 1, Suite: 3, Op: 2, At: 4, From: 0}},
-	}))
+	f.Add(legacySnapshot(3, int64(len(packMagic))+2*recordSize, []EvalRecord{
+		{Prog: 1, Suite: 2, Level: LevelOutcome, Safe: true, Repair: true},
+		{Prog: 5, Suite: 2, Level: LevelFitness, PosPassed: 1, PosTotal: 2, NegTotal: 1},
+	}, legacyPoolRecord(1, 3, 2, 4, 0)))
 	f.Add(overflowSnapshot())
 	f.Fuzz(func(t *testing.T, b []byte) {
 		snap, ok := decodeSnapshot(b)
@@ -162,7 +158,6 @@ func FuzzRecoverPackDir(f *testing.F) {
 			f.Fatal(err)
 		}
 	}
-	s.PutPool(PoolRecord{Prog: 100, Suite: 1, Op: 1, At: 2})
 	if err := s.Close(); err != nil {
 		f.Fatal(err)
 	}

@@ -28,7 +28,7 @@ import (
 // is left untouched (skipped, not quarantined).
 const packMagic = "MWPACK01"
 
-// recordSize is the fixed on-disk size of every record, both kinds.
+// recordSize is the fixed on-disk size of every record.
 const recordSize = 40
 
 // Record kinds.
@@ -36,8 +36,9 @@ const (
 	// KindEval is a fitness-evaluation record: the verdict of running one
 	// program against one test suite.
 	KindEval uint8 = 1
-	// KindPool is a safe-mutation record: one member of a precomputed
-	// mutation pool, keyed by original program and safety suite.
+	// KindPool is a legacy safe-mutation record, written by stores that
+	// also kept pool members. It still decodes, so such packs stay
+	// valid, but recovery skips it and Compact drops it.
 	KindPool uint8 = 2
 )
 
@@ -63,16 +64,16 @@ const (
 // castagnoli is the CRC32C table shared by all encode/decode paths.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// record is the decoded wire form common to both kinds:
+// record is the decoded wire form:
 //
 //	off  0: kind   uint8
-//	off  1: level  uint8  (eval only; 0 for pool)
-//	off  2: flags  uint8  (eval only; bit0 safe, bit1 repair)
+//	off  1: level  uint8  (0 for a legacy pool record)
+//	off  2: flags  uint8  (bit0 safe, bit1 repair)
 //	off  3: zero   uint8  (reserved, must be 0)
 //	off  4: prog   uint64 LE — program identity hash
 //	off 12: suite  uint64 LE — suite fingerprint
-//	off 20: a..d   4 × uint32 LE — eval: pos/neg passed, pos/neg totals;
-//	                               pool: op, at, from, 0
+//	off 20: a..d   4 × uint32 LE — pos/neg passed, pos/neg totals
+//	                               (legacy pool record: op, at, from, 0)
 //	off 36: crc    uint32 LE — CRC32C of bytes [0, 36)
 type record struct {
 	kind  uint8
@@ -157,20 +158,6 @@ func recordToEval(r record) EvalRecord {
 		Safe: r.flags&flagSafe != 0, Repair: r.flags&flagRepair != 0,
 		PosPassed: r.a, NegPassed: r.b, PosTotal: r.c, NegTotal: r.d,
 	}
-}
-
-// poolToRecord converts the public form.
-func poolToRecord(p PoolRecord) record {
-	return record{
-		kind: KindPool,
-		prog: p.Prog, suite: p.Suite,
-		a: uint32(p.Op), b: p.At, c: p.From,
-	}
-}
-
-// recordToPool converts back; call only for kind == KindPool.
-func recordToPool(r record) PoolRecord {
-	return PoolRecord{Prog: r.prog, Suite: r.suite, Op: uint8(r.a), At: r.b, From: r.c}
 }
 
 // packName renders the pack filename for a sequence number.

@@ -27,16 +27,14 @@ const snapshotMagic = "MWSNAP01"
 //	appliedSeq  uint64 — pack history is folded in up to...
 //	appliedOff  uint64 — ...this offset of this pack
 //	nEvals      uint64
-//	nPools      uint64
+//	nPools      uint64 — written as 0
 //	evals       nEvals × recordSize (encoded eval records, sorted by key)
-//	pools       nPools × recordSize (encoded pool records, key-grouped,
-//	                                 persisted order within a key)
+//	pools       nPools × recordSize (legacy pool records: read and dropped)
 //	crc         uint32 — CRC32C of everything above
 type snapshot struct {
 	appliedSeq uint64
 	appliedOff int64
 	evals      []EvalRecord
-	pools      []PoolRecord
 }
 
 // writeSnapshot serializes snap to path atomically: temp file in the
@@ -76,17 +74,14 @@ func writeSnapshot(path string, snap snapshot) error {
 
 // encodeSnapshot renders snap in the layout documented on snapshot.
 func encodeSnapshot(snap snapshot) []byte {
-	buf := make([]byte, 0, 40+(len(snap.evals)+len(snap.pools))*recordSize+4)
+	buf := make([]byte, 0, 40+len(snap.evals)*recordSize+4)
 	buf = append(buf, snapshotMagic...)
 	buf = binary.LittleEndian.AppendUint64(buf, snap.appliedSeq)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(snap.appliedOff))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(snap.evals)))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(snap.pools)))
+	buf = binary.LittleEndian.AppendUint64(buf, 0) // nPools
 	for _, e := range snap.evals {
 		buf = evalToRecord(e).encode(buf)
-	}
-	for _, p := range snap.pools {
-		buf = poolToRecord(p).encode(buf)
 	}
 	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
 }
@@ -133,20 +128,15 @@ func decodeSnapshot(buf []byte) (snapshot, bool) {
 		(nEvals+nPools)*recordSize != uint64(len(rd)) {
 		return snapshot{}, false
 	}
-	for i := uint64(0); i < nEvals; i++ {
+	// Eval records first, then the legacy pool section, checked and dropped.
+	for i := uint64(0); i < nEvals+nPools; i++ {
 		rec, err := decodeRecord(rd[:recordSize])
-		if err != nil || rec.kind != KindEval {
+		if err != nil || (rec.kind == KindEval) != (i < nEvals) {
 			return snapshot{}, false
 		}
-		snap.evals = append(snap.evals, recordToEval(rec))
-		rd = rd[recordSize:]
-	}
-	for i := uint64(0); i < nPools; i++ {
-		rec, err := decodeRecord(rd[:recordSize])
-		if err != nil || rec.kind != KindPool {
-			return snapshot{}, false
+		if rec.kind == KindEval {
+			snap.evals = append(snap.evals, recordToEval(rec))
 		}
-		snap.pools = append(snap.pools, recordToPool(rec))
 		rd = rd[recordSize:]
 	}
 	return snap, true

@@ -1,10 +1,9 @@
 // Package store is the disk-backed, crash-safe evaluation store: the
-// persistence layer under the fitness cache and the mutation
-// pool. Evaluation verdicts and safe-mutation records are appended to
-// pack files (pack.go) through a write-behind buffer, indexed in memory
-// by (program hash, suite fingerprint), snapshotted periodically
-// (snapshot.go), compacted to drop superseded records (compact.go), and
-// audited for corruption (audit.go).
+// persistence layer under the fitness cache. Evaluation verdicts are
+// appended to pack files (pack.go) through a write-behind buffer,
+// indexed in memory by (program hash, suite fingerprint), snapshotted
+// periodically (snapshot.go), compacted to drop superseded records
+// (compact.go), and audited for corruption (audit.go).
 //
 // The store never invents results: every record is a pure function of
 // (program, suite), so preloading a cache from the store cannot change
@@ -42,35 +41,10 @@ type EvalRecord struct {
 	NegTotal  uint32
 }
 
-// PoolRecord is one persisted safe mutation: a pool member for original
-// program Prog under safety suite Suite. Op/At/From mirror
-// mutation.Mutation.
-type PoolRecord struct {
-	Prog  uint64
-	Suite uint64
-	Op    uint8
-	At    uint32
-	From  uint32
-}
-
 // evalKey indexes eval records.
 type evalKey struct {
 	prog  uint64
 	suite uint64
-}
-
-// poolKey indexes pool record lists.
-type poolKey struct {
-	prog  uint64
-	suite uint64
-}
-
-// poolID dedups pool records (one bit of identity per mutation).
-type poolID struct {
-	key  poolKey
-	op   uint8
-	at   uint32
-	from uint32
 }
 
 // Options configures Open. The zero value of every field selects a
@@ -116,16 +90,18 @@ const maxPending = 1 << 16
 // Stats is a point-in-time summary of the store, exposed through
 // poolctl -store-stats, the daemon's /healthz, and server.* metrics.
 type Stats struct {
-	Packs            int   `json:"packs"`
-	QuarantinedPacks int   `json:"quarantined_packs"`
-	EvalRecords      int   `json:"eval_records"`
-	PoolRecords      int   `json:"pool_records"`
-	Bytes            int64 `json:"bytes"` // live pack bytes on disk
-	Appends          int64 `json:"appends"`
-	Superseded       int64 `json:"superseded"` // index upserts that lost to an equal-or-higher level
-	Dropped          int64 `json:"dropped"`    // records dropped by a full write-behind buffer
-	Snapshots        int64 `json:"snapshots"`
-	Compactions      int64 `json:"compactions"`
+	Packs            int `json:"packs"`
+	QuarantinedPacks int `json:"quarantined_packs"`
+	EvalRecords      int `json:"eval_records"`
+	// PoolRecords is always zero: the store holds verdicts only. It is
+	// kept for callers that still sum it into a record count.
+	PoolRecords int   `json:"pool_records"`
+	Bytes       int64 `json:"bytes"` // live pack bytes on disk
+	Appends     int64 `json:"appends"`
+	Superseded  int64 `json:"superseded"` // index upserts that lost to an equal-or-higher level
+	Dropped     int64 `json:"dropped"`    // records dropped by a full write-behind buffer
+	Snapshots   int64 `json:"snapshots"`
+	Compactions int64 `json:"compactions"`
 }
 
 // Store is safe for concurrent use by any number of goroutines.
@@ -136,8 +112,6 @@ type Store struct {
 	// in-memory counters. Reads on the probe hot path take RLock.
 	mu      sync.RWMutex
 	evals   map[evalKey]EvalRecord
-	pools   map[poolKey][]PoolRecord // per-key order preserved: pool determinism depends on it
-	poolIDs map[poolID]struct{}
 	pending []record
 	stats   Stats
 	closed  bool
@@ -173,13 +147,11 @@ func Open(opts Options) (*Store, error) {
 		return nil, err
 	}
 	s := &Store{
-		opts:    opts,
-		evals:   make(map[evalKey]EvalRecord),
-		pools:   make(map[poolKey][]PoolRecord),
-		poolIDs: make(map[poolID]struct{}),
-		wake:    make(chan struct{}, 1),
-		done:    make(chan struct{}),
-		stop:    make(chan struct{}),
+		opts:  opts,
+		evals: make(map[evalKey]EvalRecord),
+		wake:  make(chan struct{}, 1),
+		done:  make(chan struct{}),
+		stop:  make(chan struct{}),
 	}
 	if err := s.recover(); err != nil {
 		return nil, err
@@ -202,9 +174,6 @@ func (s *Store) recover() error {
 	if snapOK {
 		for _, e := range snap.evals {
 			s.evals[evalKey{e.Prog, e.Suite}] = e
-		}
-		for _, p := range snap.pools {
-			s.applyPool(p)
 		}
 	}
 	seqs, err := listPacks(s.opts.Dir)
@@ -263,17 +232,11 @@ func (s *Store) recover() error {
 		if len(seqs) > 0 {
 			s.packSeq = seqs[len(seqs)-1] + 1
 		}
-	} else {
-		// Reopen the newest pack for append.
 	}
 	path := filepath.Join(s.opts.Dir, packName(s.packSeq))
 	f, off, err := openPackForAppend(path)
 	if err != nil {
 		return err
-	}
-	if s.packOff != 0 && off != s.packOff {
-		// Shouldn't happen (truncate above aligned it), but trust the file.
-		s.packOff = off
 	}
 	s.packFile = f
 	s.packOff = off
@@ -308,13 +271,11 @@ func openPackForAppend(path string) (*os.File, int64, error) {
 }
 
 // applyRecord folds one decoded record into the index (recovery path;
-// caller holds no locks — only runs before the store is shared).
+// caller holds no locks — only runs before the store is shared). Legacy
+// pool records (KindPool) are skipped.
 func (s *Store) applyRecord(rec record) {
-	switch rec.kind {
-	case KindEval:
+	if rec.kind == KindEval {
 		s.applyEval(recordToEval(rec))
-	case KindPool:
-		s.applyPool(recordToPool(rec))
 	}
 }
 
@@ -328,20 +289,6 @@ func (s *Store) applyEval(e EvalRecord) bool {
 		return false
 	}
 	s.evals[k] = e
-	return true
-}
-
-// applyPool appends a pool record if unseen, preserving first-seen order
-// per key. Order matters: a pool rebuilt from the store must present
-// mutations in the exact order they were persisted.
-func (s *Store) applyPool(p PoolRecord) bool {
-	id := poolID{poolKey{p.Prog, p.Suite}, p.Op, p.At, p.From}
-	if _, ok := s.poolIDs[id]; ok {
-		s.stats.Superseded++
-		return false
-	}
-	s.poolIDs[id] = struct{}{}
-	s.pools[id.key] = append(s.pools[id.key], p)
 	return true
 }
 
@@ -384,35 +331,6 @@ func (s *Store) Evals(suite uint64) []EvalRecord {
 			out = append(out, e)
 		}
 	}
-	return out
-}
-
-// PutPool records a safe mutation for (prog, suite). Duplicate mutations
-// are ignored (idempotent re-persist), so saving the same pool twice
-// writes nothing new.
-func (s *Store) PutPool(p PoolRecord) bool {
-	s.mu.Lock()
-	if s.closed || !s.applyPool(p) {
-		s.mu.Unlock()
-		return false
-	}
-	advanced := s.enqueue(poolToRecord(p))
-	s.mu.Unlock()
-	s.maybeWake(advanced)
-	return true
-}
-
-// PoolMutations returns the stored pool for (prog, suite) in persisted
-// order, copied.
-func (s *Store) PoolMutations(prog, suite uint64) []PoolRecord {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	ps := s.pools[poolKey{prog, suite}]
-	if len(ps) == 0 {
-		return nil
-	}
-	out := make([]PoolRecord, len(ps))
-	copy(out, ps)
 	return out
 }
 
@@ -554,7 +472,6 @@ func (s *Store) snapshotLocked() error {
 	for _, e := range s.evals {
 		snap.evals = append(snap.evals, e)
 	}
-	snap.pools = flattenPools(s.pools)
 	s.mu.RUnlock()
 	sort.Slice(snap.evals, func(i, j int) bool {
 		a, b := snap.evals[i], snap.evals[j]
@@ -573,35 +490,12 @@ func (s *Store) snapshotLocked() error {
 	return nil
 }
 
-// flattenPools lists every pool record grouped by key (keys in sorted
-// order for determinism, records in persisted order within a key).
-func flattenPools(pools map[poolKey][]PoolRecord) []PoolRecord {
-	keys := make([]poolKey, 0, len(pools))
-	n := 0
-	for k, ps := range pools {
-		keys = append(keys, k)
-		n += len(ps)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].prog != keys[j].prog {
-			return keys[i].prog < keys[j].prog
-		}
-		return keys[i].suite < keys[j].suite
-	})
-	out := make([]PoolRecord, 0, n)
-	for _, k := range keys {
-		out = append(out, pools[k]...)
-	}
-	return out
-}
-
 // Stats returns a point-in-time summary. It counts live pack files and
 // bytes from the in-memory write state, not a directory walk.
 func (s *Store) Stats() Stats {
 	s.mu.RLock()
 	st := s.stats
 	st.EvalRecords = len(s.evals)
-	st.PoolRecords = len(s.poolIDs)
 	s.mu.RUnlock()
 	s.wmu.Lock()
 	seqs, _ := listPacks(s.opts.Dir)

@@ -72,7 +72,6 @@ func TestReopenRebuildsIndexFromPacks(t *testing.T) {
 		want[i] = EvalRecord{Prog: uint64(i), Suite: 7, Level: LevelSafe, Safe: i%2 == 0}
 		s.PutEval(want[i])
 	}
-	s.PutPool(PoolRecord{Prog: 5, Suite: 7, Op: 1, At: 3, From: 9})
 	if err := s.Flush(); err != nil {
 		t.Fatalf("Flush: %v", err)
 	}
@@ -92,10 +91,6 @@ func TestReopenRebuildsIndexFromPacks(t *testing.T) {
 		if !ok || got != e {
 			t.Fatalf("after reopen, GetEval(%d) = %+v, %v; want %+v", e.Prog, got, ok, e)
 		}
-	}
-	ps := s2.PoolMutations(5, 7)
-	if len(ps) != 1 || ps[0].At != 3 {
-		t.Fatalf("after reopen, PoolMutations = %+v", ps)
 	}
 }
 
@@ -143,46 +138,6 @@ func TestEvalsFiltersBySuiteFingerprint(t *testing.T) {
 	if got := s.Evals(333); got != nil {
 		t.Fatalf("Evals(stale fingerprint) = %d records, want none", len(got))
 	}
-}
-
-func TestPoolOrderAndDedup(t *testing.T) {
-	dir := t.TempDir()
-	s := openT(t, dir)
-	recs := []PoolRecord{
-		{Prog: 1, Suite: 2, Op: 0, At: 4},
-		{Prog: 1, Suite: 2, Op: 1, At: 2, From: 6},
-		{Prog: 1, Suite: 2, Op: 3, At: 0, From: 5},
-	}
-	for _, p := range recs {
-		if !s.PutPool(p) {
-			t.Fatalf("PutPool(%+v) = false on first insert", p)
-		}
-	}
-	// Re-persisting the identical pool is a no-op.
-	for _, p := range recs {
-		if s.PutPool(p) {
-			t.Fatalf("PutPool(%+v) = true on duplicate", p)
-		}
-	}
-	check := func(s *Store, label string) {
-		t.Helper()
-		got := s.PoolMutations(1, 2)
-		if len(got) != len(recs) {
-			t.Fatalf("%s: %d mutations, want %d", label, len(got), len(recs))
-		}
-		for i := range recs {
-			if got[i] != recs[i] {
-				t.Fatalf("%s: order broken at %d: %+v != %+v", label, i, got[i], recs[i])
-			}
-		}
-	}
-	check(s, "live")
-	if err := s.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	s2 := openT(t, dir)
-	defer s2.Close()
-	check(s2, "reopened") // persisted order must survive a reopen
 }
 
 func TestPackRollAtMaxBytes(t *testing.T) {
@@ -273,8 +228,6 @@ func TestConcurrentPutGet(t *testing.T) {
 				prog := uint64(i % 64)
 				s.PutEval(EvalRecord{Prog: prog, Suite: 9, Level: uint8(1 + (i+w)%3), Safe: true})
 				s.GetEval(prog, 9)
-				s.PutPool(PoolRecord{Prog: prog, Suite: 9, Op: uint8(w % 4), At: uint32(i % 16)})
-				s.PoolMutations(prog, 9)
 			}
 		}(w)
 	}

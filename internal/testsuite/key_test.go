@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/lang"
 	"repro/internal/mutation"
-	"repro/internal/pool"
 	"repro/internal/rng"
 	"repro/internal/scenario"
 	"repro/internal/store"
@@ -190,26 +189,23 @@ func untaggedFingerprint(s *testsuite.Suite) uint64 {
 }
 
 // A store written under the text key scheme must warm-start nothing: its
-// eval and pool records sit under fingerprints the tagged scheme never
-// produces. The same records under the current scheme warm both, which
-// shows the records themselves are usable.
+// eval records sit under fingerprints the tagged scheme never produces.
+// The same record under the current scheme warms, which shows the record
+// itself is usable.
 func TestOldKeySchemeStoreWarmsNothing(t *testing.T) {
 	sc := scenario.Generate(scenario.MustByName("lighttpd-1806-1807"))
 	p, suite := sc.Program, sc.Suite
-	pos := &testsuite.Suite{Positive: suite.Positive}
-	m := sc.Repairers[0]
 	write := func(dir string, key func(*lang.Program) uint64, fp func(*testsuite.Suite) uint64) {
 		st, err := store.Open(store.Options{Dir: dir, FlushInterval: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		st.PutEval(store.EvalRecord{Prog: key(p), Suite: fp(suite), Level: store.LevelSafe, Safe: true})
-		st.PutPool(store.PoolRecord{Prog: key(p), Suite: fp(pos), Op: uint8(m.Op), At: uint32(m.At), From: uint32(m.From)})
 		if err := st.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	warm := func(dir string) (int, *pool.Pool) {
+	warm := func(dir string) int {
 		st, err := store.Open(store.Options{Dir: dir, FlushInterval: -1})
 		if err != nil {
 			t.Fatal(err)
@@ -217,21 +213,17 @@ func TestOldKeySchemeStoreWarmsNothing(t *testing.T) {
 		defer st.Close()
 		r := testsuite.NewRunner(suite)
 		r.AttachStore(st)
-		pl, err := pool.FromStore(st, p, suite)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r.WarmStart(), pl
+		return r.WarmStart()
 	}
 
 	old := t.TempDir()
 	write(old, textKey, untaggedFingerprint)
-	if n, pl := warm(old); n != 0 || pl != nil {
-		t.Fatalf("old-scheme store: WarmStart loaded %d entries, FromStore = %v; want 0, nil", n, pl)
+	if n := warm(old); n != 0 {
+		t.Fatalf("old-scheme store: WarmStart loaded %d entries, want 0", n)
 	}
 	cur := t.TempDir()
 	write(cur, testsuite.ProgramKey, (*testsuite.Suite).Fingerprint)
-	if n, pl := warm(cur); n != 1 || pl == nil || pl.Size() != 1 {
-		t.Fatalf("current-scheme store: WarmStart loaded %d entries, FromStore = %v; want 1 and a one-mutation pool", n, pl)
+	if n := warm(cur); n != 1 {
+		t.Fatalf("current-scheme store: WarmStart loaded %d entries, want 1", n)
 	}
 }

@@ -35,8 +35,8 @@ const keyScheme = "K\x02"
 
 // Fingerprint hashes the program-key scheme and the suite's full content
 // — test names, inputs, expected outputs, step bounds, and the
-// positive/negative split. Stored evaluation and pool records are keyed by
-// this fingerprint, so any change to the suite (even reordering tests), or
+// positive/negative split. Stored evaluation records are keyed by this
+// fingerprint, so any change to the suite (even reordering tests), or
 // to how programKey encodes programs, keys new records rather than reusing
 // stale ones.
 func (s *Suite) Fingerprint() uint64 {
