@@ -93,12 +93,12 @@ daemon-smoke:
 	DAEMON_SMOKE=1 $(GO) test -count=1 -run TestDaemonSmoke ./internal/server
 
 # Store gate: the corruption-recovery set (torn tail, bit flips,
-# quarantine, audit rebuild), legacy pool-record stores and the
+# quarantine, audit rebuild, a crash inside Compact), legacy stores and the
 # warm-start determinism e2e tests under the race detector, then the
 # write-behind overhead bound (cold store ≤ 1.05× no store on the probe
 # hot path, STORE_BENCH-gated).
 store:
-	$(GO) test -race -run 'Corrupt|Quarantine|Truncat|Duplicate|Audit|Snapshot|WarmStart|StoreShared|Legacy' \
+	$(GO) test -race -run 'Corrupt|Quarantine|Truncat|Duplicate|Audit|Torn|Compact|WarmStart|StoreShared|Legacy' \
 		./internal/store ./internal/testsuite ./internal/core ./internal/server
 	STORE_BENCH=1 $(GO) test -count=1 -run TestProbeWriteBehindOverheadGate .
 
@@ -126,7 +126,6 @@ mwbench-check:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReload$$' -fuzztime 5s ./internal/wrs
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime 5s ./internal/store
-	$(GO) test -run '^$$' -fuzz '^FuzzLoadSnapshot$$' -fuzztime 5s ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzRecoverPackDir$$' -fuzztime 5s ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRoundTrip$$' -fuzztime 5s ./internal/lang
 	$(GO) test -run '^$$' -fuzz '^FuzzRunContained$$' -fuzztime 5s ./internal/lang

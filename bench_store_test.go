@@ -2,6 +2,7 @@ package repro
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"sort"
 	"testing"
@@ -115,6 +116,102 @@ func BenchmarkProbeWriteBehind(b *testing.B) {
 	b.Run("off", benchProbeOff)
 	b.Run("cold", benchProbeCold)
 	b.Run("warm", benchProbeWarm)
+}
+
+// storeScaleSuites is the number of suite fingerprints BenchmarkStoreScale
+// spreads its records over.
+const storeScaleSuites = 8
+
+// fillStore appends n distinct verdicts, round-robin over
+// storeScaleSuites suites, to a store in dir opened with default options
+// (background flusher included), and closes it. It also flushes every
+// 4096 records so the bounded write-behind buffer never drops one.
+func fillStore(tb testing.TB, dir string, n int) {
+	st, err := store.Open(store.Options{Dir: dir})
+	if err != nil {
+		tb.Fatalf("opening store: %v", err)
+	}
+	for i := 0; i < n; i++ {
+		st.PutEval(store.EvalRecord{Prog: uint64(i), Suite: uint64(i % storeScaleSuites),
+			Level: store.LevelFitness, Safe: true, PosPassed: 1, PosTotal: 1})
+		if (i+1)%4096 == 0 {
+			if err := st.Flush(); err != nil {
+				tb.Fatalf("flushing store: %v", err)
+			}
+		}
+	}
+	if d := st.Stats().Dropped; d != 0 {
+		tb.Fatalf("the write-behind buffer dropped %d records", d)
+	}
+	if err := st.Close(); err != nil {
+		tb.Fatalf("closing store: %v", err)
+	}
+}
+
+// BenchmarkStoreScale prices what a store costs as it grows: at 10^4,
+// 10^5 and 10^6 records over storeScaleSuites suites it measures append
+// (fillStore into an empty directory, ending in Close), Open of the full
+// store (the index rebuild), and Evals of one suite (a warm start's
+// read). Each reports ns/record, per matching record for evals: a cost
+// that grows linearly with the store keeps it flat across sizes, which
+// is the pack-engine design point.
+func BenchmarkStoreScale(b *testing.B) {
+	for _, n := range []int{1e4, 1e5, 1e6} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			perRecord := func(b *testing.B, records int) {
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*records), "ns/record")
+			}
+			b.Run("append", func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					dir := b.TempDir()
+					b.StartTimer()
+					fillStore(b, dir, n)
+					b.StopTimer()
+					os.RemoveAll(dir)
+					b.StartTimer()
+				}
+				perRecord(b, n)
+			})
+
+			dir := b.TempDir()
+			fillStore(b, dir, n)
+			b.Run("open", func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					st, err := store.Open(store.Options{Dir: dir})
+					if err != nil {
+						b.Fatalf("opening store: %v", err)
+					}
+					b.StopTimer()
+					if got := st.Stats().EvalRecords; got != n {
+						b.Fatalf("reopened %d records, want %d", got, n)
+					}
+					if err := st.Close(); err != nil {
+						b.Fatalf("closing store: %v", err)
+					}
+					b.StartTimer()
+				}
+				perRecord(b, n)
+			})
+			b.Run("evals", func(b *testing.B) {
+				st, err := store.Open(store.Options{Dir: dir})
+				if err != nil {
+					b.Fatalf("opening store: %v", err)
+				}
+				defer st.Close()
+				var got int
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					got = len(st.Evals(0))
+				}
+				b.StopTimer()
+				if want := n / storeScaleSuites; got != want {
+					b.Fatalf("Evals returned %d records, want %d", got, want)
+				}
+				perRecord(b, n/storeScaleSuites)
+			})
+		})
+	}
 }
 
 // TestProbeWriteBehindOverheadGate asserts the ISSUE's performance bound:

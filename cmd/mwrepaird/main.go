@@ -32,7 +32,7 @@
 // scenarios warm-start from earlier jobs' verdicts (results stay
 // byte-identical, just cheaper), and the store survives restarts —
 // /healthz and /debug/metrics report its state under "store" /
-// "server.store.*". The store is flushed and snapshotted at drain.
+// "server.store.*". The store is flushed and synced at drain.
 package main
 
 import (
@@ -152,8 +152,8 @@ func main() {
 			logger.Printf("debug shutdown: %v", err)
 		}
 	}
-	// Jobs are drained; flush + snapshot the store so the next start
-	// warm-opens from the snapshot instead of a full pack scan.
+	// Jobs are drained; flush and sync the store so the next start
+	// rebuilds its index from packs that hold every verdict.
 	if st != nil {
 		if err := st.Close(); err != nil {
 			logger.Printf("store close: %v", err)

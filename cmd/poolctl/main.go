@@ -140,7 +140,7 @@ func main() {
 		fmt.Printf("pool: %d safe mutations (program: %d statements)\n", pl.Size(), pl.Original().Len())
 		fmt.Printf("build stats: %d attempts, %d evaluated, %d duplicates skipped, safe rate %.0f%%\n",
 			ps.Attempts, ps.Evaluated, ps.Duplicates, 100*ps.SafeRate())
-		fmt.Printf("cache stats: %d hits, %d dedup-suppressed\n", ps.CacheHits, ps.DedupSuppressed)
+		fmt.Printf("cache stats: %d hits\n", ps.CacheHits)
 		byOp := map[mutation.Op]int{}
 		for _, m := range pl.Mutations() {
 			byOp[m.Op]++

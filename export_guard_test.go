@@ -16,7 +16,6 @@ import (
 var exportKeep = map[string]string{
 	"Categorical": "rng.RNG.Categorical is the sequential draw reference the wrs, mwu, simplex and root sampling tests compare draws against bit for bit",
 	"GetEval":     "store.Store.GetEval is the point read behind the store's and testsuite's persistence tests",
-	"Snapshot":    "store.Store.Snapshot is the only way a test can force a snapshot at an exact record, a seam like store.Options",
 }
 
 // standardMethods are method names that a standard-library interface

@@ -97,6 +97,46 @@ func TestRunJobReloadedPoolReproducesRun(t *testing.T) {
 	}
 }
 
+// A saved pool is a function of the scenario and seed alone: builds at
+// workers 1 and 8 save byte-identical files, so the scheduling-dependent
+// dedup count stays out of them, and a file that still carries it (as
+// older builds wrote) loads the same pool.
+func TestSavedPoolByteIdenticalAcrossWorkers(t *testing.T) {
+	job := Job{Scenario: scenario.Generate(scenario.MustByName("units")), Seed: 3}
+	save := func(workers int) []byte {
+		job.Workers = workers
+		var buf bytes.Buffer
+		if err := BuildPool(context.Background(), job).Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	want := save(1)
+	if bytes.Contains(want, []byte("DedupSuppressed")) {
+		t.Fatal("the saved pool carries the scheduling-dependent DedupSuppressed count")
+	}
+	for run := 0; run < 3; run++ {
+		if got := save(8); !bytes.Equal(got, want) {
+			t.Fatalf("run %d: the pool saved at workers 8 differs from workers 1:\n%s\n%s", run, got, want)
+		}
+	}
+	old := bytes.Replace(want, []byte(`"stats":{`), []byte(`"stats":{"DedupSuppressed":1,`), 1)
+	if bytes.Equal(old, want) {
+		t.Fatal(`the saved pool has no "stats" object`)
+	}
+	pl, err := pool.Load(bytes.NewReader(old))
+	if err != nil {
+		t.Fatalf("loading a file with DedupSuppressed: %v", err)
+	}
+	var again bytes.Buffer
+	if err := pl.Save(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), want) {
+		t.Fatal("a file with DedupSuppressed does not load the same pool")
+	}
+}
+
 // A pool built for one program must not run against another scenario:
 // its indices would address the wrong statements.
 func TestRunJobRejectsForeignPool(t *testing.T) {

@@ -72,9 +72,10 @@ type Stats struct {
 	// observability for the build (or revalidation): safety checks
 	// answered from the fitness cache, and checks suppressed because an
 	// identical mutant's evaluation was already in flight on another
-	// worker.
+	// worker. DedupSuppressed depends on goroutine scheduling, so Save
+	// leaves it out to keep a saved pool a function of its inputs.
 	CacheHits       int64
-	DedupSuppressed int64
+	DedupSuppressed int64 `json:"-"`
 	// StoreHits counts safety checks answered by verdicts a previous
 	// run persisted (warm cache entries loaded from Config.Store) —
 	// precompute work avoided entirely. WarmEntries is how many stored

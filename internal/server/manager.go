@@ -503,7 +503,6 @@ func (m *Manager) exportStoreStats() {
 	reg.Counter("server.store.appends").Set(st.Appends)
 	reg.Counter("server.store.superseded").Set(st.Superseded)
 	reg.Counter("server.store.dropped").Set(st.Dropped)
-	reg.Counter("server.store.snapshots").Set(st.Snapshots)
 	reg.Counter("server.store.compactions").Set(st.Compactions)
 }
 

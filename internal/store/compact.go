@@ -4,12 +4,12 @@
 // mostly dead bytes; compaction reclaims them while preserving exactly
 // the records the index would rebuild.
 //
-// Crash-safety ordering: write + fsync the new pack first, then the
-// snapshot pointing past it, then delete old packs. A crash between any
-// two steps leaves a store that re-opens to the same index — at worst
-// with duplicate records across old and new packs, which the index
-// upsert (highest level wins) absorbs. Legacy pool records, never in the
-// index, are not rewritten: compaction purges them.
+// Crash-safety ordering: write + fsync the new pack, fsync the directory
+// so its name is durable, then delete old packs. A crash between any two
+// steps leaves a store that re-opens to the same index — at worst with
+// duplicate records across old and new packs, which the index upsert
+// (highest level wins) absorbs. Legacy pool records, never in the index,
+// are not rewritten: compaction purges them.
 package store
 
 import (
@@ -29,16 +29,19 @@ func (s *Store) Compact() (int, error) {
 		return 0, errClosed
 	}
 
-	// Snapshot the live index under mu; everything written from here on
-	// is exactly this state (concurrent Puts land in pending and flush
-	// into the new active pack afterwards — wmu is held, so no flush can
+	// Encode the live index under mu; everything written from here on is
+	// exactly this state (concurrent Puts land in pending and flush into
+	// the new active pack afterwards — wmu is held, so no flush can
 	// interleave).
+	var buf []byte
 	s.mu.RLock()
-	evals := make([]EvalRecord, 0, len(s.evals))
-	for _, e := range s.evals {
-		evals = append(evals, e)
+	for _, bySuite := range s.evals {
+		for _, e := range bySuite {
+			buf = evalToRecord(e).encode(buf)
+		}
 	}
 	s.mu.RUnlock()
+	n := len(buf) / recordSize
 
 	oldSeqs, err := listPacks(s.opts.Dir)
 	if err != nil {
@@ -60,10 +63,6 @@ func (s *Store) Compact() (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	buf := make([]byte, 0, len(evals)*recordSize)
-	for _, e := range evals {
-		buf = evalToRecord(e).encode(buf)
-	}
 	if _, err := f.Write(buf); err != nil {
 		f.Close()
 		return 0, err
@@ -76,9 +75,10 @@ func (s *Store) Compact() (int, error) {
 	s.packSeq = newSeq
 	s.packOff = off + int64(len(buf))
 
-	// Snapshot past the compacted pack so reopening skips the scan.
-	if err := s.snapshotLocked(); err != nil {
-		return len(evals), err
+	// The new pack's directory entry must be durable before any old pack
+	// is removed, or a crash could leave neither.
+	if err := syncDir(s.opts.Dir); err != nil {
+		return n, err
 	}
 
 	// Old packs are now fully redundant; delete them.
@@ -87,11 +87,24 @@ func (s *Store) Compact() (int, error) {
 			continue
 		}
 		if err := os.Remove(filepath.Join(s.opts.Dir, packName(seq))); err != nil && !os.IsNotExist(err) {
-			return len(evals), err
+			return n, err
 		}
 	}
 	s.mu.Lock()
 	s.stats.Compactions++
 	s.mu.Unlock()
-	return len(evals), nil
+	return n, nil
+}
+
+// syncDir fsyncs a directory, making the entries created in it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	if err := d.Sync(); err != nil {
+		d.Close()
+		return err
+	}
+	return d.Close()
 }

@@ -3,6 +3,7 @@ package store
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -18,10 +19,6 @@ func writeAndClose(t *testing.T, dir string, n int, suite uint64) string {
 	}
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
-	}
-	// Drop the snapshot so reopen exercises the pack scan under test.
-	if err := os.Remove(filepath.Join(dir, snapshotName)); err != nil {
-		t.Fatalf("removing snapshot: %v", err)
 	}
 	return filepath.Join(dir, packName(1))
 }
@@ -73,7 +70,7 @@ func TestQuarantineBitFlippedPack(t *testing.T) {
 	// Two packs: corrupt the older one mid-file. Whole-pack quarantine,
 	// not tail truncation, because a bad record poisons every boundary
 	// after it.
-	s, err := Open(Options{Dir: dir, FlushInterval: -1, SnapshotEvery: -1,
+	s, err := Open(Options{Dir: dir, FlushInterval: -1,
 		MaxPackBytes: int64(len(packMagic)) + 10*recordSize, FlushEvery: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -85,9 +82,6 @@ func TestQuarantineBitFlippedPack(t *testing.T) {
 		}
 	}
 	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Remove(filepath.Join(dir, snapshotName)); err != nil {
 		t.Fatal(err)
 	}
 	// Flip one payload bit in the middle of pack 1.
@@ -141,7 +135,7 @@ func TestDuplicateRecordsAcrossPacksHighestLevelWins(t *testing.T) {
 	// Pack 1: LevelSafe for prog 42. Pack 2: LevelFitness for prog 42.
 	// Also the reverse order for prog 43, to prove it's level, not
 	// recency, that wins.
-	s, err := Open(Options{Dir: dir, FlushInterval: -1, SnapshotEvery: -1,
+	s, err := Open(Options{Dir: dir, FlushInterval: -1,
 		MaxPackBytes: int64(len(packMagic)) + 2*recordSize, FlushEvery: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -166,9 +160,6 @@ func TestDuplicateRecordsAcrossPacksHighestLevelWins(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Remove(filepath.Join(dir, snapshotName)); err != nil {
-		t.Fatal(err)
-	}
 	seqs, _ := listPacks(dir)
 	if len(seqs) < 2 {
 		t.Fatalf("need duplicates spread across >=2 packs, got %d", len(seqs))
@@ -189,7 +180,7 @@ func TestDuplicateRecordsAcrossPacksHighestLevelWins(t *testing.T) {
 
 func TestAuditQuarantinesAndRebuilds(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(Options{Dir: dir, FlushInterval: -1, SnapshotEvery: -1,
+	s, err := Open(Options{Dir: dir, FlushInterval: -1,
 		MaxPackBytes: int64(len(packMagic)) + 10*recordSize, FlushEvery: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -249,33 +240,6 @@ func TestAuditQuarantinesAndRebuilds(t *testing.T) {
 	}
 }
 
-func TestCorruptSnapshotFallsBackToScan(t *testing.T) {
-	dir := t.TempDir()
-	s := openT(t, dir)
-	for i := 0; i < 10; i++ {
-		s.PutEval(EvalRecord{Prog: uint64(i), Suite: 1, Level: LevelOutcome, Safe: true})
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Flip a bit inside the snapshot: it must be ignored wholesale and
-	// the packs rescanned.
-	snapPath := filepath.Join(dir, snapshotName)
-	buf, err := os.ReadFile(snapPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf[len(buf)/2] ^= 0x10
-	if err := os.WriteFile(snapPath, buf, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s2 := openT(t, dir)
-	defer s2.Close()
-	if st := s2.Stats(); st.EvalRecords != 10 {
-		t.Fatalf("fallback scan recovered %d records, want 10", st.EvalRecords)
-	}
-}
-
 func TestForeignFileInStoreDirIgnored(t *testing.T) {
 	dir := t.TempDir()
 	writeAndClose(t, dir, 5, 1)
@@ -290,20 +254,13 @@ func TestForeignFileInStoreDirIgnored(t *testing.T) {
 	}
 }
 
-// TestTruncatedPackBehindSnapshotFallsBackToScan: a pack cut below the
-// offset the snapshot vouches for no longer backs the snapshot, so Open
-// recovers from the packs alone, and a second Open agrees with the first.
-func TestTruncatedPackBehindSnapshotFallsBackToScan(t *testing.T) {
+// TestTornTailReopenTwiceAgrees: Open truncates a torn tail once, so a
+// second Open finds nothing left to repair and serves the same records.
+func TestTornTailReopenTwiceAgrees(t *testing.T) {
 	dir := t.TempDir()
-	s := openT(t, dir)
-	for i := 0; i < 10; i++ {
-		s.PutEval(EvalRecord{Prog: uint64(i), Suite: 1, Level: LevelOutcome, Safe: true})
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Cut the pack mid-record 8, behind the snapshot's offset.
-	if err := os.Truncate(filepath.Join(dir, packName(1)), int64(len(packMagic))+7*recordSize+recordSize/2); err != nil {
+	pack := writeAndClose(t, dir, 10, 1)
+	// Cut the pack mid-record 8.
+	if err := os.Truncate(pack, int64(len(packMagic))+7*recordSize+recordSize/2); err != nil {
 		t.Fatal(err)
 	}
 	for round := 1; round <= 2; round++ {
@@ -313,8 +270,116 @@ func TestTruncatedPackBehindSnapshotFallsBackToScan(t *testing.T) {
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if st.EvalRecords != 7 || served {
-			t.Fatalf("open %d: %d records (record 9 served: %v), want the 7 the pack still holds", round, st.EvalRecords, served)
+		if st.EvalRecords != 7 || served || st.QuarantinedPacks != 0 {
+			t.Fatalf("open %d: %+v (record 9 served: %v), want the 7 records the pack still holds", round, st, served)
 		}
+	}
+}
+
+// TestBadFirstRecordInNewestPackTruncatesToHeader: a newest pack whose
+// header is good but whose first record is bad is a torn append, so Open
+// and Audit alike cut it back to its header and keep appending to it;
+// neither quarantines it.
+func TestBadFirstRecordInNewestPackTruncatesToHeader(t *testing.T) {
+	for _, audit := range []bool{false, true} {
+		dir := t.TempDir()
+		s, err := Open(Options{Dir: dir, FlushInterval: -1,
+			MaxPackBytes: int64(len(packMagic)) + 5*recordSize, FlushEvery: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 7; i++ {
+			s.PutEval(EvalRecord{Prog: uint64(i), Suite: 1, Level: LevelSafe, Safe: true})
+			if err := s.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Pack 1 holds progs 0..4, pack 2 progs 5 and 6.
+		pack2 := filepath.Join(dir, packName(2))
+		buf, err := os.ReadFile(pack2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf[len(packMagic)+9] ^= 0x02
+		if audit {
+			if err := os.WriteFile(pack2, buf, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			rep, err := s.Audit()
+			if err != nil {
+				t.Fatalf("Audit: %v", err)
+			}
+			if !rep.TailTruncated || len(rep.Quarantined) != 0 || rep.RecordsVerified != 5 {
+				t.Fatalf("Audit report %+v, want a truncated tail, nothing quarantined, 5 records verified", rep)
+			}
+		} else {
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(pack2, buf, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			s = openT(t, dir)
+		}
+		st := s.Stats()
+		_, served := s.GetEval(5, 1)
+		if st.EvalRecords != 5 || st.QuarantinedPacks != 0 || served {
+			t.Fatalf("audit=%v: %+v (prog 5 served: %v), want pack 1's 5 records and nothing quarantined", audit, st, served)
+		}
+		if fi, err := os.Stat(pack2); err != nil || fi.Size() != int64(len(packMagic)) {
+			t.Fatalf("audit=%v: pack 2 after recovery: %v, %v; want its %d-byte header", audit, fi, err, len(packMagic))
+		}
+		s.PutEval(EvalRecord{Prog: 100, Suite: 1, Level: LevelSafe, Safe: true})
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if seqs, _ := listPacks(dir); len(seqs) != 2 {
+			t.Fatalf("audit=%v: packs %v after the append, want it in pack 2", audit, seqs)
+		}
+	}
+}
+
+// TestCompactCrashBeforeOldPacksRemovedReopensSameIndex: a crash after
+// Compact wrote and synced the new pack but before it removed the old
+// ones leaves every old pack beside the compacted one. Reopening that
+// directory serves the same index as before the compaction.
+func TestCompactCrashBeforeOldPacksRemovedReopensSameIndex(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(Options{Dir: dir, FlushInterval: -1,
+		MaxPackBytes: int64(len(packMagic)) + 8*recordSize, FlushEvery: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, level := range []uint8{LevelSafe, LevelOutcome, LevelFitness} {
+		for i := 0; i < 10; i++ {
+			s.PutEval(EvalRecord{Prog: uint64(i), Suite: uint64(1 + i%2), Level: level, Safe: true,
+				PosPassed: uint32(level), PosTotal: 3})
+			if err := s.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	before := evalsBySuite(s, 1, 2)
+	old := readDir(t, dir)
+	if _, err := s.Compact(); err != nil {
+		t.Fatalf("Compact: %v", err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Put the removed packs back, as a crash before their removal would
+	// have left them.
+	for name, b := range old {
+		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s = openT(t, dir)
+	defer s.Close()
+	if st := s.Stats(); st.QuarantinedPacks != 0 || st.Packs != len(old)+1 {
+		t.Fatalf("Stats %+v, want %d packs and nothing quarantined", st, len(old)+1)
+	}
+	if got := evalsBySuite(s, 1, 2); !reflect.DeepEqual(got, before) {
+		t.Fatalf("reopened index %v, want %v", got, before)
 	}
 }

@@ -2,8 +2,6 @@ package store
 
 import (
 	"bytes"
-	"encoding/binary"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -37,104 +35,8 @@ func FuzzDecodeRecord(f *testing.F) {
 	})
 }
 
-// overflowSnapshot is a checksummed snapshot holding 20 valid eval records
-// whose nEvals field claims 20+2^61: (nEvals+nPools)*recordSize wraps to
-// the true body size, so a decoder that multiplies before bounding the
-// count walks off the end of the buffer.
-func overflowSnapshot() []byte {
-	snap := snapshot{appliedSeq: 1, appliedOff: int64(len(packMagic))}
-	for i := 0; i < 20; i++ {
-		snap.evals = append(snap.evals, EvalRecord{Prog: uint64(i), Suite: 1, Level: LevelSafe, Safe: true})
-	}
-	buf := encodeSnapshot(snap)
-	body := buf[:len(buf)-4]
-	binary.LittleEndian.PutUint64(body[len(snapshotMagic)+16:], 20+1<<61)
-	binary.LittleEndian.PutUint32(buf[len(body):], crc32.Checksum(body, castagnoli))
-	return buf
-}
-
-// FuzzLoadSnapshot feeds arbitrary bytes to the snapshot decoder behind
-// loadSnapshot. It must never panic, and any snapshot it accepts must
-// survive writeSnapshot and a reload from disk unchanged.
-func FuzzLoadSnapshot(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte(snapshotMagic))
-	f.Add(encodeSnapshot(snapshot{appliedSeq: 1, appliedOff: int64(len(packMagic))}))
-	f.Add(legacySnapshot(3, int64(len(packMagic))+2*recordSize, []EvalRecord{
-		{Prog: 1, Suite: 2, Level: LevelOutcome, Safe: true, Repair: true},
-		{Prog: 5, Suite: 2, Level: LevelFitness, PosPassed: 1, PosTotal: 2, NegTotal: 1},
-	}, legacyPoolRecord(1, 3, 2, 4, 0)))
-	f.Add(overflowSnapshot())
-	f.Fuzz(func(t *testing.T, b []byte) {
-		snap, ok := decodeSnapshot(b)
-		if !ok {
-			return
-		}
-		path := filepath.Join(t.TempDir(), snapshotName)
-		if err := writeSnapshot(path, snap); err != nil {
-			t.Fatalf("writeSnapshot: %v", err)
-		}
-		again, ok := loadSnapshot(path)
-		if !ok {
-			t.Fatal("a rewritten snapshot no longer loads")
-		}
-		if !reflect.DeepEqual(again, snap) {
-			t.Fatalf("reload changed the snapshot:\n got %+v\nwant %+v", again, snap)
-		}
-	})
-}
-
-// TestSnapshotCountOverflowFallsBackToScan: a snapshot whose record
-// counts wrap the size check is rejected like any corrupt snapshot, so
-// Open recovers every record from the packs instead of panicking.
-func TestSnapshotCountOverflowFallsBackToScan(t *testing.T) {
-	dir := t.TempDir()
-	s := openT(t, dir)
-	for i := 0; i < 10; i++ {
-		s.PutEval(EvalRecord{Prog: uint64(i), Suite: 1, Level: LevelOutcome, Safe: true})
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, snapshotName), overflowSnapshot(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s2 := openT(t, dir)
-	defer s2.Close()
-	if st := s2.Stats(); st.EvalRecords != 10 {
-		t.Fatalf("fallback scan recovered %d records, want 10", st.EvalRecords)
-	}
-}
-
-// TestSnapshotBadOffsetFallsBackToScan: a checksummed snapshot whose
-// applied offset cannot be a record boundary of a pack (negative, inside
-// the header, or between records) is rejected, so it cannot steer the
-// pack scan into truncating valid records away.
-func TestSnapshotBadOffsetFallsBackToScan(t *testing.T) {
-	for _, off := range []int64{-recordSize, 0, int64(len(packMagic)) + recordSize/2} {
-		dir := t.TempDir()
-		s := openT(t, dir)
-		for i := 0; i < 10; i++ {
-			s.PutEval(EvalRecord{Prog: uint64(i), Suite: 1, Level: LevelOutcome, Safe: true})
-		}
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
-		snap := snapshot{appliedSeq: 1, appliedOff: off}
-		if err := os.WriteFile(filepath.Join(dir, snapshotName), encodeSnapshot(snap), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		s2 := openT(t, dir)
-		if st := s2.Stats(); st.EvalRecords != 10 {
-			t.Errorf("appliedOff %d: recovered %d records, want 10", off, st.EvalRecords)
-		}
-		s2.Close()
-	}
-}
-
 // FuzzRecoverPackDir checks that open-time recovery is idempotent. A
-// store of three small packs and a snapshot is damaged by a fuzzed list
-// of operations, then opened and closed twice. Neither round may panic or
+// store of three small packs is damaged by a fuzzed list of operations, then opened and closed twice. Neither round may panic or
 // fail, and the second round must find nothing left to repair: every file
 // stays byte-identical to what the first round left, and both rounds
 // serve the same eval records.
@@ -146,7 +48,7 @@ func TestSnapshotBadOffsetFallsBackToScan(t *testing.T) {
 // removes the file.
 func FuzzRecoverPackDir(f *testing.F) {
 	template := f.TempDir()
-	s, err := Open(Options{Dir: template, FlushInterval: -1, SnapshotEvery: -1,
+	s, err := Open(Options{Dir: template, FlushInterval: -1,
 		MaxPackBytes: int64(len(packMagic)) + 4*recordSize, FlushEvery: 1})
 	if err != nil {
 		f.Fatal(err)
@@ -162,19 +64,18 @@ func FuzzRecoverPackDir(f *testing.F) {
 		f.Fatal(err)
 	}
 	files := readDir(f, template)
-	if len(files) != 4 { // three packs and the snapshot
-		f.Fatalf("template holds %d files, want 4", len(files))
+	if len(files) != 3 {
+		f.Fatalf("template holds %d files, want 3 packs", len(files))
 	}
 
 	// The corruption shapes of corruption_test.go. Sorted listing:
-	// 0 index.snap, 1-3 pack-00000001..3.
+	// 0-2 pack-00000001..3.
 	op := func(kind, target byte, off int) []byte { return []byte{kind, target, byte(off >> 8), byte(off)} }
-	dropSnap := op(3, 0, 0)
-	f.Add(append(dropSnap, op(0, 2, recordSize/2)...))                      // torn tail on the newest pack
-	f.Add(append(dropSnap, op(1, 2, 0)...))                                 // bad header on the newest pack
-	f.Add(append(dropSnap, op(1, 0, 8*(len(packMagic)+recordSize+5)+6)...)) // mid-history flip in pack 1
-	f.Add(op(1, 0, 8*40))                                                   // corrupt snapshot
-	f.Add(append(op(2, 0, 5), op(2, 1, len(packMagic))...))                 // stray files
+	f.Add(op(0, 2, recordSize/2))                           // torn tail on the newest pack
+	f.Add(op(1, 2, 0))                                      // bad header on the newest pack
+	f.Add(op(1, 0, 8*(len(packMagic)+recordSize+5)+6))      // mid-history flip in pack 1
+	f.Add(op(2, 5, 0))                                      // an older store's index snapshot
+	f.Add(append(op(2, 0, 5), op(2, 1, len(packMagic))...)) // stray files
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, ops []byte) {
@@ -200,9 +101,9 @@ func FuzzRecoverPackDir(f *testing.F) {
 }
 
 // strayNames are the stray files FuzzRecoverPackDir writes: a foreign
-// file, pack names before and after the live range, a quarantine name
-// and a leftover snapshot temp file.
-var strayNames = []string{"notes.txt", packName(0), packName(9), packName(2) + quarantineSuffix, ".snap-stray"}
+// file, pack names before and after the live range, a quarantine name,
+// and an older store's snapshot temp file and snapshot.
+var strayNames = []string{"notes.txt", packName(0), packName(9), packName(2) + quarantineSuffix, ".snap-stray", legacySnapshotName}
 
 // applyDamage applies one FuzzRecoverPackDir operation to dir.
 func applyDamage(t *testing.T, dir string, op []byte) {
@@ -248,20 +149,26 @@ func applyDamage(t *testing.T, dir string, op []byte) {
 }
 
 // reopen opens and closes the store in dir and returns its eval records
-// for both suites the template writes, sorted.
+// for both suites the template writes.
 func reopen(t *testing.T, dir string) [][]EvalRecord {
-	s, err := Open(Options{Dir: dir, FlushInterval: -1, SnapshotEvery: -1})
+	s, err := Open(Options{Dir: dir, FlushInterval: -1})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
+	out := evalsBySuite(s, 1, 2)
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	return out
+}
+
+// evalsBySuite returns s's eval records for each suite, sorted by program.
+func evalsBySuite(s *Store, suites ...uint64) [][]EvalRecord {
 	var out [][]EvalRecord
-	for _, suite := range []uint64{1, 2} {
+	for _, suite := range suites {
 		evals := s.Evals(suite)
 		sort.Slice(evals, func(i, j int) bool { return evals[i].Prog < evals[j].Prog })
 		out = append(out, evals)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
 	}
 	return out
 }

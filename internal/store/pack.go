@@ -16,7 +16,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -24,8 +23,8 @@ import (
 )
 
 // packMagic opens every pack file; the trailing digits version the record
-// format. A magic mismatch means "not ours / future format" and the pack
-// is left untouched (skipped, not quarantined).
+// format. A pack named like ours whose header does not match cannot be
+// read, so recovery quarantines it like any other corrupt pack.
 const packMagic = "MWPACK01"
 
 // recordSize is the fixed on-disk size of every record.
@@ -197,62 +196,43 @@ func listPacks(dir string) ([]uint64, error) {
 type scanResult struct {
 	recs []record
 	// goodOff is the offset just past the last valid record (header
-	// included); the truncation point when the tail is torn.
+	// included), or 0 when the header itself is bad: the truncation
+	// point when the tail is torn.
 	goodOff int64
 	// err is the first decode failure, nil for a clean scan. recs holds
 	// the valid prefix either way.
 	err error
 }
 
-// scanPack reads a pack from the given offset (0 reads the header first),
-// collecting valid records until EOF or the first corrupt one. It never
-// fails the open: corruption is reported in scanResult.err for the caller
-// to translate into tail truncation or quarantine.
-func scanPack(path string, from int64) scanResult {
-	f, err := os.Open(path)
+// scanPack reads a whole pack with one read and decodes its records in
+// place, collecting valid records until the end or the first corrupt
+// one. It never fails the open: corruption is reported in
+// scanResult.err for the caller to translate into tail truncation or
+// quarantine.
+func scanPack(path string) scanResult {
+	name := filepath.Base(path)
+	buf, err := os.ReadFile(path)
 	if err != nil {
 		return scanResult{err: err}
 	}
-	defer f.Close()
-	res := scanResult{goodOff: int64(len(packMagic))}
-	if from == 0 {
-		var magic [len(packMagic)]byte
-		if _, err := io.ReadFull(f, magic[:]); err != nil {
-			res.goodOff = 0
-			res.err = fmt.Errorf("store: %s: reading header: %w", filepath.Base(path), err)
-			return res
-		}
-		if string(magic[:]) != packMagic {
-			res.goodOff = 0
-			res.err = fmt.Errorf("store: %s: bad magic %q", filepath.Base(path), magic)
-			return res
-		}
-	} else {
-		if _, err := f.Seek(from, io.SeekStart); err != nil {
-			res.err = err
-			return res
-		}
-		res.goodOff = from
+	if len(buf) < len(packMagic) || string(buf[:len(packMagic)]) != packMagic {
+		return scanResult{err: fmt.Errorf("store: %s: bad header", name)}
 	}
-	var buf [recordSize]byte
-	for {
-		n, err := io.ReadFull(f, buf[:])
-		if err == io.EOF {
-			return res // clean end
-		}
+	body := buf[len(packMagic):]
+	res := scanResult{goodOff: int64(len(packMagic)), recs: make([]record, 0, len(body)/recordSize)}
+	for ; len(body) >= recordSize; body = body[recordSize:] {
+		rec, err := decodeRecord(body[:recordSize])
 		if err != nil {
-			// A partial record at EOF (torn append) or a read error.
-			res.err = fmt.Errorf("store: %s: partial record (%d bytes) at offset %d", filepath.Base(path), n, res.goodOff)
-			return res
-		}
-		rec, err := decodeRecord(buf[:])
-		if err != nil {
-			res.err = fmt.Errorf("store: %s: offset %d: %w", filepath.Base(path), res.goodOff, err)
+			res.err = fmt.Errorf("store: %s: offset %d: %w", name, res.goodOff, err)
 			return res
 		}
 		res.recs = append(res.recs, rec)
 		res.goodOff += recordSize
 	}
+	if len(body) > 0 {
+		res.err = fmt.Errorf("store: %s: partial record (%d bytes) at offset %d", name, len(body), res.goodOff)
+	}
+	return res
 }
 
 // quarantine renames a pack out of service, never overwriting a previous

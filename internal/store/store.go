@@ -1,9 +1,10 @@
 // Package store is the disk-backed, crash-safe evaluation store: the
 // persistence layer under the fitness cache. Evaluation verdicts are
-// appended to pack files (pack.go) through a write-behind buffer,
-// indexed in memory by (program hash, suite fingerprint), snapshotted
-// periodically (snapshot.go), compacted to drop superseded records
-// (compact.go), and audited for corruption (audit.go).
+// appended to pack files (pack.go) through a write-behind buffer and
+// indexed in memory by suite fingerprint, then program hash. The packs
+// are the only on-disk form: Open rebuilds the index by scanning them,
+// Compact rewrites them to live records only (compact.go), and Audit
+// re-runs Open's recovery on a live store (audit.go).
 //
 // The store never invents results: every record is a pure function of
 // (program, suite), so preloading a cache from the store cannot change
@@ -17,7 +18,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"time"
 )
@@ -41,12 +41,6 @@ type EvalRecord struct {
 	NegTotal  uint32
 }
 
-// evalKey indexes eval records.
-type evalKey struct {
-	prog  uint64
-	suite uint64
-}
-
 // Options configures Open. The zero value of every field selects a
 // sensible default.
 type Options struct {
@@ -55,24 +49,18 @@ type Options struct {
 	// MaxPackBytes rolls the active pack when it exceeds this size.
 	// Default 4 MiB (~100k records per pack).
 	MaxPackBytes int64
-	// SnapshotEvery writes an index snapshot after this many appended
-	// records. Default 4096. Negative disables periodic snapshots.
-	SnapshotEvery int
 	// FlushEvery flushes the write-behind buffer when it holds this many
 	// pending records. Default 64.
 	FlushEvery int
 	// FlushInterval flushes the buffer at least this often regardless of
 	// batch size. Default 100ms. Negative disables the timer (flushes
-	// then happen only on batch-full, Flush, Snapshot and Close).
+	// then happen only on batch-full, Flush, Compact, Audit and Close).
 	FlushInterval time.Duration
 }
 
 func (o *Options) defaults() {
 	if o.MaxPackBytes == 0 {
 		o.MaxPackBytes = 4 << 20
-	}
-	if o.SnapshotEvery == 0 {
-		o.SnapshotEvery = 4096
 	}
 	if o.FlushEvery == 0 {
 		o.FlushEvery = 64
@@ -100,7 +88,6 @@ type Stats struct {
 	Appends     int64 `json:"appends"`
 	Superseded  int64 `json:"superseded"` // index upserts that lost to an equal-or-higher level
 	Dropped     int64 `json:"dropped"`    // records dropped by a full write-behind buffer
-	Snapshots   int64 `json:"snapshots"`
 	Compactions int64 `json:"compactions"`
 }
 
@@ -108,22 +95,23 @@ type Stats struct {
 type Store struct {
 	opts Options
 
-	// mu guards the in-memory state: index maps, pending buffer, and the
+	// mu guards the in-memory state: the index, pending buffer, and the
 	// in-memory counters. Reads on the probe hot path take RLock.
-	mu      sync.RWMutex
-	evals   map[evalKey]EvalRecord
+	mu sync.RWMutex
+	// evals is the index: suite fingerprint → program hash → record, so
+	// a warm start reads only its own suite's records.
+	evals   map[uint64]map[uint64]EvalRecord
 	pending []record
 	stats   Stats
 	closed  bool
 
-	// wmu serializes every disk mutation (pack appends, rolls, snapshot,
+	// wmu serializes every disk mutation (pack appends, rolls,
 	// compaction, audit rewrites). Always acquired without mu held, or
 	// after releasing mu — never inside it.
 	wmu        sync.Mutex
 	packSeq    uint64 // active pack sequence number
 	packFile   *os.File
 	packOff    int64 // current size of the active pack
-	sinceSnap  int   // records appended since the last snapshot
 	quarantine int   // packs quarantined at open / by audit
 
 	// flusher lifecycle.
@@ -132,12 +120,9 @@ type Store struct {
 	stop chan struct{}
 }
 
-// Open opens (creating if necessary) the store in opts.Dir, rebuilding
-// the in-memory index from the latest valid snapshot plus a scan of any
-// newer pack records. Corruption found during the scan is recovered, not
-// fatal: a torn tail on the newest pack is truncated away, and corrupt
-// older packs are quarantined wholesale (their records drop out of the
-// index — the store fails closed, never serving bytes it cannot verify).
+// Open opens (creating if necessary) the store in opts.Dir and rebuilds
+// the in-memory index by scanning every pack (see recover). Corruption
+// found during the scan is recovered, not fatal.
 func Open(opts Options) (*Store, error) {
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("store: Options.Dir is required")
@@ -147,100 +132,86 @@ func Open(opts Options) (*Store, error) {
 		return nil, err
 	}
 	s := &Store{
-		opts:  opts,
-		evals: make(map[evalKey]EvalRecord),
-		wake:  make(chan struct{}, 1),
-		done:  make(chan struct{}),
-		stop:  make(chan struct{}),
+		opts: opts,
+		wake: make(chan struct{}, 1),
+		done: make(chan struct{}),
+		stop: make(chan struct{}),
 	}
-	if err := s.recover(); err != nil {
+	if _, err := s.recover(); err != nil {
 		return nil, err
 	}
 	go s.flusher()
 	return s, nil
 }
 
-// recover rebuilds the index: snapshot first (if valid), then every live
-// pack from where the snapshot left off.
-func (s *Store) recover() error {
-	snap, snapOK := loadSnapshot(filepath.Join(s.opts.Dir, snapshotName))
-	if snapOK {
-		// The snapshot vouches for its pack up to appliedOff. A pack that
-		// is gone or shorter no longer backs it: scan everything instead
-		// of serving records the packs have lost.
-		fi, err := os.Stat(filepath.Join(s.opts.Dir, packName(snap.appliedSeq)))
-		snapOK = err == nil && fi.Size() >= snap.appliedOff
-	}
-	if snapOK {
-		for _, e := range snap.evals {
-			s.evals[evalKey{e.Prog, e.Suite}] = e
-		}
+// legacySnapshotName is the index snapshot that older stores kept beside
+// their packs. The packs alone rebuild the same index, so recovery
+// removes it unread.
+const legacySnapshotName = "index.snap"
+
+// recover resets the index, rebuilds it from every live pack in sequence
+// order and opens the newest pack for appending. It runs before the store
+// is shared, or with wmu held and no active pack. A bad record in the
+// newest pack is the expected crash artifact, a torn append: its valid
+// prefix is kept and the rest truncated away. An older pack with any bad
+// record, or any pack with a bad header, is quarantined whole and none of
+// its records reach the index: a record boundary after corruption cannot
+// be trusted, so the store fails closed. Open discards the report; Audit
+// returns it.
+func (s *Store) recover() (AuditReport, error) {
+	var rep AuditReport
+	if err := os.Remove(filepath.Join(s.opts.Dir, legacySnapshotName)); err != nil && !os.IsNotExist(err) {
+		return rep, err
 	}
 	seqs, err := listPacks(s.opts.Dir)
 	if err != nil {
-		return err
+		return rep, err
 	}
+	s.mu.Lock()
+	s.evals = make(map[uint64]map[uint64]EvalRecord)
+	s.mu.Unlock()
+	s.packSeq = 1
 	for i, seq := range seqs {
 		path := filepath.Join(s.opts.Dir, packName(seq))
-		from := int64(0)
-		if snapOK && seq < snap.appliedSeq {
-			continue // fully covered by the snapshot
+		newest := i == len(seqs)-1
+		res := scanPack(path)
+		rep.PacksScanned++
+		if res.err != nil && newest && res.goodOff > 0 {
+			if err := os.Truncate(path, res.goodOff); err != nil {
+				return rep, fmt.Errorf("store: truncating torn pack: %w", err)
+			}
+			rep.TailTruncated = true
+		} else if res.err != nil {
+			if err := quarantine(path); err != nil {
+				return rep, err
+			}
+			s.quarantine++
+			rep.Quarantined = append(rep.Quarantined, packName(seq))
+			if newest {
+				s.packSeq = seq + 1
+			}
+			continue
 		}
-		if snapOK && seq == snap.appliedSeq {
-			from = snap.appliedOff
-		}
-		res := scanPack(path, from)
-		if res.err != nil {
-			if i == len(seqs)-1 {
-				// Newest pack: a bad tail is the expected crash artifact.
-				// Keep the valid prefix and truncate the rest away.
-				if res.goodOff > 0 {
-					if terr := os.Truncate(path, res.goodOff); terr != nil {
-						return fmt.Errorf("store: truncating torn pack: %w", terr)
-					}
-				} else {
-					// Even the header is bad — quarantine and start fresh.
-					if qerr := quarantine(path); qerr != nil {
-						return qerr
-					}
-					s.quarantine++
-					continue
-				}
-			} else {
-				// Corruption mid-history: the pack cannot be trusted at
-				// all (nor can records we already applied from it — but a
-				// bad record stops the scan before any are applied, since
-				// scanPack returns the valid prefix and we apply below
-				// only on success... so discard the prefix too).
-				if qerr := quarantine(path); qerr != nil {
-					return qerr
-				}
-				s.quarantine++
-				continue
+		// Legacy pool records (KindPool) are valid but not indexed.
+		s.mu.Lock()
+		for _, rec := range res.recs {
+			if rec.kind == KindEval {
+				s.applyEval(recordToEval(rec))
 			}
 		}
-		for _, rec := range res.recs {
-			s.applyRecord(rec)
-		}
-		if i == len(seqs)-1 {
+		s.mu.Unlock()
+		rep.RecordsVerified += len(res.recs)
+		if newest {
 			s.packSeq = seq
-			s.packOff = res.goodOff
 		}
 	}
-	if s.packSeq == 0 {
-		s.packSeq = 1
-		if len(seqs) > 0 {
-			s.packSeq = seqs[len(seqs)-1] + 1
-		}
-	}
-	path := filepath.Join(s.opts.Dir, packName(s.packSeq))
-	f, off, err := openPackForAppend(path)
+	f, off, err := openPackForAppend(filepath.Join(s.opts.Dir, packName(s.packSeq)))
 	if err != nil {
-		return err
+		return rep, err
 	}
 	s.packFile = f
 	s.packOff = off
-	return nil
+	return rep, nil
 }
 
 // openPackForAppend opens (creating + writing the header if new) a pack
@@ -270,25 +241,21 @@ func openPackForAppend(path string) (*os.File, int64, error) {
 	return f, off, nil
 }
 
-// applyRecord folds one decoded record into the index (recovery path;
-// caller holds no locks — only runs before the store is shared). Legacy
-// pool records (KindPool) are skipped.
-func (s *Store) applyRecord(rec record) {
-	if rec.kind == KindEval {
-		s.applyEval(recordToEval(rec))
-	}
-}
-
-// applyEval upserts an eval record: the highest knowledge level wins;
-// on a tie the existing record stands (records are pure functions of
-// their key, so equal-level records are interchangeable).
+// applyEval upserts an eval record into the index (mu held): the highest
+// knowledge level wins; on a tie the existing record stands (records are
+// pure functions of their key, so equal-level records are
+// interchangeable).
 func (s *Store) applyEval(e EvalRecord) bool {
-	k := evalKey{e.Prog, e.Suite}
-	if old, ok := s.evals[k]; ok && old.Level >= e.Level {
+	bySuite := s.evals[e.Suite]
+	if old, ok := bySuite[e.Prog]; ok && old.Level >= e.Level {
 		s.stats.Superseded++
 		return false
 	}
-	s.evals[k] = e
+	if bySuite == nil {
+		bySuite = make(map[uint64]EvalRecord)
+		s.evals[e.Suite] = bySuite
+	}
+	bySuite[e.Prog] = e
 	return true
 }
 
@@ -314,22 +281,25 @@ func (s *Store) PutEval(e EvalRecord) bool {
 // GetEval returns the stored verdict for (prog, suite), if any.
 func (s *Store) GetEval(prog, suite uint64) (EvalRecord, bool) {
 	s.mu.RLock()
-	e, ok := s.evals[evalKey{prog, suite}]
+	e, ok := s.evals[suite][prog]
 	s.mu.RUnlock()
 	return e, ok
 }
 
 // Evals returns a copy of every eval record with the given suite
-// fingerprint, in unspecified order. The filter is what keeps a warm
-// start honest: records from other suites never leak into a cache.
+// fingerprint, in unspecified order, or nil if there are none. The filter
+// is what keeps a warm start honest: records from other suites never
+// leak into a cache.
 func (s *Store) Evals(suite uint64) []EvalRecord {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	var out []EvalRecord
-	for k, e := range s.evals {
-		if k.suite == suite {
-			out = append(out, e)
-		}
+	bySuite := s.evals[suite]
+	if len(bySuite) == 0 {
+		return nil
+	}
+	out := make([]EvalRecord, 0, len(bySuite))
+	for _, e := range bySuite {
+		out = append(out, e)
 	}
 	return out
 }
@@ -380,8 +350,7 @@ func (s *Store) flusher() {
 }
 
 // Flush synchronously drains the write-behind buffer to the active pack,
-// rolling it at MaxPackBytes and snapshotting every SnapshotEvery
-// records. Safe to call concurrently.
+// rolling it at MaxPackBytes. Safe to call concurrently.
 func (s *Store) Flush() error {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
@@ -408,17 +377,11 @@ func (s *Store) flushLocked() error {
 		return err
 	}
 	s.packOff += int64(len(buf))
-	s.sinceSnap += len(batch)
 	s.mu.Lock()
 	s.stats.Appends += int64(len(batch))
 	s.mu.Unlock()
 	if s.packOff >= s.opts.MaxPackBytes {
-		if err := s.rollPack(); err != nil {
-			return err
-		}
-	}
-	if s.opts.SnapshotEvery > 0 && s.sinceSnap >= s.opts.SnapshotEvery {
-		return s.snapshotLocked()
+		return s.rollPack()
 	}
 	return nil
 }
@@ -443,59 +406,14 @@ func (s *Store) rollPack() error {
 	return nil
 }
 
-// Snapshot flushes pending records and writes an index snapshot, so the
-// next Open skips re-scanning everything before this point.
-func (s *Store) Snapshot() error {
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
-	if err := s.flushLocked(); err != nil {
-		return err
-	}
-	return s.snapshotLocked()
-}
-
-// snapshotLocked writes the snapshot file; wmu held, pending empty (or
-// its tail simply not covered — the snapshot records exactly how far
-// into the pack history it is valid).
-func (s *Store) snapshotLocked() error {
-	if s.packFile == nil {
-		return errClosed
-	}
-	// Sync the pack first: the snapshot claims everything up to
-	// (packSeq, packOff) is durable, so make it so.
-	if err := s.packFile.Sync(); err != nil {
-		return err
-	}
-	s.mu.RLock()
-	snap := snapshot{appliedSeq: s.packSeq, appliedOff: s.packOff}
-	snap.evals = make([]EvalRecord, 0, len(s.evals))
-	for _, e := range s.evals {
-		snap.evals = append(snap.evals, e)
-	}
-	s.mu.RUnlock()
-	sort.Slice(snap.evals, func(i, j int) bool {
-		a, b := snap.evals[i], snap.evals[j]
-		if a.Prog != b.Prog {
-			return a.Prog < b.Prog
-		}
-		return a.Suite < b.Suite
-	})
-	if err := writeSnapshot(filepath.Join(s.opts.Dir, snapshotName), snap); err != nil {
-		return err
-	}
-	s.sinceSnap = 0
-	s.mu.Lock()
-	s.stats.Snapshots++
-	s.mu.Unlock()
-	return nil
-}
-
 // Stats returns a point-in-time summary. It counts live pack files and
 // bytes from the in-memory write state, not a directory walk.
 func (s *Store) Stats() Stats {
 	s.mu.RLock()
 	st := s.stats
-	st.EvalRecords = len(s.evals)
+	for _, bySuite := range s.evals {
+		st.EvalRecords += len(bySuite)
+	}
 	s.mu.RUnlock()
 	s.wmu.Lock()
 	seqs, _ := listPacks(s.opts.Dir)
@@ -512,7 +430,7 @@ func (s *Store) Stats() Stats {
 	return st
 }
 
-// Close stops the flusher, drains the buffer, snapshots, and closes the
+// Close stops the flusher, drains the buffer, and syncs and closes the
 // active pack. The store is unusable afterwards.
 func (s *Store) Close() error {
 	s.mu.Lock()
@@ -527,9 +445,6 @@ func (s *Store) Close() error {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
 	err := s.flushLocked()
-	if err == nil {
-		err = s.snapshotLocked()
-	}
 	if s.packFile != nil {
 		if serr := s.packFile.Sync(); err == nil {
 			err = serr

@@ -1,8 +1,6 @@
 package store
 
 import (
-	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -12,7 +10,7 @@ import (
 // background timer flushes (tests drive flushing explicitly).
 func openT(t *testing.T, dir string) *Store {
 	t.Helper()
-	s, err := Open(Options{Dir: dir, FlushInterval: -1, SnapshotEvery: -1})
+	s, err := Open(Options{Dir: dir, FlushInterval: -1})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -75,13 +73,8 @@ func TestReopenRebuildsIndexFromPacks(t *testing.T) {
 	if err := s.Flush(); err != nil {
 		t.Fatalf("Flush: %v", err)
 	}
-	// Close without snapshot coverage mattering: delete the snapshot to
-	// force a pure pack scan.
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
-	}
-	if err := os.Remove(filepath.Join(dir, snapshotName)); err != nil {
-		t.Fatalf("removing snapshot: %v", err)
 	}
 
 	s2 := openT(t, dir)
@@ -91,32 +84,6 @@ func TestReopenRebuildsIndexFromPacks(t *testing.T) {
 		if !ok || got != e {
 			t.Fatalf("after reopen, GetEval(%d) = %+v, %v; want %+v", e.Prog, got, ok, e)
 		}
-	}
-}
-
-func TestReopenFromSnapshotOnly(t *testing.T) {
-	dir := t.TempDir()
-	s := openT(t, dir)
-	for i := 0; i < 20; i++ {
-		s.PutEval(EvalRecord{Prog: uint64(i), Suite: 1, Level: LevelOutcome, Safe: true, Repair: i == 7})
-	}
-	if err := s.Snapshot(); err != nil {
-		t.Fatalf("Snapshot: %v", err)
-	}
-	// More records after the snapshot, flushed but not snapshotted: the
-	// reopen must pick them up from the pack tail.
-	s.PutEval(EvalRecord{Prog: 100, Suite: 1, Level: LevelSafe, Safe: true})
-	if err := s.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-
-	s2 := openT(t, dir)
-	defer s2.Close()
-	if got, ok := s2.GetEval(7, 1); !ok || !got.Repair {
-		t.Fatalf("snapshot-covered record lost: %+v, %v", got, ok)
-	}
-	if _, ok := s2.GetEval(100, 1); !ok {
-		t.Fatal("post-snapshot pack-tail record lost")
 	}
 }
 
@@ -142,7 +109,7 @@ func TestEvalsFiltersBySuiteFingerprint(t *testing.T) {
 
 func TestPackRollAtMaxBytes(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(Options{Dir: dir, FlushInterval: -1, SnapshotEvery: -1,
+	s, err := Open(Options{Dir: dir, FlushInterval: -1,
 		MaxPackBytes: int64(len(packMagic)) + 10*recordSize, FlushEvery: 1})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
@@ -246,7 +213,7 @@ func TestConcurrentPutGet(t *testing.T) {
 func TestDroppedRecordsWhenBufferFull(t *testing.T) {
 	// No flusher, no explicit flush: the pending buffer fills and further
 	// puts drop their persistence (the index still advances).
-	s, err := Open(Options{Dir: t.TempDir(), FlushInterval: -1, SnapshotEvery: -1, FlushEvery: 1 << 30})
+	s, err := Open(Options{Dir: t.TempDir(), FlushInterval: -1, FlushEvery: 1 << 30})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
