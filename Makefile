@@ -52,13 +52,17 @@ race:
 
 # Chaos smoke: the resilience test set (fault determinism, cancellation
 # leak checks, crash survival) under the race detector, then a tiny E11
-# run whose -json export must decode against the documented schema.
+# run whose -json export must decode against the documented schema and
+# whose JSONL trace (crash/restart events included) must pass the trace
+# schema check.
 # go test -run passes silently when nothing matches, so every package
 # listed must hold at least one test the pattern selects.
 chaos:
 	$(GO) test -race -run 'Fault|Cancel|Resilience|Crash|Chaos' ./internal/faults ./internal/mwu ./internal/pool ./internal/core ./internal/experiments ./internal/testsuite
-	$(GO) run ./cmd/experiments -resilience -seeds 1 -maxiter 60 -faultrates 0,0.1 -datasets random64 -json /tmp/e11-smoke.json >/dev/null
+	$(GO) run ./cmd/experiments -resilience -seeds 1 -maxiter 60 -faultrates 0,0.1 -datasets random64 -json /tmp/e11-smoke.json \
+		-trace /tmp/e11-smoke.jsonl -trace-sample 10 >/dev/null
 	$(GO) run ./cmd/benchjson -validate-resilience /tmp/e11-smoke.json
+	$(GO) run ./cmd/benchjson -validate-trace /tmp/e11-smoke.jsonl
 
 # Trace smoke: one end-to-end mwrepair run with fault injection and the
 # JSONL event stream on, then a schema check of the emitted trace (known

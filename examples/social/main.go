@@ -6,8 +6,7 @@
 // asks a random neighbor where they currently go, eats there, and adopts
 // it with probability β if the meal was good. The distribution over
 // restaurants lives only in the population's choices, and the run uses the
-// true message-passing engine — one goroutine per agent, coordination
-// purely over channels.
+// message-passing engine, where agents learn only by querying one another.
 //
 //	go run ./examples/social
 package main
@@ -49,7 +48,7 @@ func main() {
 		Alpha:   0.01,
 	}
 
-	res, err := mwu.RunMessagePassing(context.Background(), cfg, problem, seed.Split(), 500)
+	res, err := mwu.RunMessagePassing(context.Background(), cfg, problem, seed.Split(), 500, nil, nil)
 	if err != nil {
 		panic(err)
 	}

@@ -62,14 +62,12 @@ type APRRow struct {
 	Scenario string
 	Language string // "C" or "Java"
 
-	MWRepaired        bool
-	MWIterations      int
-	MWFitnessEvals    int64
-	MWCacheHits       int64
-	MWDedupSuppressed int64
-	MWShardContention int64
-	MWLearnedArm      int
-	MWAgents          int
+	MWRepaired     bool
+	MWIterations   int
+	MWFitnessEvals int64
+	MWCacheHits    int64
+	MWLearnedArm   int
+	MWAgents       int
 
 	GenProg  baseline.Result
 	RSRepair baseline.Result
@@ -132,8 +130,6 @@ func RunAPR(spec APRSpec) (*APRSummary, error) {
 		row.MWIterations = mwRes.Iterations
 		row.MWFitnessEvals = mwRes.FitnessEvals
 		row.MWCacheHits = mwRes.CacheHits
-		row.MWDedupSuppressed = mwRes.DedupSuppressed
-		row.MWShardContention = mwRes.ShardContention
 		row.MWLearnedArm = mwRes.LearnedArm
 		row.MWAgents = mwRes.Agents
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 )
@@ -36,6 +37,34 @@ func TestRunAPRSmallest(t *testing.T) {
 	for _, want := range []string{"MWRepair", "GenProg", "RSRepair", "AE", "lighttpd-1806-1807", "Repaired:"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestAPRJSONByteIdenticalAcrossWorkers: the -apr -json export is a
+// function of the spec alone, so it must not change with the worker
+// count that evaluates the probes.
+func TestAPRJSONByteIdenticalAcrossWorkers(t *testing.T) {
+	export := func(workers int) []byte {
+		sum, err := RunAPR(APRSpec{
+			Scenarios: []string{"lighttpd-1806-1807", "libtiff-2005-12-14"},
+			MaxIter:   2000,
+			MaxEvals:  20000,
+			Workers:   workers,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := WriteAPRJSON(&buf, sum); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	serial := export(1)
+	for _, workers := range []int{2, 4, 8} {
+		if got := export(workers); !bytes.Equal(got, serial) {
+			t.Errorf("export at workers=%d differs from workers=1:\n%s\nvs\n%s", workers, got, serial)
 		}
 	}
 }

@@ -91,27 +91,25 @@ func WriteJSON(w io.Writer, cells []Cell) error {
 	return enc.Encode(out)
 }
 
-// aprRowJSON is the stable export schema for -apr -json. The cache
-// triple (hits, dedup-suppressed, cache-lock contention) serializes the
-// fitness-cache observability that mwu.Metrics carries — the APR
-// comparison is the one experiment where those counters are live.
+// aprRowJSON is the stable export schema for -apr -json. Every field is a
+// function of the spec, so the export is byte-identical at any worker
+// count: the goroutine-scheduling counters of the fitness cache (dedup
+// suppressed, cache-lock contention) stay out of it.
 type aprRowJSON struct {
-	Scenario          string `json:"scenario"`
-	Language          string `json:"language"`
-	MWRepaired        bool   `json:"mwRepaired"`
-	MWIterations      int    `json:"mwIterations"`
-	MWFitnessEvals    int64  `json:"mwFitnessEvals"`
-	MWCacheHits       int64  `json:"mwCacheHits"`
-	MWDedupSuppressed int64  `json:"mwDedupSuppressed"`
-	MWShardContention int64  `json:"mwShardContention"`
-	MWLearnedArm      int    `json:"mwLearnedArm"`
-	MWAgents          int    `json:"mwAgents"`
-	GenProgRepaired   bool   `json:"genprogRepaired"`
-	GenProgEvals      int64  `json:"genprogEvals"`
-	RSRepairRepaired  bool   `json:"rsrepairRepaired"`
-	RSRepairEvals     int64  `json:"rsrepairEvals"`
-	AERepaired        bool   `json:"aeRepaired"`
-	AEEvals           int64  `json:"aeEvals"`
+	Scenario         string `json:"scenario"`
+	Language         string `json:"language"`
+	MWRepaired       bool   `json:"mwRepaired"`
+	MWIterations     int    `json:"mwIterations"`
+	MWFitnessEvals   int64  `json:"mwFitnessEvals"`
+	MWCacheHits      int64  `json:"mwCacheHits"`
+	MWLearnedArm     int    `json:"mwLearnedArm"`
+	MWAgents         int    `json:"mwAgents"`
+	GenProgRepaired  bool   `json:"genprogRepaired"`
+	GenProgEvals     int64  `json:"genprogEvals"`
+	RSRepairRepaired bool   `json:"rsrepairRepaired"`
+	RSRepairEvals    int64  `json:"rsrepairEvals"`
+	AERepaired       bool   `json:"aeRepaired"`
+	AEEvals          int64  `json:"aeEvals"`
 }
 
 // WriteAPRJSON emits the Sec. IV-G comparison as a JSON array of rows.
@@ -120,22 +118,20 @@ func WriteAPRJSON(w io.Writer, s *APRSummary) error {
 	for i := range s.Rows {
 		r := &s.Rows[i]
 		out[i] = aprRowJSON{
-			Scenario:          r.Scenario,
-			Language:          r.Language,
-			MWRepaired:        r.MWRepaired,
-			MWIterations:      r.MWIterations,
-			MWFitnessEvals:    r.MWFitnessEvals,
-			MWCacheHits:       r.MWCacheHits,
-			MWDedupSuppressed: r.MWDedupSuppressed,
-			MWShardContention: r.MWShardContention,
-			MWLearnedArm:      r.MWLearnedArm,
-			MWAgents:          r.MWAgents,
-			GenProgRepaired:   r.GenProg.Repaired,
-			GenProgEvals:      r.GenProg.FitnessEvals,
-			RSRepairRepaired:  r.RSRepair.Repaired,
-			RSRepairEvals:     r.RSRepair.FitnessEvals,
-			AERepaired:        r.AE.Repaired,
-			AEEvals:           r.AE.FitnessEvals,
+			Scenario:         r.Scenario,
+			Language:         r.Language,
+			MWRepaired:       r.MWRepaired,
+			MWIterations:     r.MWIterations,
+			MWFitnessEvals:   r.MWFitnessEvals,
+			MWCacheHits:      r.MWCacheHits,
+			MWLearnedArm:     r.MWLearnedArm,
+			MWAgents:         r.MWAgents,
+			GenProgRepaired:  r.GenProg.Repaired,
+			GenProgEvals:     r.GenProg.FitnessEvals,
+			RSRepairRepaired: r.RSRepair.Repaired,
+			RSRepairEvals:    r.RSRepair.FitnessEvals,
+			AERepaired:       r.AE.Repaired,
+			AEEvals:          r.AE.FitnessEvals,
 		}
 	}
 	enc := json.NewEncoder(w)

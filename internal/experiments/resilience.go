@@ -86,8 +86,8 @@ const (
 // fault-rate) triple.
 type ResilienceCell struct {
 	// Algorithm is one of mwu.Names, or "distributed-mp" for the
-	// message-passing engine (whose faults are crashes and message
-	// faults rather than probe faults).
+	// message-passing engine (mwu.RunMessagePassing, whose faults are
+	// agent crashes and message faults rather than probe faults).
 	Algorithm string
 	// Mode is ModeRaw or ModeManaged.
 	Mode string
@@ -160,8 +160,8 @@ func runResilienceCell(alg, mode string, rate float64, ds *dataset.Dataset, spec
 		tr := spec.Trace.Scoped(fmt.Sprintf("%s/%s/rate%g/seed%d", alg, mode, rate, s))
 
 		if alg == "distributed-mp" {
-			cfg := mwu.DistributedConfig{K: ds.Size, Faults: inj, Trace: tr}
-			res, err := mwu.RunMessagePassing(context.Background(), cfg, problem, seed.Split(), spec.MaxIter)
+			cfg := mwu.DistributedConfig{K: ds.Size}
+			res, err := mwu.RunMessagePassing(context.Background(), cfg, problem, seed.Split(), spec.MaxIter, inj, tr)
 			if err != nil {
 				return cell, fmt.Errorf("resilience: %s at rate %g: %w", alg, rate, err)
 			}

@@ -2,8 +2,6 @@ package mwu
 
 import (
 	"context"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/bandit"
 	"repro/internal/faults"
@@ -12,84 +10,53 @@ import (
 )
 
 // This file contains the message-passing realization of the Distributed
-// MWU: one goroutine per agent, no shared mutable state, all coordination
-// over channels. It computes the same dynamics as the synchronous engine
-// in distributed.go (which the experiment harness uses for speed) and
-// exists to demonstrate — and test — the variant's headline property: the
-// algorithm runs on distributed memory, with each agent holding O(1) state
-// and communicating only point-to-point observation queries.
+// MWU: agents with no shared mutable state, each holding O(1) algorithm
+// state and its own RNG stream, that learn only through point-to-point
+// observation queries. It computes the same dynamics as the synchronous
+// engine in distributed.go (which the experiment harness uses for the
+// fault-free tables) and exists to demonstrate — and test — the variant's
+// headline property: the algorithm runs on distributed memory, and it
+// survives agent crashes and lost messages.
 //
-// Protocol per iteration (two phases, coordinator-barriered):
+// One coordinator loop drives the agents. Per iteration (two phases):
 //
-//  1. Observe: each agent flips μ; explorers pick a random option locally,
-//     observers send a query to a uniformly random peer and await the
-//     reply. While awaiting, agents keep serving incoming queries, and a
-//     sender that finds a full query buffer serves its own inbox while
-//     retrying, so cyclic waits cannot deadlock. Choices only change in
-//     phase 2, so every query answered in phase 1 returns the settled
-//     choice from the previous iteration — exactly the synchronous
-//     semantics of Fig. 3.
+//  1. Observe: each agent flips μ; explorers pick a random option, the
+//     rest query a uniformly random live peer for its choice. Choices only
+//     change in phase 2, so every query returns the settled choice from
+//     the previous iteration — exactly the synchronous semantics of
+//     Fig. 3. The peer counts the queries it serves (its in-degree, the
+//     congestion of Table I).
 //  2. Evaluate & adopt: each agent probes the oracle with its own RNG
 //     stream and adopts the observed option with probability β on success
-//     or α on failure, then reports its new choice to the coordinator,
-//     which tracks popularity for the plurality convergence test.
+//     or α on failure; the coordinator tallies popularity for the
+//     plurality convergence test.
 //
-// Resilience (DESIGN.md §10): with a fault injector in
-// DistributedConfig.Faults, agents crash (the coordinator stops
-// commanding them and removes them from the peer set every other agent
-// observes), optionally restart after RestartAfter iterations with fresh
-// O(1) state, and observation queries are dropped, delayed, or
-// duplicated. Popularity — and the plurality convergence test — are
-// tracked over the survivors, so the protocol degrades instead of
-// wedging: this is the paper's Table I fault-tolerance claim, executable.
-// Crash and message-fault decisions are stateless hashes of (agent,
-// iteration), so a fixed seed yields the same fault schedule regardless
-// of scheduling.
-
-// mpQuery is an observation request; the reply carries the peer's current
-// choice.
-type mpQuery struct {
-	reply chan int
-}
-
-// mpReport is an agent's end-of-phase message to the coordinator.
-type mpReport struct {
-	id     int
-	choice int // new choice (phase 2) or observed option (phase 1)
-	served int // queries served this phase (congestion accounting)
-}
-
-// mpCmd is a coordinator command: an opcode, the current iteration (the
-// coordinate of every fault decision), and — for cmdObserve — the peer
-// set to observe from this iteration. The slice is rebuilt by the
-// coordinator when agents crash or restart and must be treated as
-// read-only by agents; the command-channel send is the happens-before
-// edge that publishes it.
-type mpCmd struct {
-	op    int
-	iter  int
-	peers []*mpAgent
-}
+// Because each agent draws only from its own stream and reads only
+// frozen choices, the order in which agents act within a phase cannot
+// change the result: a run of real processes exchanging these messages
+// would compute the same trajectory.
+//
+// Resilience (DESIGN.md §10): with a fault injector, agents crash (they
+// leave the peer set every other agent observes), optionally restart
+// after RestartAfter iterations with fresh O(1) state, and observation
+// queries are dropped, delayed, or duplicated. Popularity — and the
+// plurality convergence test — are tracked over the survivors, so the
+// protocol degrades instead of wedging: this is the paper's Table I
+// fault-tolerance claim, executable. Crash and message-fault decisions
+// are stateless hashes of (agent, iteration), so a fixed seed yields the
+// same fault schedule.
 
 // mpAgent is one distributed agent: O(1) algorithm state (its current
-// choice), plus its channels and private RNG stream.
+// choice) plus its private RNG stream.
 type mpAgent struct {
-	id      int
-	choice  int
-	r       *rng.RNG
-	queries chan mpQuery
-	cmd     chan mpCmd // phase commands from the coordinator
+	id     int
+	choice int
+	r      *rng.RNG
 
 	observedOption int // O_j for the current iteration
 	served         int // queries answered since the last evaluate phase
+	downSince      int // iteration the agent crashed; 0 while it is up
 }
-
-const (
-	cmdObserve = iota
-	cmdEvaluate
-	cmdRestart
-	cmdStop
-)
 
 // MessagePassingResult extends RunResult with the message accounting the
 // cost model consumes.
@@ -100,16 +67,17 @@ type MessagePassingResult struct {
 	Survivors int
 }
 
-// RunMessagePassing executes the Distributed MWU with one goroutine per
-// agent. It honours the same configuration and convergence criterion as
-// the synchronous engine, plus cfg.Faults for agent crashes/restarts and
-// message faults. The seed fully determines all algorithmic randomness
-// and the fault schedule; goroutine scheduling cannot affect results
-// because choices are frozen during the observation phase. Cancelling the
-// context stops the run at the next iteration boundary, returning the
-// best-so-far partial result with Cancelled set; all agent goroutines are
-// joined before return.
-func RunMessagePassing(ctx context.Context, cfg DistributedConfig, o bandit.Oracle, seed *rng.RNG, maxIter int) (MessagePassingResult, error) {
+// RunMessagePassing executes the Distributed MWU as a population of
+// message-passing agents. It honours the same configuration and
+// convergence criterion as the synchronous engine. inj, when non-nil,
+// injects agent crashes/restarts and message drop/delay/duplication; tr,
+// when active, receives the protocol's event stream: run/iteration
+// brackets, agent crash/restart lifecycle, convergence checks, and
+// sampled population state. The seed fully determines all algorithmic
+// randomness and the fault schedule. Cancelling the context stops the run
+// at the next iteration boundary, returning the best-so-far partial
+// result with Cancelled set.
+func RunMessagePassing(ctx context.Context, cfg DistributedConfig, o bandit.Oracle, seed *rng.RNG, maxIter int, inj *faults.Injector, tr *obs.Tracer) (MessagePassingResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -120,46 +88,18 @@ func RunMessagePassing(ctx context.Context, cfg DistributedConfig, o bandit.Orac
 		maxIter = 10000
 	}
 	n := cfg.PopSize
-	inj := cfg.Faults
+	restartAfter := inj.Config().RestartAfter
 
 	agents := make([]*mpAgent, n)
-	reports := make(chan mpReport, n)
-	var stats faults.Stats
-	for j := 0; j < n; j++ {
-		agents[j] = &mpAgent{
-			id:     j,
-			choice: j % cfg.K,
-			r:      seed.Split(),
-			// The query buffer absorbs bursts; the reply buffer holds 2 so
-			// a duplicated query's second answer never blocks the peer.
-			queries: make(chan mpQuery, 16),
-			cmd:     make(chan mpCmd, 1),
-		}
-	}
-
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for _, a := range agents {
-		go func(a *mpAgent) {
-			defer wg.Done()
-			a.run(cfg, o, &stats, reports)
-		}(a)
-	}
-
-	// alive is the coordinator's survivor set — the peer universe agents
-	// observe from. downSince records the crash iteration of dead agents
-	// for the restart schedule.
-	alive := make([]*mpAgent, n)
-	copy(alive, agents)
-	downSince := make(map[*mpAgent]int)
-
 	counts := make([]int, cfg.K)
-	for _, a := range agents {
-		counts[a.choice]++
+	for j := range agents {
+		agents[j] = &mpAgent{id: j, choice: j % cfg.K, r: seed.Split()}
+		counts[j%cfg.K]++
 	}
+	// alive is the survivor set — the peer universe agents observe from.
+	alive := append([]*mpAgent(nil), agents...)
 	var m Metrics
 	m.MemoryFloats = 1
-	tr := cfg.Trace
 	if tr.Active() {
 		tr.Emit(obs.Event{Type: obs.TypeRunStart, Algo: "distributed-mp",
 			K: cfg.K, Agents: n, N: int64(maxIter)})
@@ -177,75 +117,105 @@ func RunMessagePassing(ctx context.Context, cfg DistributedConfig, o bandit.Orac
 			tr.Emit(obs.Event{Type: obs.TypeIterStart, Iter: t})
 		}
 
-		// Lifecycle: restarts first (an agent that served its downtime
-		// rejoins with fresh O(1) state), then this iteration's crashes.
-		// Restart candidates are scanned in agent-ID order, NOT by ranging
-		// over the downSince map: map order would let two agents restarting
-		// on the same iteration rejoin `alive` in either order, changing
-		// the peer set every observer samples from — a seed would no longer
-		// pin the dynamics (or the trace).
-		if inj.Enabled() {
-			if cfg.Faults.Config().RestartAfter > 0 && len(downSince) > 0 {
-				for _, a := range agents {
-					since, down := downSince[a]
-					if down && t-since >= cfg.Faults.Config().RestartAfter {
-						a.cmd <- mpCmd{op: cmdRestart, iter: t}
-						delete(downSince, a)
-						alive = append(alive, a)
-						stats.Restarts++
-						if tr.Active() {
-							tr.Emit(obs.Event{Type: obs.TypeRestart, Iter: t, Slot: a.id})
-						}
-					}
-				}
-			}
-			kept := alive[:0]
-			for _, a := range alive {
-				if inj.AgentCrash(a.id, t) {
-					downSince[a] = t
-					stats.Crashes++
+		// Lifecycle: restarts first, then this iteration's crashes.
+		// Restart candidates are scanned in agent-ID order, so agents
+		// restarting on the same iteration rejoin `alive` — the peer set
+		// every observer samples from — in a seed-determined order.
+		if restartAfter > 0 {
+			for _, a := range agents {
+				if a.downSince > 0 && t-a.downSince >= restartAfter {
+					// Fresh O(1) state, same identity and RNG stream: the
+					// restart is a reboot, not a reincarnation.
+					a.downSince = 0
+					a.choice = a.id % cfg.K
+					a.served = 0
+					alive = append(alive, a)
+					m.Faults.Restarts++
 					if tr.Active() {
-						tr.Emit(obs.Event{Type: obs.TypeCrash, Iter: t, Slot: a.id})
+						tr.Emit(obs.Event{Type: obs.TypeRestart, Iter: t, Slot: a.id})
 					}
-					continue
 				}
-				kept = append(kept, a)
 			}
-			alive = kept
-			if len(alive) == 0 {
-				// Total population loss: nothing left to run the protocol.
-				dead = true
-				break
+		}
+		kept := alive[:0]
+		for _, a := range alive {
+			if inj.AgentCrash(a.id, t) {
+				a.downSince = t
+				m.Faults.Crashes++
+				if tr.Active() {
+					tr.Emit(obs.Event{Type: obs.TypeCrash, Iter: t, Slot: a.id})
+				}
+				continue
 			}
+			kept = append(kept, a)
+		}
+		alive = kept
+		if len(alive) == 0 {
+			// Total population loss: nothing left to run the protocol.
+			dead = true
+			break
 		}
 		live := len(alive)
 
-		// Phase 1: observe. Reports here only signal phase completion. The
-		// observe command publishes this iteration's peer set.
+		// Phase 1: observe.
 		for _, a := range alive {
-			a.cmd <- mpCmd{op: cmdObserve, iter: t, peers: alive}
+			if a.r.Float64() < cfg.Mu {
+				a.observedOption = a.r.Intn(cfg.K)
+				continue
+			}
+			peer := alive[a.r.Intn(live)]
+			switch fault := inj.MessageFault(t, a.id); {
+			case peer == a:
+				a.observedOption = a.choice
+				a.served++ // self-observation still counts as a lookup
+			case fault == faults.MsgDrop:
+				// The query is lost in transit: the peer never sees it and
+				// no reply comes. The observer degrades to re-observing its
+				// own current choice.
+				m.Faults.Injected++
+				m.Faults.MsgDropped++
+				a.observedOption = a.choice
+			default:
+				peer.served++
+				switch fault {
+				case faults.MsgDelay:
+					// Late but within the phase: semantically invisible,
+					// only the ledger notices.
+					m.Faults.Injected++
+					m.Faults.MsgDelayed++
+				case faults.MsgDup:
+					// Duplicated in transit: the peer serves it twice
+					// (congestion doubles on that edge).
+					m.Faults.Injected++
+					m.Faults.MsgDuplicated++
+					peer.served++
+				}
+				a.observedOption = peer.choice
+			}
 		}
-		for i := 0; i < live; i++ {
-			<-reports
-		}
-		// Phase 2: evaluate and adopt. Reports carry the new choice and
-		// the number of observation queries the agent answered this
-		// iteration (its in-degree — the congestion of Table I).
-		for _, a := range alive {
-			a.cmd <- mpCmd{op: cmdEvaluate, iter: t}
-		}
+		// Phase 2: evaluate and adopt, then tally the new choices and the
+		// queries each agent answered this iteration.
 		for i := range counts {
 			counts[i] = 0
 		}
 		congestion := 0
 		messages := int64(0)
-		for i := 0; i < live; i++ {
-			rep := <-reports
-			counts[rep.choice]++
-			if rep.served > congestion {
-				congestion = rep.served
+		for _, a := range alive {
+			var adopt bool
+			if o.Probe(a.observedOption, a.r) == 1 {
+				adopt = a.r.Float64() < cfg.Beta
+			} else {
+				adopt = a.r.Float64() < cfg.Alpha
 			}
-			messages += int64(rep.served)
+			if adopt {
+				a.choice = a.observedOption
+			}
+			counts[a.choice]++
+			if a.served > congestion {
+				congestion = a.served
+			}
+			messages += int64(a.served)
+			a.served = 0
 		}
 		m.recordIteration(live, congestion, messages)
 		res.Iterations = t
@@ -274,13 +244,6 @@ func RunMessagePassing(ctx context.Context, cfg DistributedConfig, o bandit.Orac
 			tr.Emit(obs.Event{Type: obs.TypeIterEnd, Iter: t})
 		}
 	}
-	// Every agent — alive, crashed, or mid-restart-wait — still listens on
-	// its command channel and must be stopped.
-	for _, a := range agents {
-		a.cmd <- mpCmd{op: cmdStop}
-	}
-	wg.Wait()
-
 	lead := bestCount(counts)
 	res.Choice = lead
 	if live := len(alive); live > 0 {
@@ -288,8 +251,7 @@ func RunMessagePassing(ctx context.Context, cfg DistributedConfig, o bandit.Orac
 	}
 	res.Survivors = len(alive)
 	res.CPUIterations = m.CPUIterations
-	m.Faults = stats
-	res.Degraded = res.Cancelled || stats.Crashes > 0 || stats.MsgDropped > 0
+	res.Degraded = res.Cancelled || m.Faults.Crashes > 0 || m.Faults.MsgDropped > 0
 	res.Metrics = m
 	if tr.Active() {
 		kind := runEndKind(res.RunResult)
@@ -310,150 +272,4 @@ func bestCount(counts []int) int {
 		}
 	}
 	return best
-}
-
-// run is the agent goroutine body.
-func (a *mpAgent) run(cfg DistributedConfig, o bandit.Oracle, stats *faults.Stats, reports chan<- mpReport) {
-	replyCh := make(chan int, 2)
-	for {
-		c := a.waitCommand()
-		switch c.op {
-		case cmdStop:
-			a.drainQueries()
-			return
-		case cmdRestart:
-			// Fresh O(1) state, same identity and RNG stream: the restart
-			// is a reboot, not a reincarnation.
-			a.choice = a.id % cfg.K
-			a.observedOption = a.choice
-			a.served = 0
-		case cmdObserve:
-			if a.r.Float64() < cfg.Mu {
-				a.observedOption = a.r.Intn(cfg.K)
-			} else {
-				peer := c.peers[a.r.Intn(len(c.peers))]
-				fault := faults.MsgNone
-				if cfg.Faults.Enabled() {
-					fault = cfg.Faults.MessageFault(c.iter, a.id)
-				}
-				switch {
-				case peer == a:
-					a.observedOption = a.choice
-					a.served++ // self-observation still counts as a lookup
-				case fault == faults.MsgDrop:
-					// The query is lost in transit: the peer never sees it,
-					// no reply ever comes. The observer degrades to
-					// re-observing its own current choice.
-					atomic.AddInt64(&stats.Injected, 1)
-					atomic.AddInt64(&stats.MsgDropped, 1)
-					a.observedOption = a.choice
-				default:
-					if fault == faults.MsgDelay {
-						// Late but within the phase barrier: semantically
-						// invisible, only the ledger notices.
-						atomic.AddInt64(&stats.Injected, 1)
-						atomic.AddInt64(&stats.MsgDelayed, 1)
-					}
-					sends := 1
-					if fault == faults.MsgDup {
-						// The query is duplicated in transit: the peer
-						// serves it twice (congestion doubles on that
-						// edge) and the observer collects both replies.
-						atomic.AddInt64(&stats.Injected, 1)
-						atomic.AddInt64(&stats.MsgDuplicated, 1)
-						sends = 2
-					}
-					q := mpQuery{reply: replyCh}
-					for s := 0; s < sends; s++ {
-						// Send while serving: never block on a full peer
-						// inbox without draining our own, so query cycles
-						// cannot deadlock.
-					sendLoop:
-						for {
-							select {
-							case peer.queries <- q:
-								break sendLoop
-							case in := <-a.queries:
-								a.serve(in)
-							}
-						}
-					}
-					// Await the reply (both replies for a duplicated
-					// query), still serving.
-					for s := 0; s < sends; s++ {
-					recvLoop:
-						for {
-							select {
-							case a.observedOption = <-replyCh:
-								break recvLoop
-							case in := <-a.queries:
-								a.serve(in)
-							}
-						}
-					}
-				}
-			}
-			// Report phase completion, then keep serving from waitCommand
-			// until the evaluate command — peers may still query us.
-			a.deliver(reports, mpReport{id: a.id})
-		case cmdEvaluate:
-			reward := o.Probe(a.observedOption, a.r)
-			adopt := false
-			if reward == 1 {
-				adopt = a.r.Float64() < cfg.Beta
-			} else {
-				adopt = a.r.Float64() < cfg.Alpha
-			}
-			if adopt {
-				a.choice = a.observedOption
-			}
-			a.deliver(reports, mpReport{id: a.id, choice: a.choice, served: a.served})
-			a.served = 0
-		}
-	}
-}
-
-// serve answers one observation query.
-func (a *mpAgent) serve(in mpQuery) {
-	in.reply <- a.choice
-	a.served++
-}
-
-// waitCommand blocks for the next coordinator command while serving
-// incoming observation queries.
-func (a *mpAgent) waitCommand() mpCmd {
-	for {
-		select {
-		case c := <-a.cmd:
-			return c
-		case in := <-a.queries:
-			a.serve(in)
-		}
-	}
-}
-
-// deliver sends a report to the coordinator, serving queries while the
-// report channel is contended.
-func (a *mpAgent) deliver(reports chan<- mpReport, rep mpReport) {
-	for {
-		select {
-		case reports <- rep:
-			return
-		case in := <-a.queries:
-			a.serve(in)
-		}
-	}
-}
-
-// drainQueries answers any stragglers before exiting (none should exist
-// at stop time, but a blocked peer must never hang).
-func (a *mpAgent) drainQueries() {
-	for {
-		select {
-		case in := <-a.queries:
-			in.reply <- a.choice
-		default:
-			return
-		}
-	}
 }

@@ -14,7 +14,7 @@ func TestMessagePassingConverges(t *testing.T) {
 	values := []float64{0.1, 0.9, 0.1, 0.1}
 	p := bandit.NewProblem(dist.New("gap", values))
 	cfg := DistributedConfig{K: 4, PopSize: 200}
-	res, err := RunMessagePassing(context.Background(), cfg, p, rng.New(1), 500)
+	res, err := RunMessagePassing(context.Background(), cfg, p, rng.New(1), 500, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestMessagePassingConverges(t *testing.T) {
 }
 
 func TestMessagePassingIntractable(t *testing.T) {
-	_, err := RunMessagePassing(context.Background(), DistributedConfig{K: 16384}, nil, rng.New(1), 10)
+	_, err := RunMessagePassing(context.Background(), DistributedConfig{K: 16384}, nil, rng.New(1), 10, nil, nil)
 	if err == nil {
 		t.Fatal("expected intractability error")
 	}
@@ -39,7 +39,7 @@ func TestMessagePassingIntractable(t *testing.T) {
 func TestMessagePassingDeterministicUnderSeed(t *testing.T) {
 	run := func() (int, int, bool) {
 		p := bandit.NewProblem(dist.New("gap", []float64{0.2, 0.2, 0.85, 0.2}))
-		res, err := RunMessagePassing(context.Background(), DistributedConfig{K: 4, PopSize: 120}, p, rng.New(42), 300)
+		res, err := RunMessagePassing(context.Background(), DistributedConfig{K: 4, PopSize: 120}, p, rng.New(42), 300, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,7 +56,7 @@ func TestMessagePassingMetrics(t *testing.T) {
 	p := bandit.NewProblem(dist.New("flat", []float64{0.5, 0.5, 0.5, 0.5, 0.5}))
 	const pop, iters = 150, 20
 	cfg := DistributedConfig{K: 5, PopSize: pop, Plurality: 1.01} // never converges
-	res, err := RunMessagePassing(context.Background(), cfg, p, rng.New(2), iters)
+	res, err := RunMessagePassing(context.Background(), cfg, p, rng.New(2), iters, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestMessagePassingMatchesSynchronousStatistically(t *testing.T) {
 	sync := mustDistributed(t, cfg, seed.Split())
 	syncRes := Run(context.Background(), sync, mkProblem(1), seed.Split(), RunConfig{MaxIter: 500, Workers: 1})
 
-	mpRes, err := RunMessagePassing(context.Background(), cfg, mkProblem(2), rng.New(78), 500)
+	mpRes, err := RunMessagePassing(context.Background(), cfg, mkProblem(2), rng.New(78), 500, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,11 +117,11 @@ func TestMessagePassingStress(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test")
 	}
-	// Many agents, adversarial flat rewards: exercises the serve-while-
-	// sending paths under load; must terminate without deadlock.
+	// Many agents, adversarial flat rewards: the population is large and
+	// no option ever wins, so the full iteration budget runs.
 	p := bandit.NewProblem(dist.New("flat", []float64{0.5, 0.5, 0.5}))
 	cfg := DistributedConfig{K: 3, PopSize: 2000, Plurality: 1.01}
-	res, err := RunMessagePassing(context.Background(), cfg, p, rng.New(3), 30)
+	res, err := RunMessagePassing(context.Background(), cfg, p, rng.New(3), 30, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

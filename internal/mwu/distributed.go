@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/faults"
-	"repro/internal/obs"
 	"repro/internal/rng"
 )
 
@@ -34,19 +32,6 @@ type DistributedConfig struct {
 	// 0.30, reflecting the noise floor of the finite-population
 	// approximation (Sec. IV-C). Default 0.30.
 	Plurality float64
-	// Faults, when non-nil, injects agent crashes/restarts and message
-	// drop/delay/duplication into the message-passing protocol
-	// (RunMessagePassing). The synchronous engine ignores it — probe-level
-	// faults there are the Run driver's job.
-	Faults *faults.Injector
-	// Trace, when active, receives the message-passing protocol's event
-	// stream (RunMessagePassing): run/iteration brackets, agent
-	// crash/restart lifecycle, convergence checks, and sampled population
-	// state. Events are emitted only from the coordinator goroutine, so
-	// the stream is deterministic under a fixed seed. The synchronous
-	// engine ignores it — there the Run driver owns tracing, exactly as it
-	// owns probe-level faults.
-	Trace *obs.Tracer
 }
 
 // defaultAlpha is the evaluation's failure-adoption probability α.
@@ -146,9 +131,9 @@ func (c *DistributedConfig) prepare() error {
 // agent, which concentrates at Θ(ln n / ln ln n) by the balls-into-bins
 // bound (Sec. II-C, verified in internal/congestion).
 //
-// This type is the synchronous engine used by the experiment harness; an
-// equivalent message-passing engine built from one goroutine per agent is
-// in agents.go.
+// This type is the synchronous engine used by the experiment harness; the
+// message-passing engine in agents.go computes the same dynamics from
+// per-agent RNG streams and point-to-point queries.
 type Distributed struct {
 	cfg     DistributedConfig
 	choices []int // C_j: current choice of agent j

@@ -34,11 +34,12 @@ func ExampleNewLearner() {
 }
 
 // ExampleRunMessagePassing runs the Distributed variant on its
-// message-passing engine: one goroutine per agent, channels only.
+// message-passing engine: agents with O(1) state that learn only by
+// querying one another.
 func ExampleRunMessagePassing() {
 	problem := bandit.NewProblem(dist.New("demo", []float64{0.05, 0.9, 0.1}))
 	cfg := mwu.DistributedConfig{K: 3, PopSize: 120}
-	res, err := mwu.RunMessagePassing(context.Background(), cfg, problem, rng.New(5), 300)
+	res, err := mwu.RunMessagePassing(context.Background(), cfg, problem, rng.New(5), 300, nil, nil)
 	if err != nil {
 		panic(err)
 	}

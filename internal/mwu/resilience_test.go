@@ -1,7 +1,10 @@
 package mwu
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -9,6 +12,7 @@ import (
 	"repro/internal/bandit"
 	"repro/internal/dist"
 	"repro/internal/faults"
+	"repro/internal/obs"
 	"repro/internal/rng"
 )
 
@@ -173,14 +177,15 @@ func TestCancellationReturnsPartialWithoutLeaks(t *testing.T) {
 	t.Fatalf("goroutines leaked: %d before, %d after", before, countGoroutines())
 }
 
-// TestMessagePassingCancellation: the agent-per-goroutine engine joins
-// every agent on cancellation too.
+// TestMessagePassingCancellation: a pre-cancelled message-passing run
+// stops at the first iteration boundary, flags the partial result, and
+// leaves no goroutine behind.
 func TestMessagePassingCancellation(t *testing.T) {
 	before := countGoroutines()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // cancelled from the start: first iteration check trips
 	p := bandit.NewProblem(dist.Random("r", 8, rng.New(41)))
-	res, err := RunMessagePassing(ctx, DistributedConfig{K: 8, PopSize: 200}, p, rng.New(40), 5000)
+	res, err := RunMessagePassing(ctx, DistributedConfig{K: 8, PopSize: 200}, p, rng.New(40), 5000, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +197,7 @@ func TestMessagePassingCancellation(t *testing.T) {
 			return
 		}
 	}
-	t.Fatalf("agent goroutines leaked: %d before, %d after", before, countGoroutines())
+	t.Fatalf("goroutines leaked: %d before, %d after", before, countGoroutines())
 }
 
 // TestCrashedAgentAccounting: under crash faults the message-passing
@@ -206,7 +211,7 @@ func TestCrashedAgentAccounting(t *testing.T) {
 	// iterations, leaving time for crashed agents to serve their
 	// downtime and restart.
 	res, err := RunMessagePassing(context.Background(),
-		DistributedConfig{K: 8, PopSize: 300, Plurality: 0.99, Faults: inj}, p, rng.New(50), 120)
+		DistributedConfig{K: 8, PopSize: 300, Plurality: 0.99}, p, rng.New(50), 120, inj, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,13 +239,12 @@ func TestCrashedAgentAccounting(t *testing.T) {
 }
 
 // TestMessagePassingFaultDeterminism: same seed, same fault config →
-// identical result, crash schedule included, despite goroutine
-// scheduling freedom.
+// identical result, crash schedule included.
 func TestMessagePassingFaultDeterminism(t *testing.T) {
 	run := func() (MessagePassingResult, error) {
 		p := bandit.NewProblem(dist.Random("r", 8, rng.New(61)))
 		inj := faults.New(faults.Uniform(62, 0.1))
-		return RunMessagePassing(context.Background(), DistributedConfig{K: 8, PopSize: 150, Faults: inj}, p, rng.New(60), 80)
+		return RunMessagePassing(context.Background(), DistributedConfig{K: 8, PopSize: 150}, p, rng.New(60), 80, inj, nil)
 	}
 	a, errA := run()
 	b, errB := run()
@@ -254,5 +258,40 @@ func TestMessagePassingFaultDeterminism(t *testing.T) {
 	}
 	if a.Metrics.Faults.MsgDropped == 0 {
 		t.Fatal("no message drops at rate 0.1")
+	}
+}
+
+// TestMessagePassingFaultGolden pins the message-passing engine's full
+// output under every fault kind it models (crashes, restarts, drops,
+// delays, duplicates): the result, the survivor count, the metrics with
+// the whole fault ledger, and the SHA-256 of the JSONL trace. Any change
+// to the engine's draw order, fault handling or event order shows here.
+func TestMessagePassingFaultGolden(t *testing.T) {
+	var buf bytes.Buffer
+	tr := obs.New(obs.NewJSONL(&buf), obs.WithRun("golden"), obs.WithSample(4))
+	p := bandit.NewProblem(dist.Random("r", 8, rng.New(61)))
+	inj := faults.New(faults.Uniform(62, 0.1))
+	res, err := RunMessagePassing(context.Background(), DistributedConfig{K: 8, PopSize: 150, Plurality: 0.99}, p, rng.New(60), 80, inj, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want := MessagePassingResult{
+		RunResult: RunResult{Iterations: 80, Choice: 0, LeaderProb: 0.9214285714285714,
+			CPUIterations: 11527, Degraded: true},
+		Metrics: Metrics{Iterations: 80, Probes: 11527, CPUIterations: 11527,
+			MaxCongestion: 7, SumCongestion: 343, MessagesSent: 10513, MemoryFloats: 1,
+			Faults: faults.Stats{Injected: 959, Crashes: 23, Restarts: 13,
+				MsgDropped: 554, MsgDelayed: 279, MsgDuplicated: 126}},
+		Survivors: 140,
+	}
+	if res != want {
+		t.Errorf("result drifted:\n got %+v\nwant %+v", res, want)
+	}
+	const wantTrace = "05d135aa4c618fc826e7d5445deca8f83c9e0fadfbded87aa1da98db8432c502"
+	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != wantTrace {
+		t.Errorf("trace drifted: sha256 %s (%d bytes), want %s", got, buf.Len(), wantTrace)
 	}
 }

@@ -73,19 +73,14 @@ func TestTraceByteIdenticalAcrossWorkerCounts(t *testing.T) {
 // TestMessagePassingTraceDeterministic pins the message-passing engine's
 // event stream (crash/restart/update/state events) to its seed: two
 // identical configurations must emit identical bytes. This is what the
-// agents.go restart loop's agent-ID ordering (rather than map iteration
-// order) buys.
+// agents.go restart loop's agent-ID ordering buys.
 func TestMessagePassingTraceDeterministic(t *testing.T) {
 	run := func() []byte {
 		var buf bytes.Buffer
 		tr := obs.New(obs.NewJSONL(&buf), obs.WithRun("mp"), obs.WithSample(5))
-		cfg := DistributedConfig{
-			K:      16,
-			Faults: faults.New(faults.Uniform(5, 0.1)),
-			Trace:  tr,
-		}
+		inj := faults.New(faults.Uniform(5, 0.1))
 		p := bandit.NewProblem(dist.Random("mp", 16, rng.New(21)))
-		if _, err := RunMessagePassing(context.Background(), cfg, p, rng.New(3), 300); err != nil {
+		if _, err := RunMessagePassing(context.Background(), DistributedConfig{K: 16}, p, rng.New(3), 300, inj, tr); err != nil {
 			t.Fatalf("RunMessagePassing: %v", err)
 		}
 		if err := tr.Close(); err != nil {

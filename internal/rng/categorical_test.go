@@ -5,51 +5,14 @@ import (
 	"testing"
 )
 
-// TestCategoricalTotalMatchesCategorical pins the wrapper relationship:
-// Categorical(w) must be exactly CategoricalTotal(w, sum(w)) with the total
-// summed left to right, for identical RNG streams.
-func TestCategoricalTotalMatchesCategorical(t *testing.T) {
-	w := make([]float64, 97)
-	g := New(1)
-	for i := range w {
-		w[i] = g.Float64() * 3
-		if i%11 == 4 {
-			w[i] = 0
-		}
-	}
-	total := 0.0
-	for _, wi := range w {
-		total += wi
-	}
-	ra, rb := New(2), New(2)
-	for d := 0; d < 20000; d++ {
-		if a, b := ra.Categorical(w), rb.CategoricalTotal(w, total); a != b {
-			t.Fatalf("draw %d: Categorical %d, CategoricalTotal %d", d, a, b)
-		}
-	}
-}
-
-// TestCategoricalTotalSkipsSummation verifies the point of the split: a
-// caller that maintains the total incrementally can pass a slightly stale
-// (but still positive) total and get a valid draw without a rescan.
-func TestCategoricalTotalStaleTotal(t *testing.T) {
-	w := []float64{1, 2, 3}
-	r := New(3)
-	for d := 0; d < 5000; d++ {
-		// Total off by a tiny drift, as an incrementally-maintained sum is.
-		got := r.CategoricalTotal(w, 6+1e-12)
-		if got < 0 || got > 2 {
-			t.Fatalf("draw out of range: %d", got)
-		}
-	}
-}
-
+// TestCategoricalTotalPanics: a weight vector whose total is zero,
+// negative, NaN or infinite has no distribution to draw from.
 func TestCategoricalTotalPanics(t *testing.T) {
-	for name, fn := range map[string]func(){
-		"zero total":     func() { New(1).CategoricalTotal([]float64{0, 0}, 0) },
-		"negative total": func() { New(1).CategoricalTotal([]float64{1}, -1) },
-		"nan total":      func() { New(1).CategoricalTotal([]float64{1}, math.NaN()) },
-		"inf total":      func() { New(1).CategoricalTotal([]float64{1}, math.Inf(1)) },
+	for name, w := range map[string][]float64{
+		"zero total":     {0, 0},
+		"negative total": {-1},
+		"nan total":      {1, math.NaN()},
+		"inf total":      {1, math.Inf(1)},
 	} {
 		func() {
 			defer func() {
@@ -57,7 +20,7 @@ func TestCategoricalTotalPanics(t *testing.T) {
 					t.Fatalf("%s: expected panic", name)
 				}
 			}()
-			fn()
+			New(1).Categorical(w)
 		}()
 	}
 }

@@ -3,9 +3,10 @@
 //
 // Reproducibility is a hard requirement for the experiment harness: every
 // table and figure in the paper is the aggregate of runs over 100 fixed
-// seeds, and the Distributed MWU variant runs one goroutine per agent, so
-// each agent needs an independent stream that does not contend on a shared
-// source and does not depend on goroutine scheduling order.
+// seeds, the probe workers run concurrently, and each agent of the
+// message-passing Distributed MWU draws only from its own stream, so
+// every consumer needs an independent stream that does not contend on a
+// shared source and does not depend on the order in which others draw.
 //
 // The generator is xoshiro256**, seeded through splitmix64, following the
 // reference construction by Blackman and Vigna. Split derives a child
@@ -192,16 +193,6 @@ func (r *RNG) Categorical(w []float64) int {
 	for _, wi := range w {
 		total += wi
 	}
-	return r.CategoricalTotal(w, total)
-}
-
-// CategoricalTotal is Categorical for callers that already track the sum
-// of w (e.g. an incrementally maintained weight total), skipping the O(k)
-// re-summation. Passing the exact left-to-right sum of w reproduces
-// Categorical bit for bit; a total that drifts from the true sum only
-// shifts the draw by the drift's relative magnitude. It panics if total is
-// not positive and finite.
-func (r *RNG) CategoricalTotal(w []float64, total float64) int {
 	if !(total > 0) || math.IsInf(total, 1) {
 		panic("rng: Categorical requires positive finite total weight")
 	}

@@ -277,22 +277,21 @@ type Job struct {
 // Result is the terminal summary of a finished job — the same counters
 // cmd/mwrepair prints, plus the patch.
 type Result struct {
-	Repaired        bool                `json:"repaired"`
-	Iterations      int                 `json:"iterations"`
-	Agents          int                 `json:"agents,omitempty"`
-	Probes          int64               `json:"probes"`
-	FitnessEvals    int64               `json:"fitnessEvals"`
-	CacheHits       int64               `json:"cacheHits"`
-	DedupSuppressed int64               `json:"dedupSuppressed"`
-	LearnedArm      int                 `json:"learnedArm,omitempty"`
-	Cancelled       bool                `json:"cancelled,omitempty"`
-	Degraded        bool                `json:"degraded,omitempty"`
-	Faults          string              `json:"faults,omitempty"`
-	Patch           []mutation.Mutation `json:"patch,omitempty"`
-	PatchIDs        []string            `json:"patchIDs,omitempty"`
-	Program         string              `json:"-"` // repaired source, served by the patch endpoint
-	PoolSize        int                 `json:"poolSize"`
-	PoolEvaluated   int                 `json:"poolEvaluated"`
+	Repaired      bool                `json:"repaired"`
+	Iterations    int                 `json:"iterations"`
+	Agents        int                 `json:"agents,omitempty"`
+	Probes        int64               `json:"probes"`
+	FitnessEvals  int64               `json:"fitnessEvals"`
+	CacheHits     int64               `json:"cacheHits"`
+	LearnedArm    int                 `json:"learnedArm,omitempty"`
+	Cancelled     bool                `json:"cancelled,omitempty"`
+	Degraded      bool                `json:"degraded,omitempty"`
+	Faults        string              `json:"faults,omitempty"`
+	Patch         []mutation.Mutation `json:"patch,omitempty"`
+	PatchIDs      []string            `json:"patchIDs,omitempty"`
+	Program       string              `json:"-"` // repaired source, served by the patch endpoint
+	PoolSize      int                 `json:"poolSize"`
+	PoolEvaluated int                 `json:"poolEvaluated"`
 	// Persistence wins (zero without a daemon -store): precompute safety
 	// checks answered from the shared store, cache entries warm-started
 	// into the online phase, and lookups those entries answered.
@@ -311,24 +310,23 @@ type Result struct {
 func resultOf(pl *pool.Pool, res core.Result) *Result {
 	st := pl.Stats()
 	out := &Result{
-		Repaired:        res.Repaired,
-		Iterations:      res.Iterations,
-		Agents:          res.Agents,
-		Probes:          res.Probes,
-		FitnessEvals:    res.FitnessEvals,
-		CacheHits:       res.CacheHits,
-		DedupSuppressed: res.DedupSuppressed,
-		LearnedArm:      res.LearnedArm,
-		Cancelled:       res.Cancelled,
-		Degraded:        res.Degraded,
-		PoolSize:        pl.Size(),
-		PoolEvaluated:   st.Evaluated,
-		PoolStoreHits:   st.StoreHits,
-		WarmEntries:     res.WarmEntries,
-		WarmHits:        res.WarmHits,
-		DriftSteps:      res.DriftSteps,
-		CongestionCost:  res.CongestionCost,
-		MaxLoad:         res.MaxLoad,
+		Repaired:       res.Repaired,
+		Iterations:     res.Iterations,
+		Agents:         res.Agents,
+		Probes:         res.Probes,
+		FitnessEvals:   res.FitnessEvals,
+		CacheHits:      res.CacheHits,
+		LearnedArm:     res.LearnedArm,
+		Cancelled:      res.Cancelled,
+		Degraded:       res.Degraded,
+		PoolSize:       pl.Size(),
+		PoolEvaluated:  st.Evaluated,
+		PoolStoreHits:  st.StoreHits,
+		WarmEntries:    res.WarmEntries,
+		WarmHits:       res.WarmHits,
+		DriftSteps:     res.DriftSteps,
+		CongestionCost: res.CongestionCost,
+		MaxLoad:        res.MaxLoad,
 	}
 	if res.Faults.Any() {
 		out.Faults = res.Faults.String()

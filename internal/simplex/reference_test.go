@@ -181,12 +181,10 @@ func SampleSlate(w []float64, n int, r *rng.RNG) (Slate, []float64) {
 	}
 	comps := Decompose(v, n)
 	coeffs := make([]float64, len(comps))
-	total := 0.0
 	for i, c := range comps {
 		coeffs[i] = c.Coeff
-		total += c.Coeff
 	}
-	return comps[r.CategoricalTotal(coeffs, total)].Slate, q
+	return comps[r.Categorical(coeffs)].Slate, q
 }
 
 // Reconstruct sums coeff·indicator(slate) over the components, to verify
