@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -69,35 +68,44 @@ func parseLine(line string) (record, bool) {
 	return r, true
 }
 
-// validateResilience decodes an `experiments -resilience -json` export
-// and checks the documented schema keys are present — the CI chaos
-// smoke's end-to-end guard that the E11 export stays machine-readable.
-func validateResilience(path string) error {
+// readCells reads an experiments -json export: a non-empty JSON array of
+// objects, each holding every required key. It returns the raw bytes for
+// a typed second decode and the cell count.
+func readCells(path string, required ...string) ([]byte, int, error) {
 	buf, err := os.ReadFile(path)
 	if err != nil {
-		return err
+		return nil, 0, err
 	}
 	var cells []map[string]json.RawMessage
 	if err := json.Unmarshal(buf, &cells); err != nil {
-		return fmt.Errorf("%s: not a JSON array of objects: %w", path, err)
+		return nil, 0, fmt.Errorf("%s: not a JSON array of objects: %w", path, err)
 	}
 	if len(cells) == 0 {
-		return fmt.Errorf("%s: empty cell array", path)
-	}
-	required := []string{
-		"algorithm", "mode", "faultRate", "runs", "convergedRuns", "degradedRuns",
-		"iterationsMean", "accuracyMean", "faultsInjected", "stalledCycles",
-		"missing", "retries", "timeouts", "hedgesWon", "crashes", "restarts",
-		"msgDropped", "survivorsMean",
+		return nil, 0, fmt.Errorf("%s: empty cell array", path)
 	}
 	for i, c := range cells {
 		for _, key := range required {
 			if _, ok := c[key]; !ok {
-				return fmt.Errorf("%s: cell %d missing key %q", path, i, key)
+				return nil, 0, fmt.Errorf("%s: cell %d missing key %q", path, i, key)
 			}
 		}
 	}
-	fmt.Fprintf(os.Stderr, "benchjson: %s: %d resilience cells, schema ok\n", path, len(cells))
+	return buf, len(cells), nil
+}
+
+// validateResilience decodes an `experiments -resilience -json` export
+// and checks the documented schema keys are present — the CI chaos
+// smoke's end-to-end guard that the E11 export stays machine-readable.
+func validateResilience(path string) error {
+	_, n, err := readCells(path,
+		"algorithm", "mode", "faultRate", "runs", "convergedRuns", "degradedRuns",
+		"iterationsMean", "accuracyMean", "faultsInjected", "stalledCycles",
+		"missing", "retries", "timeouts", "hedgesWon", "crashes", "restarts",
+		"msgDropped", "survivorsMean")
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "benchjson: %s: %d resilience cells, schema ok\n", path, n)
 	return nil
 }
 
@@ -108,28 +116,12 @@ func validateResilience(path string) error {
 // drift step (a schedule that never fires is a silently broken
 // fixture), and every adversarial cell carries a congestion bill.
 func validateFamilies(path string) error {
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var raw []map[string]json.RawMessage
-	if err := json.Unmarshal(buf, &raw); err != nil {
-		return fmt.Errorf("%s: not a JSON array of objects: %w", path, err)
-	}
-	if len(raw) == 0 {
-		return fmt.Errorf("%s: empty cell array", path)
-	}
-	required := []string{
+	buf, _, err := readCells(path,
 		"profile", "family", "algorithm", "runs", "repairedRuns",
 		"iterationsMean", "probesMean", "fitnessEvalsMean",
-		"driftStepsMean", "congestionCostMean", "maxLoad",
-	}
-	for i, c := range raw {
-		for _, key := range required {
-			if _, ok := c[key]; !ok {
-				return fmt.Errorf("%s: cell %d missing key %q", path, i, key)
-			}
-		}
+		"driftStepsMean", "congestionCostMean", "maxLoad")
+	if err != nil {
+		return err
 	}
 	var cells []struct {
 		Profile        string  `json:"profile"`
@@ -178,105 +170,6 @@ func validateFamilies(path string) error {
 	return nil
 }
 
-// validateServe schema-checks a repairbench BENCH_SERVE.json export: the
-// `make servebench` smoke's gate that the service-level benchmark stays
-// machine-readable AND honest — every sweep cell must have completed
-// jobs, the full latency decomposition, and zero hot-spin retries (a
-// 429/503 whose Retry-After the client could not honor because the
-// server sent none).
-func validateServe(path string) error {
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var doc struct {
-		Schema string                       `json:"schema"`
-		Target string                       `json:"target"`
-		Runs   []map[string]json.RawMessage `json:"runs"`
-	}
-	if err := json.Unmarshal(buf, &doc); err != nil {
-		return fmt.Errorf("%s: not a repairbench report: %w", path, err)
-	}
-	if doc.Schema != "repairbench/v1" {
-		return fmt.Errorf("%s: schema %q, want repairbench/v1", path, doc.Schema)
-	}
-	if len(doc.Runs) == 0 {
-		return fmt.Errorf("%s: no runs", path)
-	}
-	required := []string{
-		"workload", "mode", "durationS", "submitted", "completed", "repaired",
-		"failed", "cancelled", "rejected429", "rejected503", "retries",
-		"hotSpins", "backoffWaitMs", "jobsPerSec", "repairsPerSec", "latencyMs",
-	}
-	workloads := map[string]bool{}
-	closedLevels := map[int]bool{}
-	for i, run := range doc.Runs {
-		for _, key := range required {
-			if _, ok := run[key]; !ok {
-				return fmt.Errorf("%s: run %d missing key %q", path, i, key)
-			}
-		}
-		var cell struct {
-			Workload    string  `json:"workload"`
-			Mode        string  `json:"mode"`
-			Concurrency int     `json:"concurrency"`
-			OfferedRPS  float64 `json:"offeredRps"`
-			Completed   int     `json:"completed"`
-			HotSpins    int64   `json:"hotSpins"`
-			JobsPerSec  float64 `json:"jobsPerSec"`
-			LatencyMs   map[string]struct {
-				N   int      `json:"n"`
-				P50 *float64 `json:"p50"`
-				P95 *float64 `json:"p95"`
-				P99 *float64 `json:"p99"`
-			} `json:"latencyMs"`
-		}
-		raw, _ := json.Marshal(run)
-		if err := json.Unmarshal(raw, &cell); err != nil {
-			return fmt.Errorf("%s: run %d: %w", path, i, err)
-		}
-		label := fmt.Sprintf("run %d (%s/%s)", i, cell.Workload, cell.Mode)
-		switch cell.Mode {
-		case "closed":
-			if cell.Concurrency < 1 {
-				return fmt.Errorf("%s: %s: closed run without a concurrency level", path, label)
-			}
-			closedLevels[cell.Concurrency] = true
-		case "open":
-			if cell.OfferedRPS <= 0 {
-				return fmt.Errorf("%s: %s: open run without an offered rate", path, label)
-			}
-		default:
-			return fmt.Errorf("%s: %s: unknown mode", path, label)
-		}
-		workloads[cell.Workload] = true
-		if cell.Completed == 0 || cell.JobsPerSec <= 0 {
-			return fmt.Errorf("%s: %s: no completed jobs", path, label)
-		}
-		if cell.HotSpins != 0 {
-			return fmt.Errorf("%s: %s: %d hot-spin retries — the daemon sent a 429/503 without a usable Retry-After", path, label, cell.HotSpins)
-		}
-		for _, dim := range []string{"queueWait", "exec", "e2e"} {
-			lat, ok := cell.LatencyMs[dim]
-			if !ok {
-				return fmt.Errorf("%s: %s: latencyMs missing %q", path, label, dim)
-			}
-			if lat.N == 0 || lat.P50 == nil || lat.P95 == nil || lat.P99 == nil {
-				return fmt.Errorf("%s: %s: latencyMs[%s] incomplete (want n>0 with p50/p95/p99)", path, label, dim)
-			}
-		}
-	}
-	if len(workloads) < 2 {
-		return fmt.Errorf("%s: only %d workload mix(es); the sweep needs >= 2", path, len(workloads))
-	}
-	if len(closedLevels) > 0 && len(closedLevels) < 3 {
-		return fmt.Errorf("%s: only %d closed-loop concurrency level(s); the sweep needs >= 3", path, len(closedLevels))
-	}
-	fmt.Fprintf(os.Stderr, "benchjson: %s: %d runs (%d workloads, %d closed levels), schema ok, zero hot-spins\n",
-		path, len(doc.Runs), len(workloads), len(closedLevels))
-	return nil
-}
-
 // validatePsample checks a committed BENCH_PR9.json concurrent-sampling
 // record: the BenchmarkParallelSample trio must be present under its exact
 // names (this file's own benchmark-line parser strips the -GOMAXPROCS
@@ -321,50 +214,35 @@ func validatePsample(path string) error {
 
 // validateTrace schema-checks a -trace JSONL event stream against the
 // internal/obs contract (known event types, dense sequence numbers,
-// non-negative coordinates) — the `make trace` smoke's validator.
+// non-negative coordinates) — the `make trace` smoke's validator. Given
+// a directory (mwrepaird's -trace-dir layout, one trace per job) it
+// checks every *.jsonl file in it; an empty directory is an error, since
+// validating nothing should not look like success.
 func validateTrace(path string) error {
 	info, err := os.Stat(path)
 	if err != nil {
 		return err
 	}
+	paths := []string{path}
 	if info.IsDir() {
-		return validateTraceDir(path)
-	}
-	return validateTraceFile(path)
-}
-
-func validateTraceFile(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	n, err := obs.ValidateJSONL(f)
-	if err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	fmt.Fprintf(os.Stderr, "benchjson: %s: %d trace events, schema ok\n", path, n)
-	return nil
-}
-
-// validateTraceDir validates every *.jsonl file in a directory — the
-// layout mwrepaird's -trace-dir produces (one trace per job). An empty
-// directory is an error: validating nothing should not look like success.
-func validateTraceDir(dir string) error {
-	paths, err := filepath.Glob(filepath.Join(dir, "*.jsonl"))
-	if err != nil {
-		return err
-	}
-	if len(paths) == 0 {
-		return fmt.Errorf("%s: no *.jsonl trace files", dir)
-	}
-	sort.Strings(paths)
-	for _, p := range paths {
-		if err := validateTraceFile(p); err != nil {
-			return err
+		// Glob fails only on a malformed pattern, and sorts its matches.
+		paths, _ = filepath.Glob(filepath.Join(path, "*.jsonl"))
+		if len(paths) == 0 {
+			return fmt.Errorf("%s: no *.jsonl trace files", path)
 		}
 	}
-	fmt.Fprintf(os.Stderr, "benchjson: %s: %d trace files, schema ok\n", dir, len(paths))
+	for _, p := range paths {
+		f, err := os.Open(p)
+		if err != nil {
+			return err
+		}
+		n, err := obs.ValidateJSONL(f)
+		f.Close()
+		if err != nil {
+			return fmt.Errorf("%s: %w", p, err)
+		}
+		fmt.Fprintf(os.Stderr, "benchjson: %s: %d trace events, schema ok\n", p, n)
+	}
 	return nil
 }
 
@@ -372,43 +250,25 @@ func main() {
 	out := flag.String("o", "", "output file (default stdout)")
 	resilienceFile := flag.String("validate-resilience", "", "validate an `experiments -resilience -json` export instead of converting benchmarks")
 	traceFile := flag.String("validate-trace", "", "validate a -trace JSONL event stream instead of converting benchmarks")
-	serveFile := flag.String("validate-serve", "", "validate a repairbench BENCH_SERVE.json report instead of converting benchmarks")
 	psampleFile := flag.String("validate", "", "validate a committed BENCH_PR9.json concurrent-sampling record instead of converting benchmarks")
 	familiesFile := flag.String("validate-families", "", "validate an `experiments -families -json` export instead of converting benchmarks")
 	flag.Parse()
 
-	if *familiesFile != "" {
-		if err := validateFamilies(*familiesFile); err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson:", err)
-			os.Exit(1)
+	// Each -validate* flag checks one file instead of converting
+	// benchmarks; the first one set wins.
+	for _, v := range []struct {
+		path  string
+		check func(string) error
+	}{
+		{*familiesFile, validateFamilies},
+		{*psampleFile, validatePsample},
+		{*resilienceFile, validateResilience},
+		{*traceFile, validateTrace},
+	} {
+		if v.path == "" {
+			continue
 		}
-		return
-	}
-
-	if *psampleFile != "" {
-		if err := validatePsample(*psampleFile); err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *resilienceFile != "" {
-		if err := validateResilience(*resilienceFile); err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *serveFile != "" {
-		if err := validateServe(*serveFile); err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *traceFile != "" {
-		if err := validateTrace(*traceFile); err != nil {
+		if err := v.check(v.path); err != nil {
 			fmt.Fprintln(os.Stderr, "benchjson:", err)
 			os.Exit(1)
 		}

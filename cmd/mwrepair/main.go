@@ -211,8 +211,7 @@ func run() int {
 		fmt.Printf("phase 2: NO repair found in %d iterations (%d probes, %d fitness evals, %v)\n",
 			res.Iterations, res.Probes, res.FitnessEvals, elapsed)
 	}
-	fmt.Printf("  cache: %d hits (%d dedup-suppressed), %d contended cache-lock waits\n",
-		res.CacheHits, res.DedupSuppressed, res.ShardContention)
+	fmt.Printf("  cache: %d hits\n", res.CacheHits)
 	if res.WarmEntries > 0 {
 		fmt.Printf("  store: %d entries warm-started, %d warm hits\n", res.WarmEntries, res.WarmHits)
 	}

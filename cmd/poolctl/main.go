@@ -124,9 +124,9 @@ func main() {
 		t0 := time.Now()
 		pl := core.BuildPool(ctx, core.Job{Scenario: sc, Seed: *seed, Workers: *workers, Trace: tracer, Registry: reg, Store: st})
 		ps := pl.Stats()
-		fmt.Printf("built pool for %s: %d safe mutations in %v (%d candidates, %.0f%% safe, %d cache hits, %d dedup-suppressed)\n",
+		fmt.Printf("built pool for %s: %d safe mutations in %v (%d candidates, %.0f%% safe, %d cache hits)\n",
 			prof.Name, pl.Size(), time.Since(t0).Round(time.Millisecond), ps.Evaluated, 100*ps.SafeRate(),
-			ps.CacheHits, ps.DedupSuppressed)
+			ps.CacheHits)
 		if st != nil {
 			fmt.Printf("recorded verdicts in store %s (%d reused from earlier runs)\n", *storeDir, ps.StoreHits)
 		}

@@ -54,8 +54,8 @@ func main() {
 	}
 	fmt.Printf("phase 2: repaired in %d update cycles (%v), composing %d mutations per probe near the end\n",
 		res.Iterations, time.Since(t0).Round(time.Millisecond), res.LearnedArm)
-	fmt.Printf("  cost: %d probes, %d distinct test-suite runs (%d cache hits, %d dedup-suppressed)\n",
-		res.Probes, res.FitnessEvals, res.CacheHits, res.DedupSuppressed)
+	fmt.Printf("  cost: %d probes, %d distinct test-suite runs (%d cache hits)\n",
+		res.Probes, res.FitnessEvals, res.CacheHits)
 	fmt.Println("  patch:")
 	for _, m := range res.Patch {
 		fmt.Printf("    %s\n", m.ID())

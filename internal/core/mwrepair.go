@@ -181,7 +181,8 @@ type Result struct {
 	CacheHits int64
 	// DedupSuppressed is the subset of CacheHits avoided by singleflight
 	// deduplication: probes of a mutant whose evaluation was in flight on
-	// another worker at that moment.
+	// another worker at that moment. It and ShardContention depend on
+	// goroutine scheduling, so the CLIs do not print them.
 	DedupSuppressed int64
 	// ShardContention counts contended acquisitions of the fitness cache's
 	// one lock (the name predates its single lock) — an observability

@@ -87,57 +87,6 @@ func (h *Histogram) Observe(v float64) {
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 { return h.n.Load() }
 
-// QuantileFromBuckets estimates the q-quantile (q in [0,1]) of a
-// histogram from its bucket state (Histogram.Buckets or the registry's
-// JSON snapshot): bounds are the ascending finite upper bounds and counts
-// has len(bounds)+1 entries, the last being the +Inf bucket. Because the
-// daemon and an external load harness both estimate from the same
-// buckets, a /debug/metrics scrape and the harness agree on p50/p95/p99.
-// Interpolation follows the Prometheus histogram_quantile convention:
-// linear within the target bucket (the first bucket's lower edge is 0),
-// and the highest finite bound when the quantile lands in the +Inf
-// bucket, so the estimate carries bucket-width error. Returns NaN for an
-// empty histogram; q is clamped to [0,1].
-func QuantileFromBuckets(bounds []float64, counts []int64, q float64) float64 {
-	var total int64
-	for _, c := range counts {
-		total += c
-	}
-	if total == 0 || len(counts) != len(bounds)+1 {
-		return math.NaN()
-	}
-	switch {
-	case q < 0:
-		q = 0
-	case q > 1:
-		q = 1
-	}
-	rank := q * float64(total)
-	var cum int64
-	for i, c := range counts {
-		if float64(cum+c) < rank {
-			cum += c
-			continue
-		}
-		if i == len(bounds) { // +Inf bucket: no finite upper edge
-			if len(bounds) == 0 {
-				return math.NaN()
-			}
-			return bounds[len(bounds)-1]
-		}
-		lo := 0.0
-		if i > 0 {
-			lo = bounds[i-1]
-		}
-		hi := bounds[i]
-		if c == 0 {
-			return hi
-		}
-		return lo + (hi-lo)*(rank-float64(cum))/float64(c)
-	}
-	return bounds[len(bounds)-1] // unreachable: cum reaches total
-}
-
 // Sum returns the sum of observations.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 

@@ -5,10 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"strconv"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/scenario"
@@ -62,17 +60,9 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 // of kilobytes at most; a megabyte is already hostile.
 const maxSpecBytes = 1 << 20
 
-// retryAfterSeconds renders a backoff hint as a whole-second Retry-After
-// value, rounding *up* with a floor of 1: truncation would render any
-// sub-second hint as "Retry-After: 0", which clients read as "retry
-// immediately" — turning the backpressure signal into a hot spin.
-func retryAfterSeconds(d time.Duration) string {
-	s := int(math.Ceil(d.Seconds()))
-	if s < 1 {
-		s = 1
-	}
-	return strconv.Itoa(s)
-}
+// retryAfter is the Retry-After value, in whole seconds, on 429 and 503
+// responses: a client that honors it backs off instead of spinning.
+const retryAfter = "1"
 
 // decodeSpec reads one job spec, rejecting unknown fields.
 func decodeSpec(r io.Reader) (Spec, error) {
@@ -98,14 +88,14 @@ func handleSubmit(m *Manager, w http.ResponseWriter, r *http.Request) {
 	j, err := m.Submit(spec)
 	switch {
 	case errors.Is(err, ErrQueueFull):
-		w.Header().Set("Retry-After", retryAfterSeconds(m.cfg.RetryAfter))
+		w.Header().Set("Retry-After", retryAfter)
 		writeError(w, http.StatusTooManyRequests, "%v", err)
 		return
 	case errors.Is(err, ErrDraining):
 		// A draining daemon is often one instance of several behind a
 		// balancer; give clients the same pacing hint as a full queue so
 		// their retry loop backs off instead of spinning on 503s.
-		w.Header().Set("Retry-After", retryAfterSeconds(m.cfg.RetryAfter))
+		w.Header().Set("Retry-After", retryAfter)
 		writeError(w, http.StatusServiceUnavailable, "%v", err)
 		return
 	case err != nil:

@@ -27,7 +27,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -53,9 +54,6 @@ type Config struct {
 	// cancelling their contexts (default 10s). Cancelled jobs still
 	// return best-so-far partial results and flush their traces.
 	DrainTimeout time.Duration
-	// RetryAfter is the Retry-After hint attached to 429 responses
-	// (default 1s).
-	RetryAfter time.Duration
 	// Registry receives the daemon's service metrics under "server.":
 	// jobs accepted/rejected/completed/failed/cancelled, queue depth,
 	// running-job gauge, and a job-latency histogram. Nil creates a
@@ -82,9 +80,6 @@ func (c *Config) fill() {
 	}
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 10 * time.Second
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
 	}
 	if c.Registry == nil {
 		c.Registry = obs.NewRegistry()
@@ -134,11 +129,12 @@ func (h *jobHeap) Pop() any {
 type Manager struct {
 	cfg Config
 
-	mu       sync.Mutex
-	cond     *sync.Cond
-	jobs     map[string]*Job
+	mu   sync.Mutex
+	cond *sync.Cond
+	// jobs is the job table in admission order: job-N is jobs[N-1].
+	jobs     []*Job
 	queue    jobHeap
-	seq      int64
+	running  int // jobs in StateRunning, mirrored by the running gauge
 	draining bool
 
 	wg sync.WaitGroup // worker goroutines
@@ -158,8 +154,8 @@ type Manager struct {
 // warm-store custom programs finish in single-digit milliseconds, cold
 // registry scenarios take seconds to minutes — and an idle worker picks a
 // job up within tens of microseconds, so the bounds start at 10 µs and
-// are log-spaced throughout, keeping Histogram.Quantile's interpolation
-// error proportional to the value it estimates.
+// are log-spaced throughout: each bucket's width stays proportional to
+// the values it holds.
 var latencyBoundsMs = []float64{
 	0.01, 0.025, 0.05, 0.1, 0.25, 0.5,
 	1, 2.5, 5, 10, 25, 50, 100, 250, 500,
@@ -170,8 +166,7 @@ var latencyBoundsMs = []float64{
 func NewManager(cfg Config) *Manager {
 	cfg.fill()
 	m := &Manager{
-		cfg:  cfg,
-		jobs: make(map[string]*Job),
+		cfg: cfg,
 
 		accepted:      cfg.Registry.Counter("server.jobs.accepted"),
 		rejected:      cfg.Registry.Counter("server.jobs.rejected"),
@@ -224,17 +219,17 @@ func (m *Manager) Submit(spec Spec) (*Job, error) {
 		m.rejected.Inc()
 		return nil, ErrQueueFull
 	}
-	m.seq++
+	seq := int64(len(m.jobs)) + 1
 	j := &Job{
-		ID:       fmt.Sprintf("job-%06d", m.seq),
+		ID:       fmt.Sprintf("job-%06d", seq),
 		Spec:     spec,
 		job:      job,
-		seq:      m.seq,
+		seq:      seq,
 		state:    StateQueued,
 		queuedAt: time.Now(),
 		done:     make(chan struct{}),
 	}
-	m.jobs[j.ID] = j
+	m.jobs = append(m.jobs, j)
 	heap.Push(&m.queue, j)
 	m.queueDepth.Set(float64(len(m.queue)))
 	m.cond.Signal()
@@ -249,32 +244,32 @@ func (m *Manager) Submit(spec Spec) (*Job, error) {
 func (m *Manager) Get(id string) (*Job, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	j, ok := m.jobs[id]
-	return j, ok
+	return m.lookup(id)
+}
+
+// lookup indexes the job table by the sequence number in id; m.mu held.
+func (m *Manager) lookup(id string) (*Job, bool) {
+	n, err := strconv.Atoi(strings.TrimPrefix(id, "job-"))
+	if err != nil || n < 1 || n > len(m.jobs) || m.jobs[n-1].ID != id {
+		return nil, false
+	}
+	return m.jobs[n-1], true
 }
 
 // JobsPage returns the admission-ordered job window [offset, offset+limit)
-// plus the total table size; limit 0 means "to the end". The sort is
-// O(n log n) — a load test leaves tens of thousands of terminal jobs in
-// the table, and the insertion sort this replaces went quadratic exactly
-// when a monitoring poll of GET /v1/jobs was most expensive to serve.
+// plus the total table size; limit 0 means "to the end".
 func (m *Manager) JobsPage(offset, limit int) ([]*Job, int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]*Job, 0, len(m.jobs))
-	for _, j := range m.jobs {
-		out = append(out, j)
+	total := len(m.jobs)
+	offset = min(offset, total)
+	end := total
+	if limit > 0 {
+		end = min(offset+limit, total)
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].seq < out[b].seq })
-	total := len(out)
-	if offset > total {
-		offset = total
-	}
-	out = out[offset:]
-	if limit > 0 && limit < len(out) {
-		out = out[:limit]
-	}
-	return out, total
+	// Capped capacity: a caller's append copies instead of writing into
+	// the table.
+	return m.jobs[offset:end:end], total
 }
 
 // ErrJobFinished is returned by Cancel for jobs already in a terminal
@@ -286,7 +281,7 @@ var ErrJobFinished = errors.New("server: job already finished")
 // context cancelled and finish with the best-so-far partial result.
 func (m *Manager) Cancel(id string) error {
 	m.mu.Lock()
-	j, ok := m.jobs[id]
+	j, ok := m.lookup(id)
 	if !ok {
 		m.mu.Unlock()
 		return fmt.Errorf("server: unknown job %q", id)
@@ -446,7 +441,7 @@ func (m *Manager) runJob(j *Job) {
 	queueWait := j.startedAt.Sub(j.queuedAt)
 	j.mu.Unlock()
 	m.queueWait.Observe(millis(queueWait))
-	m.runningGauge.Set(m.runningCount())
+	m.addRunning(1)
 	m.logf("job %s: running", j.ID)
 
 	res, err := m.execute(ctx, j)
@@ -476,7 +471,7 @@ func (m *Manager) runJob(j *Job) {
 
 	m.latency.Observe(millis(elapsed))
 	m.e2eLatency.Observe(millis(e2e))
-	m.runningGauge.Set(m.runningCount())
+	m.addRunning(-1)
 	if err != nil {
 		m.logf("job %s: failed after %v: %v", j.ID, elapsed.Round(time.Millisecond), err)
 	} else {
@@ -511,17 +506,14 @@ func (m *Manager) exportStoreStats() {
 // fold them all into 0.
 func millis(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
-// runningCount counts non-terminal, non-queued jobs (for the gauge).
-func (m *Manager) runningCount() float64 {
+// addRunning moves the running-job count by d as a job enters (+1) or
+// leaves (-1) StateRunning. The gauge is set under the same lock, so
+// concurrent finishes cannot leave it on a stale count.
+func (m *Manager) addRunning(d int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	n := 0
-	for _, j := range m.jobs {
-		if j.State() == StateRunning {
-			n++
-		}
-	}
-	return float64(n)
+	m.running += d
+	m.runningGauge.Set(float64(m.running))
 }
 
 // execute runs the job's repair through core.RunJob, the function

@@ -394,7 +394,7 @@ func TestScenariosEndpoint(t *testing.T) {
 }
 
 func TestQueueFullRejects(t *testing.T) {
-	m, srv := testServer(t, Config{Workers: 1, QueueDepth: 1, RetryAfter: 3 * time.Second})
+	m, srv := testServer(t, Config{Workers: 1, QueueDepth: 1})
 
 	// One slow job occupies the single worker...
 	resp, running := postJob(t, srv, slowSpec())
@@ -416,8 +416,8 @@ func TestQueueFullRejects(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("third submit: %d, want 429", resp.StatusCode)
 	}
-	if got := resp.Header.Get("Retry-After"); got != "3" {
-		t.Fatalf("Retry-After = %q, want 3", got)
+	if got := resp.Header.Get("Retry-After"); got != "1" {
+		t.Fatalf("Retry-After = %q, want 1", got)
 	}
 
 	// Cancel both so cleanup's Shutdown drains fast.

@@ -1,8 +1,13 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"net/http"
 	"path/filepath"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -94,5 +99,104 @@ func TestStoreSharedAcrossJobs(t *testing.T) {
 	}
 	if got := reg.Counter("server.store.eval_records").Value(); got == 0 {
 		t.Fatal("server.store.eval_records not exported")
+	}
+}
+
+// TestStoreSharedAcrossConcurrentJobs runs several manager workers
+// against one shared store, fed by concurrent HTTP clients: three specs,
+// each submitted four times, so cold and warm runs of the same spec
+// overlap. Every run of a spec must repair identically, and its lookups
+// (suite evaluations plus cache hits) must match, since a warm entry
+// turns an evaluation into a hit one for one. The manager's running and
+// queue gauges end at zero, and each latency histogram counts every job.
+func TestStoreSharedAcrossConcurrentJobs(t *testing.T) {
+	st, err := store.Open(store.Options{Dir: filepath.Join(t.TempDir(), "data")})
+	if err != nil {
+		t.Fatalf("opening store: %v", err)
+	}
+	t.Cleanup(func() { st.Close() })
+	m, srv := testServer(t, Config{Workers: 4, QueueDepth: 16, Store: st})
+
+	seeds := []uint64{7, 8, 9}
+	const clients, perClient = 4, 3
+	ids := make([]string, clients*perClient)
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for k := 0; k < perClient; k++ {
+				i := c*perClient + k
+				spec := repairableSpec()
+				spec.Seed = seeds[i%len(seeds)]
+				body, _ := json.Marshal(spec)
+				resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+				if err != nil {
+					t.Errorf("POST job %d: %v", i, err)
+					return
+				}
+				var s Status
+				err = json.NewDecoder(resp.Body).Decode(&s)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusAccepted || err != nil {
+					t.Errorf("submit job %d: status %d, decode %v", i, resp.StatusCode, err)
+					return
+				}
+				ids[i] = s.ID
+			}
+		}(c)
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+
+	first := map[uint64]*Result{}
+	for i, id := range ids {
+		if got := waitTerminal(t, m, id, 30*time.Second); got != StateDone {
+			t.Fatalf("job %s finished %s, want done", id, got)
+		}
+		j, _ := m.Get(id)
+		res, seed := j.Result(), seeds[i%len(seeds)]
+		ref, ok := first[seed]
+		if !ok {
+			first[seed] = res
+			continue
+		}
+		if res.Repaired != ref.Repaired || res.Iterations != ref.Iterations || res.Probes != ref.Probes {
+			t.Errorf("seed %d, job %s: repaired/iterations/probes %v/%d/%d, want %v/%d/%d",
+				seed, id, res.Repaired, res.Iterations, res.Probes, ref.Repaired, ref.Iterations, ref.Probes)
+		}
+		if !slices.Equal(res.Patch, ref.Patch) {
+			t.Errorf("seed %d, job %s: patch %+v, want %+v", seed, id, res.Patch, ref.Patch)
+		}
+		if got, want := res.FitnessEvals+res.CacheHits, ref.FitnessEvals+ref.CacheHits; got != want {
+			t.Errorf("seed %d, job %s: %d lookups (evals+hits), want %d", seed, id, got, want)
+		}
+	}
+
+	reg := m.Registry()
+	if got := reg.Gauge("server.queue.depth").Value(); got != 0 {
+		t.Errorf("server.queue.depth = %v after every job finished, want 0", got)
+	}
+	// A worker updates the running gauge and the histograms after it
+	// closes a job's Done channel; Shutdown waits for the workers.
+	ctx, cancel := ctxWithTimeout(10 * time.Second)
+	defer cancel()
+	if err := m.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	if got := reg.Gauge("server.jobs.running").Value(); got != 0 {
+		t.Errorf("server.jobs.running = %v after shutdown, want 0", got)
+	}
+	for _, name := range []string{
+		"server.job.queue_wait_ms", "server.job.latency_ms", "server.job.e2e_ms",
+	} {
+		if got := reg.Histogram(name, nil).Count(); got != int64(len(ids)) {
+			t.Errorf("%s counts %d jobs, want %d", name, got, len(ids))
+		}
+	}
+	if d := st.Stats().Dropped; d != 0 {
+		t.Errorf("store dropped %d records, want 0", d)
 	}
 }
