@@ -48,12 +48,13 @@ func main() {
 	// The program evolves: new regression tests are added over time,
 	// locking in currently-observed behaviour on fresh inputs.
 	grown := &testsuite.Suite{Positive: append([]testsuite.Test{}, sc.Suite.Positive...)}
+	program := lang.Compile(sc.Program)
 	for i := 0; i < 4; i++ {
 		// New in-distribution inputs; expected outputs are the program's
 		// current behaviour (exactly how regression tests accrete).
 		base := sc.Suite.Positive[i%len(sc.Suite.Positive)]
 		input := []int64{(base.Input[0] + int64(i) + 1) % 999, (base.Input[1] + 37) % 999}
-		res := lang.Run(sc.Program, lang.Options{Input: input})
+		res := program.Run(lang.Options{Input: input})
 		if res.Err != nil {
 			panic(res.Err)
 		}

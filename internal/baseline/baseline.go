@@ -127,8 +127,9 @@ func NewProblem(p *lang.Program, s *testsuite.Suite) *Problem {
 
 func coverageOf(p *lang.Program, tests []testsuite.Test) []bool {
 	cov := make([]bool, p.Len())
+	c := lang.Compile(p)
 	for _, tc := range tests {
-		res := lang.Run(p, lang.Options{Input: tc.Input, Trace: true, MaxSteps: tc.MaxSteps})
+		res := c.Run(lang.Options{Input: tc.Input, Trace: true, MaxSteps: tc.MaxSteps})
 		for i, c := range res.Coverage {
 			if c {
 				cov[i] = true

@@ -153,7 +153,7 @@ func TestDriftChangesTheSearch(t *testing.T) {
 	prof.DriftSteps = 0 // schedule is hand-built below
 	sc := scenario.Generate(prof)
 	neg := sc.Suite.Negative[0]
-	out := lang.Run(sc.Program, lang.Options{Input: neg.Input})
+	out := lang.Compile(sc.Program).Run(lang.Options{Input: neg.Input})
 	if out.Err != nil {
 		t.Fatal(out.Err)
 	}

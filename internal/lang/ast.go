@@ -173,18 +173,3 @@ func (p *Program) String() string {
 	}
 	return b.String()
 }
-
-// Labels returns a map from label name to statement index. Duplicate
-// labels resolve to the first occurrence (later duplicates are inert,
-// which keeps mutated programs well-defined).
-func (p *Program) Labels() map[string]int {
-	m := make(map[string]int)
-	for i, s := range p.Stmts {
-		if s.Kind == StmtLabel {
-			if _, dup := m[s.Target]; !dup {
-				m[s.Target] = i
-			}
-		}
-	}
-	return m
-}

@@ -59,7 +59,7 @@ func TestQuickRandomProgramsContained(t *testing.T) {
 	f := func(seed uint64, sizeRaw uint8) bool {
 		r := rng.New(seed)
 		p := randomProgram(r, int(sizeRaw)%40+1)
-		res := Run(p, Options{Input: []int64{3, 7, 11}, MaxSteps: 2000})
+		res := Compile(p).Run(Options{Input: []int64{3, 7, 11}, MaxSteps: 2000})
 		if res.Steps > 2000 {
 			return false
 		}
@@ -69,7 +69,7 @@ func TestQuickRandomProgramsContained(t *testing.T) {
 			return false
 		}
 		// And behave identically.
-		res2 := Run(p2, Options{Input: []int64{3, 7, 11}, MaxSteps: 2000})
+		res2 := Compile(p2).Run(Options{Input: []int64{3, 7, 11}, MaxSteps: 2000})
 		if len(res.Output) != len(res2.Output) || res.Steps != res2.Steps {
 			return false
 		}
@@ -126,10 +126,10 @@ func FuzzParseRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzRunContained: the interpreter contains any parsed program — no
+// FuzzRunContained: the compiled engine contains any parsed program — no
 // panic, at most MaxSteps statements, one coverage flag per statement
-// with the entry statement covered once anything ran, and a repeated run
-// is identical.
+// with the entry statement covered once anything ran, a repeated run is
+// identical, and the result equals the tree-walking oracle's.
 func FuzzRunContained(f *testing.F) {
 	for i, s := range fuzzSeeds() {
 		f.Add(s, int64(i), int64(-i), uint16(100*i))
@@ -140,7 +140,7 @@ func FuzzRunContained(f *testing.F) {
 			return
 		}
 		opts := Options{Input: []int64{in1, in2}, MaxSteps: int(budget)%5000 + 1, Trace: true}
-		res := Run(p, opts)
+		res := Compile(p).Run(opts)
 		if res.Steps > opts.MaxSteps {
 			t.Fatalf("%d steps exceed the budget of %d", res.Steps, opts.MaxSteps)
 		}
@@ -150,8 +150,11 @@ func FuzzRunContained(f *testing.F) {
 		if res.Steps > 0 && !res.Coverage[0] {
 			t.Fatal("entry statement ran but is not covered")
 		}
-		if again := Run(p, opts); !reflect.DeepEqual(res, again) {
+		if again := Compile(p).Run(opts); !reflect.DeepEqual(res, again) {
 			t.Fatalf("repeated run differs: %+v vs %+v", res, again)
+		}
+		if oracle := treeRun(p, opts); !reflect.DeepEqual(res, oracle) {
+			t.Fatalf("compiled run differs from the oracle: %+v vs %+v", res, oracle)
 		}
 	})
 }

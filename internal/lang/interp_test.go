@@ -8,7 +8,7 @@ import (
 
 func run(t *testing.T, src string, input ...int64) *Result {
 	t.Helper()
-	return Run(MustParse(src), Options{Input: input})
+	return Compile(MustParse(src)).Run(Options{Input: input})
 }
 
 func TestArithmetic(t *testing.T) {
@@ -120,7 +120,7 @@ func TestShortCircuitPreventsError(t *testing.T) {
 }
 
 func TestInfiniteLoopHitsStepLimit(t *testing.T) {
-	r := Run(MustParse("label spin\ngoto spin\n"), Options{MaxSteps: 1000})
+	r := Compile(MustParse("label spin\ngoto spin\n")).Run(Options{MaxSteps: 1000})
 	if r.Err == nil {
 		t.Fatal("expected step-limit error")
 	}
@@ -171,7 +171,7 @@ label pos
 print 1
 `
 	p := MustParse(src)
-	r := Run(p, Options{Input: []int64{5}, Trace: true})
+	r := Compile(p).Run(Options{Input: []int64{5}, Trace: true})
 	if r.Err != nil {
 		t.Fatal(r.Err)
 	}
@@ -183,7 +183,7 @@ print 1
 		}
 	}
 	// Without Trace, coverage stays nil.
-	r2 := Run(p, Options{Input: []int64{5}})
+	r2 := Compile(p).Run(Options{Input: []int64{5}})
 	if r2.Coverage != nil {
 		t.Fatal("coverage collected without Trace")
 	}
@@ -228,8 +228,8 @@ label out
 print h
 `
 	p := MustParse(src)
-	r1 := Run(p, Options{Input: []int64{100}})
-	r2 := Run(p, Options{Input: []int64{100}})
+	r1 := Compile(p).Run(Options{Input: []int64{100}})
+	r2 := Compile(p).Run(Options{Input: []int64{100}})
 	if r1.Output[0] != r2.Output[0] || r1.Steps != r2.Steps {
 		t.Fatal("interpreter not deterministic")
 	}
@@ -242,7 +242,7 @@ func TestQuickArithMatchesGo(t *testing.T) {
 		ops := []string{"+", "-", "*", "==", "!=", "<", "<=", ">", ">="}
 		o := ops[int(op)%len(ops)]
 		src := "input a\ninput b\nprint a " + o + " b\n"
-		r := Run(MustParse(src), Options{Input: []int64{int64(a), int64(b)}})
+		r := Compile(MustParse(src)).Run(Options{Input: []int64{int64(a), int64(b)}})
 		if r.Err != nil || len(r.Output) != 1 {
 			return false
 		}
@@ -287,9 +287,9 @@ goto loop
 label done
 print acc
 `
-	p := MustParse(src)
+	c := Compile(MustParse(src))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Run(p, Options{Input: []int64{1000}})
+		c.Run(Options{Input: []int64{1000}})
 	}
 }

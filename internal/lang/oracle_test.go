@@ -5,56 +5,12 @@ import (
 	"fmt"
 )
 
-// RunError is a runtime failure: division by zero, step-limit exhaustion
-// (infinite loop), jump to a missing label, or input underrun. For test
-// evaluation purposes any RunError means the run fails.
-type RunError struct {
-	Reason string
-	PC     int // statement index at failure
-}
-
-func (e *RunError) Error() string {
-	return fmt.Sprintf("lang: runtime error at stmt %d: %s", e.PC, e.Reason)
-}
-
-// ErrStepLimit is wrapped by RunError when execution exceeds the step
-// budget — how mutated programs with accidental infinite loops are
-// contained.
-var ErrStepLimit = errors.New("step limit exceeded")
-
-// Result is the outcome of one execution.
-type Result struct {
-	// Output is the sequence of printed values.
-	Output []int64
-	// Steps is the number of statements executed.
-	Steps int
-	// Coverage[i] is true if statement i executed at least once. Only
-	// populated when Options.Trace is set.
-	Coverage []bool
-	// Err is the runtime error, if any (nil for clean halt/fall-through).
-	Err error
-}
-
-// Options control one execution.
-type Options struct {
-	// Input is the queue consumed by input statements.
-	Input []int64
-	// MaxSteps bounds execution; 0 means DefaultMaxSteps.
-	MaxSteps int
-	// Trace enables per-statement coverage collection.
-	Trace bool
-}
-
-// DefaultMaxSteps is the per-run statement budget. Generated scenario
-// programs run in a few thousand steps; the budget is generous enough for
-// any safe mutant and small enough to terminate pathological loops fast.
-const DefaultMaxSteps = 200000
-
-// Run executes the program with the given options. Execution is fully
-// deterministic; variables are int64 and read as 0 before assignment.
-// Execution ends at a halt statement, by falling off the end, on a runtime
-// error, or at the step limit.
-func Run(p *Program, opts Options) *Result {
+// treeRun is the tree-walking interpreter the compiled engine replaced,
+// kept as the differential oracle: Code.Run must return what it returns
+// for every program and input. It resolves labels through a map per run
+// and variables through a map, and evaluates by walking the expression
+// tree.
+func treeRun(p *Program, opts Options) *Result {
 	maxSteps := opts.MaxSteps
 	if maxSteps <= 0 {
 		maxSteps = DefaultMaxSteps
@@ -63,7 +19,7 @@ func Run(p *Program, opts Options) *Result {
 	if opts.Trace {
 		res.Coverage = make([]bool, len(p.Stmts))
 	}
-	labels := p.Labels()
+	labels := labelsOf(p)
 	vars := make(map[string]int64, 16)
 	inputPos := 0
 	pc := 0
@@ -80,21 +36,21 @@ func Run(p *Program, opts Options) *Result {
 		s := p.Stmts[pc]
 		switch s.Kind {
 		case StmtSet:
-			v, err := eval(s.Expr, vars)
+			v, err := treeEval(s.Expr, vars)
 			if err != nil {
 				res.Err = &RunError{Reason: err.Error(), PC: pc}
 				return res
 			}
 			vars[s.Var] = v
 		case StmtPrint:
-			v, err := eval(s.Expr, vars)
+			v, err := treeEval(s.Expr, vars)
 			if err != nil {
 				res.Err = &RunError{Reason: err.Error(), PC: pc}
 				return res
 			}
 			res.Output = append(res.Output, v)
 		case StmtIf:
-			v, err := eval(s.Expr, vars)
+			v, err := treeEval(s.Expr, vars)
 			if err != nil {
 				res.Err = &RunError{Reason: err.Error(), PC: pc}
 				return res
@@ -136,15 +92,29 @@ func Run(p *Program, opts Options) *Result {
 	return res
 }
 
-// eval evaluates an expression over the variable environment.
-func eval(e Expr, vars map[string]int64) (int64, error) {
+// labelsOf maps each label name to the index of its first label
+// statement; later duplicates are inert.
+func labelsOf(p *Program) map[string]int {
+	m := make(map[string]int)
+	for i, s := range p.Stmts {
+		if s.Kind == StmtLabel {
+			if _, dup := m[s.Target]; !dup {
+				m[s.Target] = i
+			}
+		}
+	}
+	return m
+}
+
+// treeEval evaluates an expression over the variable environment.
+func treeEval(e Expr, vars map[string]int64) (int64, error) {
 	switch x := e.(type) {
 	case *NumLit:
 		return x.Value, nil
 	case *VarRef:
 		return vars[x.Name], nil
 	case *UnaryExpr:
-		v, err := eval(x.X, vars)
+		v, err := treeEval(x.X, vars)
 		if err != nil {
 			return 0, err
 		}
@@ -160,7 +130,7 @@ func eval(e Expr, vars map[string]int64) (int64, error) {
 			return 0, fmt.Errorf("bad unary operator %q", x.Op)
 		}
 	case *BinExpr:
-		l, err := eval(x.L, vars)
+		l, err := treeEval(x.L, vars)
 		if err != nil {
 			return 0, err
 		}
@@ -170,7 +140,7 @@ func eval(e Expr, vars map[string]int64) (int64, error) {
 			if l == 0 {
 				return 0, nil
 			}
-			r, err := eval(x.R, vars)
+			r, err := treeEval(x.R, vars)
 			if err != nil {
 				return 0, err
 			}
@@ -179,13 +149,13 @@ func eval(e Expr, vars map[string]int64) (int64, error) {
 			if l != 0 {
 				return 1, nil
 			}
-			r, err := eval(x.R, vars)
+			r, err := treeEval(x.R, vars)
 			if err != nil {
 				return 0, err
 			}
 			return boolToInt(r != 0), nil
 		}
-		r, err := eval(x.R, vars)
+		r, err := treeEval(x.R, vars)
 		if err != nil {
 			return 0, err
 		}
@@ -224,11 +194,4 @@ func eval(e Expr, vars map[string]int64) (int64, error) {
 	default:
 		return 0, fmt.Errorf("bad expression node %T", e)
 	}
-}
-
-func boolToInt(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
 }

@@ -121,8 +121,8 @@ halt
 		t.Fatalf("round trip unstable:\n%s\nvs\n%s", text, p2.String())
 	}
 	// Behaviour must be identical too.
-	r1 := Run(p1, Options{Input: []int64{5}})
-	r2 := Run(p2, Options{Input: []int64{5}})
+	r1 := Compile(p1).Run(Options{Input: []int64{5}})
+	r2 := Compile(p2).Run(Options{Input: []int64{5}})
 	if len(r1.Output) != 1 || r1.Output[0] != 55 {
 		t.Fatalf("output = %v", r1.Output)
 	}
@@ -148,7 +148,7 @@ func TestProgramClone(t *testing.T) {
 
 func TestLabels(t *testing.T) {
 	p := MustParse("label a\nnop\nlabel b\nlabel a\n")
-	m := p.Labels()
+	m := labelsOf(p)
 	if m["a"] != 0 || m["b"] != 2 {
 		t.Fatalf("labels = %v", m)
 	}

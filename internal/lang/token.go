@@ -6,8 +6,8 @@
 // regression test suite determines which mutations are safe, and combined
 // mutations interact through real execution. TinyLang reproduces that
 // mechanism end-to-end: programs are sequences of statements over integer
-// variables; a deterministic, step-limited interpreter runs them against
-// test cases; coverage tracing restricts mutations to executed code; and
+// variables; they compile to slot-addressed code that runs, deterministic
+// and step-limited, against test cases; coverage tracing restricts mutations to executed code; and
 // the statement granularity matches the whole-statement mutation operators
 // of GenProg-family repair tools.
 //

@@ -144,19 +144,19 @@ func Apply(original *lang.Program, muts []Mutation) *lang.Program {
 	}
 	// Rebuild in one pass: statements at original index i are followed by
 	// the insertions targeting i, in reverse mutation order (matching the
-	// semantics of inserting each at position i+1 in turn). This keeps
-	// composition O(n + #inserts) instead of shifting the slice per
-	// insertion, which matters when probes compose thousands of pool
-	// mutations.
-	insertsAt := make(map[int][]*lang.Stmt, len(inserts))
-	for i := len(inserts) - 1; i >= 0; i-- {
-		m := inserts[i]
-		insertsAt[m.At] = append(insertsAt[m.At], original.Stmts[m.From])
-	}
+	// semantics of inserting each at position i+1 in turn), which a stable
+	// sort by target of the reversed inserts lines up. This keeps
+	// composition O(n + #inserts log #inserts) instead of shifting the
+	// slice per insertion, which matters when probes compose thousands of
+	// pool mutations.
+	slices.Reverse(inserts)
+	slices.SortStableFunc(inserts, func(a, b Mutation) int { return a.At - b.At })
 	rebuilt := make([]*lang.Stmt, 0, len(out.Stmts)+len(inserts))
 	for i, s := range out.Stmts {
 		rebuilt = append(rebuilt, s)
-		rebuilt = append(rebuilt, insertsAt[i]...)
+		for ; len(inserts) > 0 && inserts[0].At == i; inserts = inserts[1:] {
+			rebuilt = append(rebuilt, original.Stmts[inserts[0].From])
+		}
 	}
 	out.Stmts = rebuilt
 	return out

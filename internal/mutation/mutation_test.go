@@ -129,7 +129,7 @@ func TestBehaviouralEffect(t *testing.T) {
 	// Deleting the print b statement removes the second output.
 	p := prog()
 	out := Apply(p, []Mutation{{Op: Delete, At: 4}})
-	r := lang.Run(out, lang.Options{Input: []int64{10}})
+	r := lang.Compile(out).Run(lang.Options{Input: []int64{10}})
 	if r.Err != nil || len(r.Output) != 1 || r.Output[0] != 11 {
 		t.Fatalf("output = %v err = %v", r.Output, r.Err)
 	}
@@ -273,7 +273,7 @@ halt
 		for i := range muts {
 			muts[i] = Random(p, covered, r)
 		}
-		lang.Run(Apply(p, muts), lang.Options{Input: []int64{int64(r.Intn(20))}, MaxSteps: 2000, Trace: true})
+		lang.Compile(Apply(p, muts)).Run(lang.Options{Input: []int64{int64(r.Intn(20))}, MaxSteps: 2000, Trace: true})
 	}
 	if p.String() != text {
 		t.Fatalf("original text changed:\n%s", p)
@@ -345,5 +345,65 @@ func BenchmarkApplyLargeComposition(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = Apply(p, muts)
+	}
+}
+
+// mapApply is Apply as it composed inserts before the sorted slice: the
+// insertions grouped per target in a map. It is the reference the
+// property test below holds Apply to.
+func mapApply(original *lang.Program, muts []Mutation) *lang.Program {
+	out := &lang.Program{Stmts: slices.Clone(original.Stmts)}
+	var inserts []Mutation
+	for _, m := range muts {
+		switch m.Op {
+		case Delete:
+			out.Stmts[m.At] = nop
+		case Replace:
+			out.Stmts[m.At] = original.Stmts[m.From]
+		case Swap:
+			out.Stmts[m.At], out.Stmts[m.From] = out.Stmts[m.From], out.Stmts[m.At]
+		case Insert:
+			inserts = append(inserts, m)
+		}
+	}
+	if len(inserts) == 0 {
+		return out
+	}
+	insertsAt := make(map[int][]*lang.Stmt, len(inserts))
+	for i := len(inserts) - 1; i >= 0; i-- {
+		m := inserts[i]
+		insertsAt[m.At] = append(insertsAt[m.At], original.Stmts[m.From])
+	}
+	rebuilt := make([]*lang.Stmt, 0, len(out.Stmts)+len(inserts))
+	for i, s := range out.Stmts {
+		rebuilt = append(rebuilt, s)
+		rebuilt = append(rebuilt, insertsAt[i]...)
+	}
+	out.Stmts = rebuilt
+	return out
+}
+
+// Property: Apply yields the same statement pointers, in the same order,
+// as the map version, over random patches whose inserts repeat targets.
+func TestQuickApplyMatchesMapVersion(t *testing.T) {
+	var lines string
+	for i := 0; i < 12; i++ {
+		lines += "print " + string(rune('a'+i)) + "\n"
+	}
+	p := lang.MustParse(lines)
+	f := func(seed uint64, k uint8) bool {
+		r := rng.New(seed)
+		muts := make([]Mutation, int(k)%40)
+		for i := range muts {
+			// Few targets, so inserts pile up on the same ones.
+			muts[i] = Mutation{Op: Ops[r.Intn(len(Ops))], At: r.Intn(4), From: r.Intn(p.Len())}
+			if r.Bool(0.5) {
+				muts[i].Op = Insert
+			}
+		}
+		return slices.Equal(Apply(p, muts).Stmts, mapApply(p, muts).Stmts)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -170,15 +170,20 @@ func (r *RNG) SampleWithoutReplacement(n, m int) []int {
 	if m == 0 {
 		return nil
 	}
-	// Floyd's algorithm: O(m) expected time, O(m) space.
-	chosen := make(map[int]struct{}, m)
+	// Floyd's algorithm: m draws, with the chosen set as a bitset over
+	// [0, n) that lives on the stack for n up to 1024.
+	var buf [16]uint64
+	chosen := buf[:]
+	if n > 64*len(buf) {
+		chosen = make([]uint64, (n+63)/64)
+	}
 	out := make([]int, 0, m)
 	for j := n - m; j < n; j++ {
 		t := r.Intn(j + 1)
-		if _, dup := chosen[t]; dup {
+		if chosen[t/64]&(1<<(t%64)) != 0 {
 			t = j
 		}
-		chosen[t] = struct{}{}
+		chosen[t/64] |= 1 << (t % 64)
 		out = append(out, t)
 	}
 	// Floyd's algorithm yields a set; shuffle for a uniform ordered sample.

@@ -2,6 +2,7 @@ package rng
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -349,5 +350,42 @@ func BenchmarkCategorical(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = r.Categorical(w)
+	}
+}
+
+// mapSampleWithoutReplacement is Floyd's algorithm with the chosen set in
+// a map, as SampleWithoutReplacement drew before its bitset: the reference
+// its draws must reproduce exactly.
+func mapSampleWithoutReplacement(r *RNG, n, m int) []int {
+	if m == 0 {
+		return nil
+	}
+	chosen := make(map[int]struct{}, m)
+	out := make([]int, 0, m)
+	for j := n - m; j < n; j++ {
+		t := r.Intn(j + 1)
+		if _, dup := chosen[t]; dup {
+			t = j
+		}
+		chosen[t] = struct{}{}
+		out = append(out, t)
+	}
+	r.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
+	return out
+}
+
+// Property: the bitset sample draws the same indices in the same order as
+// the map version and leaves the generator in the same state, on both
+// sides of the stack-buffer size.
+func TestSampleWithoutReplacementMatchesMapVersion(t *testing.T) {
+	f := func(seed uint64, nRaw uint16, mRaw uint16) bool {
+		n := int(nRaw)%3000 + 1
+		m := int(mRaw) % (n + 1)
+		a, b := New(seed), New(seed)
+		got, want := a.SampleWithoutReplacement(n, m), mapSampleWithoutReplacement(b, n, m)
+		return reflect.DeepEqual(got, want) && *a == *b
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -449,21 +449,22 @@ func (b *progBuilder) String() string {
 // outputs taken from the correct reference program.
 func buildSuite(correct *lang.Program, pr Profile, r *rng.RNG) *testsuite.Suite {
 	s := &testsuite.Suite{}
+	code := lang.Compile(correct)
 	for i := 0; i < pr.PositiveTests; i++ {
 		n := int64(r.Intn(bugThreshold))
 		m := int64(r.Intn(1000))
-		s.Positive = append(s.Positive, makeTest(correct, fmt.Sprintf("pos%d", i), n, m))
+		s.Positive = append(s.Positive, makeTest(code, fmt.Sprintf("pos%d", i), n, m))
 	}
 	n := int64(bugThreshold + r.Intn(1000))
 	m := int64(r.Intn(1000))
-	s.Negative = append(s.Negative, makeTest(correct, "bug", n, m))
+	s.Negative = append(s.Negative, makeTest(code, "bug", n, m))
 	return s
 }
 
-// makeTest runs the reference program on (n, m) and records its output as
-// the expected result.
-func makeTest(correct *lang.Program, name string, n, m int64) testsuite.Test {
-	res := lang.Run(correct, lang.Options{Input: []int64{n, m}})
+// makeTest runs the compiled reference program on (n, m) and records its
+// output as the expected result.
+func makeTest(correct *lang.Code, name string, n, m int64) testsuite.Test {
+	res := correct.Run(lang.Options{Input: []int64{n, m}})
 	if res.Err != nil {
 		panic(fmt.Sprintf("scenario: reference program failed: %v", res.Err))
 	}
@@ -505,6 +506,7 @@ func buildDrift(sc *Scenario, pr Profile, r *rng.RNG) (*testsuite.Drift, error) 
 		return nil, fmt.Errorf("scenario %s: unknown drift kind %q", pr.Name, pr.DriftKind)
 	}
 	repaired := mutation.Apply(sc.Program, sc.Repairers)
+	program, correct := lang.Compile(sc.Program), lang.Compile(sc.Correct)
 	cur := sc.Suite
 	steps := make([]testsuite.DriftStep, 0, pr.DriftSteps)
 	for s := 0; s < pr.DriftSteps; s++ {
@@ -517,7 +519,7 @@ func buildDrift(sc *Scenario, pr Profile, r *rng.RNG) (*testsuite.Drift, error) 
 			// passes it by construction.
 			n := int64(r.Intn(bugThreshold))
 			m := int64(r.Intn(1000))
-			next.Positive = append(next.Positive, makeTest(sc.Correct, fmt.Sprintf("drift%d", s+1), n, m))
+			next.Positive = append(next.Positive, makeTest(correct, fmt.Sprintf("drift%d", s+1), n, m))
 		case testsuite.DriftReweighted:
 			// Duplicate one positive test under a new name: its weight in
 			// the pass count doubles and the fingerprint changes, but no
@@ -534,8 +536,8 @@ func buildDrift(sc *Scenario, pr Profile, r *rng.RNG) (*testsuite.Drift, error) 
 			for try := 0; try < 50 && !moved; try++ {
 				n := int64(bugThreshold + r.Intn(1000))
 				m := int64(r.Intn(1000))
-				t := makeTest(sc.Correct, fmt.Sprintf("bug-mv%d", s+1), n, m)
-				if !testsuite.RunTest(sc.Program, t) {
+				t := makeTest(correct, fmt.Sprintf("bug-mv%d", s+1), n, m)
+				if !testsuite.RunTest(program, t) {
 					next.Negative = []testsuite.Test{t}
 					moved = true
 				}

@@ -247,7 +247,7 @@ func TestGeneratedProgramParsesAndRuns(t *testing.T) {
 		t.Fatalf("generated program does not reparse: %v", err)
 	}
 	tc := sc.Suite.Positive[0]
-	res := lang.Run(reparsed, lang.Options{Input: tc.Input})
+	res := lang.Compile(reparsed).Run(lang.Options{Input: tc.Input})
 	if res.Err != nil {
 		t.Fatalf("reparsed program fails: %v", res.Err)
 	}

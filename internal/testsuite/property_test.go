@@ -35,7 +35,7 @@ func TestRunnerRandomizedAgreesWithUncached(t *testing.T) {
 		suite.Positive[i].MaxSteps = 2000
 	}
 	neg := &suite.Negative[0]
-	neg.MaxSteps = lang.Run(base, lang.Options{Input: neg.Input}).Steps
+	neg.MaxSteps = lang.Compile(base).Run(lang.Options{Input: neg.Input}).Steps
 
 	var classes [3]int // unsafe, safe but no repair, repair
 	for seed := uint64(1); seed <= seeds; seed++ {

@@ -50,22 +50,13 @@ func (s *Suite) All() []Test {
 	return out
 }
 
-// RunTest executes one test: it passes iff the program runs without a
-// runtime error and produces exactly the expected output.
-func RunTest(p *lang.Program, tc Test) bool {
-	res := lang.Run(p, lang.Options{Input: tc.Input, MaxSteps: tc.MaxSteps})
-	if res.Err != nil {
-		return false
-	}
-	if len(res.Output) != len(tc.Want) {
-		return false
-	}
-	for i := range tc.Want {
-		if res.Output[i] != tc.Want[i] {
-			return false
-		}
-	}
-	return true
+// RunTest executes one test on compiled code: it passes iff the program
+// runs without a runtime error and produces exactly the expected output.
+// The run stops at the first printed value that cannot match Want, which
+// leaves the verdict unchanged. Compile a program once for all the tests
+// it runs: a compile costs about as much as a run.
+func RunTest(c *lang.Code, tc Test) bool {
+	return c.Passes(tc.Input, tc.Want, tc.MaxSteps)
 }
 
 // Fitness is the outcome of evaluating a program on a suite.
@@ -144,7 +135,13 @@ type probeResult struct {
 // result. The lock is held only for map bookkeeping, never while a suite
 // runs.
 type Runner struct {
-	suite   *Suite
+	suite *Suite
+	// compiler keeps the compiled code of every statement the runner has
+	// run. Mutants share their base program's statements, so a probe's
+	// evaluation compiles nothing new: it looks its statements up and
+	// resolves its jumps.
+	compiler lang.Compiler
+
 	mu      sync.Mutex
 	entries map[uint64]*cacheEntry // guarded by mu
 
@@ -376,11 +373,12 @@ func (r *Runner) EvalNoCache(p *lang.Program) Fitness {
 // cases; it reports whether the evaluation ran to completion.
 func (r *Runner) evalUncached(ctx context.Context, p *lang.Program) (Fitness, bool) {
 	f := Fitness{PosTotal: len(r.suite.Positive), NegTotal: len(r.suite.Negative)}
+	c := r.compiler.Compile(p)
 	for _, tc := range r.suite.Positive {
 		if ctx.Err() != nil {
 			return f, false
 		}
-		if RunTest(p, tc) {
+		if RunTest(c, tc) {
 			f.PosPassed++
 		}
 	}
@@ -388,7 +386,7 @@ func (r *Runner) evalUncached(ctx context.Context, p *lang.Program) (Fitness, bo
 		if ctx.Err() != nil {
 			return f, false
 		}
-		if RunTest(p, tc) {
+		if RunTest(c, tc) {
 			f.NegPassed++
 		}
 	}
@@ -402,7 +400,7 @@ func (r *Runner) evalUncached(ctx context.Context, p *lang.Program) (Fitness, bo
 // was run, just not to completion).
 func (r *Runner) Safe(p *lang.Program) bool {
 	res := r.evalAt(programKey(p), levelSafe, func() (probeResult, bool) {
-		return probeResult{safe: passesAll(p, r.suite.Positive)}, true
+		return probeResult{safe: passesAll(r.compiler.Compile(p), r.suite.Positive)}, true
 	})
 	return res.safe
 }
@@ -416,17 +414,18 @@ func (r *Runner) Safe(p *lang.Program) bool {
 // short-circuited check counts as one fitness evaluation.
 func (r *Runner) Outcome(p *lang.Program) (safe, repair bool) {
 	res := r.evalAt(programKey(p), levelOutcome, func() (probeResult, bool) {
-		safe := passesAll(p, r.suite.Positive)
-		return probeResult{safe: safe, repair: safe && passesAll(p, r.suite.Negative)}, true
+		c := r.compiler.Compile(p)
+		safe := passesAll(c, r.suite.Positive)
+		return probeResult{safe: safe, repair: safe && passesAll(c, r.suite.Negative)}, true
 	})
 	return res.safe, res.repair
 }
 
 // passesAll reports whether p passes every test, stopping at the first
 // failure: the short circuit Safe and Outcome share.
-func passesAll(p *lang.Program, tests []Test) bool {
+func passesAll(c *lang.Code, tests []Test) bool {
 	for _, tc := range tests {
-		if !RunTest(p, tc) {
+		if !RunTest(c, tc) {
 			return false
 		}
 	}
@@ -460,8 +459,9 @@ func (r *Runner) ShardContention() int64 { return r.contention.Load() }
 // matching fault-localization practice.
 func Coverage(p *lang.Program, s *Suite) []bool {
 	covered := make([]bool, p.Len())
+	c := lang.Compile(p)
 	for _, tc := range s.All() {
-		res := lang.Run(p, lang.Options{Input: tc.Input, Trace: true})
+		res := c.Run(lang.Options{Input: tc.Input, Trace: true})
 		for i, c := range res.Coverage {
 			if c {
 				covered[i] = true

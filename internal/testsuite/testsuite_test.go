@@ -49,20 +49,20 @@ func sumSuite() *Suite {
 
 func TestRunTestPassAndFail(t *testing.T) {
 	p := lang.MustParse(sumSrc)
-	if !RunTest(p, Test{Input: []int64{4}, Want: []int64{10}}) {
+	if !RunTest(lang.Compile(p), Test{Input: []int64{4}, Want: []int64{10}}) {
 		t.Fatal("correct program failed correct test")
 	}
-	if RunTest(p, Test{Input: []int64{4}, Want: []int64{11}}) {
+	if RunTest(lang.Compile(p), Test{Input: []int64{4}, Want: []int64{11}}) {
 		t.Fatal("wrong expectation passed")
 	}
-	if RunTest(p, Test{Input: []int64{4}, Want: []int64{10, 10}}) {
+	if RunTest(lang.Compile(p), Test{Input: []int64{4}, Want: []int64{10, 10}}) {
 		t.Fatal("output length mismatch passed")
 	}
 }
 
 func TestRunTestRuntimeErrorFails(t *testing.T) {
 	p := lang.MustParse("input n\nprint 1 / n\n")
-	if RunTest(p, Test{Input: []int64{0}, Want: []int64{0}}) {
+	if RunTest(lang.Compile(p), Test{Input: []int64{0}, Want: []int64{0}}) {
 		t.Fatal("runtime error should fail the test")
 	}
 }
@@ -252,7 +252,7 @@ func TestTestMaxStepsEnforced(t *testing.T) {
 	// A test with a tight step budget fails a program that loops.
 	loop := lang.MustParse("label spin\ngoto spin\n")
 	tc := Test{Input: nil, Want: nil, MaxSteps: 100}
-	if RunTest(loop, tc) {
+	if RunTest(lang.Compile(loop), tc) {
 		t.Fatal("looping program passed")
 	}
 }
@@ -285,4 +285,42 @@ func TestOutcomeCachesAndCounts(t *testing.T) {
 	if r2.Evals() != 1 || r2.CacheHits() != 1 {
 		t.Fatalf("evals=%d hits=%d", r2.Evals(), r2.CacheHits())
 	}
+}
+
+// TestOutcomeCompilesOnlyTheFirstMutant guards the runner's statement
+// memo. Once one mutant of a base program has run, another mutant of the
+// same base allocates its cache entry, its jump table and one run state
+// per test, and no statement code: compiling each mutant from scratch
+// would allocate per statement and cost about as much as the runs.
+func TestOutcomeCompilesOnlyTheFirstMutant(t *testing.T) {
+	base := lang.MustParse(sumSrc)
+	suite := sumSuite()
+	// Mutants share the base's statements, as mutation.Apply builds them:
+	// statement j inserted again before statement i, each program once.
+	var mutants []*lang.Program
+	seen := map[uint64]bool{}
+	for i := 0; i <= base.Len(); i++ {
+		for j := 0; j < base.Len(); j++ {
+			stmts := append(append(append([]*lang.Stmt(nil), base.Stmts[:i]...), base.Stmts[j]), base.Stmts[i:]...)
+			m := &lang.Program{Stmts: stmts}
+			if k := programKey(m); !seen[k] {
+				seen[k] = true
+				mutants = append(mutants, m)
+			}
+		}
+	}
+	r := NewRunner(suite)
+	r.Outcome(base)
+	next := 0
+	allocs := testing.AllocsPerRun(len(mutants)-1, func() {
+		r.Outcome(mutants[next])
+		next++
+	})
+	// Cache entry and its in-flight channel, the Code and its jump table,
+	// one run state per test, and the entry map's amortized growth.
+	const bookkeeping, link, growth = 2, 2, 1
+	if limit := float64(bookkeeping + link + len(suite.All()) + growth); allocs > limit {
+		t.Fatalf("Outcome on a further mutant allocates %v times, want at most %v: is each mutant compiled from scratch?", allocs, limit)
+	}
+	t.Logf("%v allocations per further mutant", allocs)
 }
