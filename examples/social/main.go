@@ -5,8 +5,10 @@
 // evening an agent either tries a random restaurant (probability μ) or
 // asks a random neighbor where they currently go, eats there, and adopts
 // it with probability β if the meal was good. The distribution over
-// restaurants lives only in the population's choices, and the run uses the
-// message-passing engine, where agents learn only by querying one another.
+// restaurants lives only in the population's choices. The run uses
+// mwu.RunMessagePassing, which drives the same Distributed learner the
+// tables use as a set of agents that learn only by querying one another;
+// no faults are injected here, so it is that learner's mwu.Run trajectory.
 //
 //	go run ./examples/social
 package main

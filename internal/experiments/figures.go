@@ -157,7 +157,7 @@ func RenderFigure4b(d *FigureData) string {
 		}
 		fmt.Fprintf(&b, "%6d  %-28s %8.4f\n", x, bar(norm, 28), d.RepairDensity[i])
 	}
-	fmt.Fprintf(&b, "optimum at x=%d (unimodal; paper reports program-specific optima, 11..271)\n", d.OptimumX)
+	fmt.Fprintf(&b, "optimum at x=%d, density %.4f (paper reports program-specific optima, 11..271)\n", d.OptimumX, maxD)
 	return b.String()
 }
 

@@ -159,41 +159,36 @@ func runResilienceCell(alg, mode string, rate float64, ds *dataset.Dataset, spec
 		problem := bandit.NewProblem(ds.Dist)
 		tr := spec.Trace.Scoped(fmt.Sprintf("%s/%s/rate%g/seed%d", alg, mode, rate, s))
 
+		var res mwu.RunResult
+		var ledger faults.Stats
 		if alg == "distributed-mp" {
-			cfg := mwu.DistributedConfig{K: ds.Size}
-			res, err := mwu.RunMessagePassing(context.Background(), cfg, problem, seed.Split(), spec.MaxIter, inj, tr)
+			// RunMessagePassing splits seed as the branch below does, so
+			// its fault-free runs are the distributed row's.
+			mp, err := mwu.RunMessagePassing(context.Background(), mwu.DistributedConfig{K: ds.Size},
+				problem, seed, spec.MaxIter, inj, tr)
 			if err != nil {
 				return cell, fmt.Errorf("resilience: %s at rate %g: %w", alg, rate, err)
 			}
-			cell.Runs++
-			if res.Converged {
-				cell.ConvergedRuns++
+			res, ledger = mp.RunResult, mp.Metrics.Faults
+			cell.Survivors.Add(float64(mp.Survivors))
+		} else {
+			learner, err := mwu.NewLearner(mwu.Config{Algorithm: alg, K: ds.Size}, seed.Split())
+			if err != nil {
+				return cell, fmt.Errorf("resilience: %s at rate %g: %w", alg, rate, err)
 			}
-			if res.Degraded {
-				cell.DegradedRuns++
+			runCfg := mwu.RunConfig{
+				MaxIter: spec.MaxIter,
+				Workers: spec.Workers,
+				Faults:  inj,
+				Trace:   tr,
 			}
-			cell.Iterations.Add(float64(res.Iterations))
-			cell.Accuracy.Add(problem.Accuracy(res.Choice))
-			cell.Faults.Merge(res.Metrics.Faults)
-			cell.Survivors.Add(float64(res.Survivors))
-			continue
+			if mode == ModeManaged {
+				runCfg.Policies = faults.DefaultPolicies()
+				runCfg.StragglerCutoff = spec.StragglerCutoff
+			}
+			res = mwu.Run(context.Background(), learner, problem, seed.Split(), runCfg)
+			ledger = learner.Metrics().Faults
 		}
-
-		learner, err := mwu.NewLearner(mwu.Config{Algorithm: alg, K: ds.Size}, seed.Split())
-		if err != nil {
-			return cell, fmt.Errorf("resilience: %s at rate %g: %w", alg, rate, err)
-		}
-		runCfg := mwu.RunConfig{
-			MaxIter: spec.MaxIter,
-			Workers: spec.Workers,
-			Faults:  inj,
-			Trace:   tr,
-		}
-		if mode == ModeManaged {
-			runCfg.Policies = faults.DefaultPolicies()
-			runCfg.StragglerCutoff = spec.StragglerCutoff
-		}
-		res := mwu.Run(context.Background(), learner, problem, seed.Split(), runCfg)
 		cell.Runs++
 		if res.Converged {
 			cell.ConvergedRuns++
@@ -203,7 +198,7 @@ func runResilienceCell(alg, mode string, rate float64, ds *dataset.Dataset, spec
 		}
 		cell.Iterations.Add(float64(res.Iterations))
 		cell.Accuracy.Add(problem.Accuracy(res.Choice))
-		cell.Faults.Merge(learner.Metrics().Faults)
+		cell.Faults.Merge(ledger)
 	}
 	return cell, nil
 }

@@ -9,53 +9,37 @@ import (
 	"repro/internal/rng"
 )
 
-// This file contains the message-passing realization of the Distributed
-// MWU: agents with no shared mutable state, each holding O(1) algorithm
-// state and its own RNG stream, that learn only through point-to-point
-// observation queries. It computes the same dynamics as the synchronous
-// engine in distributed.go (which the experiment harness uses for the
-// fault-free tables) and exists to demonstrate — and test — the variant's
-// headline property: the algorithm runs on distributed memory, and it
-// survives agent crashes and lost messages.
+// This file runs the Distributed MWU as a message-passing protocol:
+// agents with O(1) state that learn only through point-to-point
+// observation queries, over a survivor set that crashes and lossy
+// messages act on. The Fig. 3 dynamics (observe, adopt, popularity,
+// plurality, congestion accounting) are Distributed's, in distributed.go;
+// this file adds only what is specific to message passing:
 //
-// One coordinator loop drives the agents. Per iteration (two phases):
+//   - the survivor set: agents crash, and their vote leaves the
+//     popularity counts with them; with RestartAfter set they restart
+//     that many iterations later with fresh O(1) state, choice id mod K;
+//   - message faults at the observe step: a dropped query is never
+//     served and the observer falls back on its own choice, a delayed one
+//     is only ledgered, a duplicated one is served twice;
+//   - the distributed-mp trace: run_start, crash, restart, and a run_end
+//     of kind "dead" when the whole population is lost.
 //
-//  1. Observe: each agent flips μ; explorers pick a random option, the
-//     rest query a uniformly random live peer for its choice. Choices only
-//     change in phase 2, so every query returns the settled choice from
-//     the previous iteration — exactly the synchronous semantics of
-//     Fig. 3. The peer counts the queries it serves (its in-degree, the
-//     congestion of Table I).
-//  2. Evaluate & adopt: each agent probes the oracle with its own RNG
-//     stream and adopts the observed option with probability β on success
-//     or α on failure; the coordinator tallies popularity for the
-//     plurality convergence test.
-//
-// Because each agent draws only from its own stream and reads only
-// frozen choices, the order in which agents act within a phase cannot
-// change the result: a run of real processes exchanging these messages
-// would compute the same trajectory.
-//
-// Resilience (DESIGN.md §10): with a fault injector, agents crash (they
-// leave the peer set every other agent observes), optionally restart
-// after RestartAfter iterations with fresh O(1) state, and observation
-// queries are dropped, delayed, or duplicated. Popularity — and the
-// plurality convergence test — are tracked over the survivors, so the
-// protocol degrades instead of wedging: this is the paper's Table I
-// fault-tolerance claim, executable. Crash and message-fault decisions
-// are stateless hashes of (agent, iteration), so a fixed seed yields the
-// same fault schedule.
+// Popularity and the plurality test therefore run over the survivors, so
+// the protocol degrades instead of wedging: the paper's Table I
+// fault-tolerance claim, executable (DESIGN.md §10). Crash and
+// message-fault decisions are stateless hashes of (agent, iteration), so
+// a fixed seed yields the same fault schedule. With no injector every
+// agent survives in ID order, and the run is the synchronous learner's
+// under Run, byte for byte.
 
-// mpAgent is one distributed agent: O(1) algorithm state (its current
-// choice) plus its private RNG stream.
-type mpAgent struct {
-	id     int
-	choice int
-	r      *rng.RNG
-
-	observedOption int // O_j for the current iteration
-	served         int // queries answered since the last evaluate phase
-	downSince      int // iteration the agent crashed; 0 while it is up
+// survivors is a Distributed's message-passing fault state. Slot i of a
+// cycle is agent alive[i].
+type survivors struct {
+	inj       *faults.Injector
+	alive     []int // live agent IDs: the peer set observers sample from
+	downSince []int // iteration agent j crashed; 0 while it is up
+	iter      int
 }
 
 // MessagePassingResult extends RunResult with the message accounting the
@@ -68,47 +52,40 @@ type MessagePassingResult struct {
 }
 
 // RunMessagePassing executes the Distributed MWU as a population of
-// message-passing agents. It honours the same configuration and
-// convergence criterion as the synchronous engine. inj, when non-nil,
-// injects agent crashes/restarts and message drop/delay/duplication; tr,
-// when active, receives the protocol's event stream: run/iteration
-// brackets, agent crash/restart lifecycle, convergence checks, and
-// sampled population state. The seed fully determines all algorithmic
-// randomness and the fault schedule. Cancelling the context stops the run
-// at the next iteration boundary, returning the best-so-far partial
-// result with Cancelled set.
+// message-passing agents. It splits seed as callers of Run do: first for
+// the learner, then for the probe streams. With a nil inj the run is
+// therefore Run on NewDistributed(cfg, seed.Split()) with seed.Split():
+// the same result, metrics and trace, run_start's algo aside. inj, when
+// non-nil, injects agent crashes/restarts and message
+// drop/delay/duplication (its probe-fault rates are unused); tr, when
+// active, receives the run's event stream. Cancelling the context stops
+// the run at the next iteration boundary, returning the best-so-far
+// partial result with Cancelled set.
 func RunMessagePassing(ctx context.Context, cfg DistributedConfig, o bandit.Oracle, seed *rng.RNG, maxIter int, inj *faults.Injector, tr *obs.Tracer) (MessagePassingResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if err := cfg.prepare(); err != nil {
+	d, err := NewDistributed(cfg, seed.Split())
+	if err != nil {
 		return MessagePassingResult{}, err
 	}
 	if maxIter <= 0 {
 		maxIter = 10000
 	}
-	n := cfg.PopSize
-	restartAfter := inj.Config().RestartAfter
-
-	agents := make([]*mpAgent, n)
-	counts := make([]int, cfg.K)
-	for j := range agents {
-		agents[j] = &mpAgent{id: j, choice: j % cfg.K, r: seed.Split()}
-		counts[j%cfg.K]++
+	n := d.cfg.PopSize
+	d.mp = &survivors{inj: inj, alive: make([]int, n), downSince: make([]int, n)}
+	for j := range d.mp.alive {
+		d.mp.alive[j] = j
 	}
-	// alive is the survivor set — the peer universe agents observe from.
-	alive := append([]*mpAgent(nil), agents...)
-	var m Metrics
-	m.MemoryFloats = 1
+	ev := newEvaluator(o, seed.Split(), 1)
 	if tr.Active() {
 		tr.Emit(obs.Event{Type: obs.TypeRunStart, Algo: "distributed-mp",
-			K: cfg.K, Agents: n, N: int64(maxIter)})
+			K: d.cfg.K, Agents: n, N: int64(maxIter)})
 	}
 
-	res := MessagePassingResult{}
-	converged := false
+	var res MessagePassingResult
 	dead := false
-	for t := 1; t <= maxIter && !converged; t++ {
+	for t := 1; t <= maxIter && !res.Converged; t++ {
 		if ctx.Err() != nil {
 			res.Cancelled = true
 			break
@@ -116,143 +93,34 @@ func RunMessagePassing(ctx context.Context, cfg DistributedConfig, o bandit.Orac
 		if tr.Active() {
 			tr.Emit(obs.Event{Type: obs.TypeIterStart, Iter: t})
 		}
-
-		// Lifecycle: restarts first, then this iteration's crashes.
-		// Restart candidates are scanned in agent-ID order, so agents
-		// restarting on the same iteration rejoin `alive` — the peer set
-		// every observer samples from — in a seed-determined order.
-		if restartAfter > 0 {
-			for _, a := range agents {
-				if a.downSince > 0 && t-a.downSince >= restartAfter {
-					// Fresh O(1) state, same identity and RNG stream: the
-					// restart is a reboot, not a reincarnation.
-					a.downSince = 0
-					a.choice = a.id % cfg.K
-					a.served = 0
-					alive = append(alive, a)
-					m.Faults.Restarts++
-					if tr.Active() {
-						tr.Emit(obs.Event{Type: obs.TypeRestart, Iter: t, Slot: a.id})
-					}
-				}
-			}
-		}
-		kept := alive[:0]
-		for _, a := range alive {
-			if inj.AgentCrash(a.id, t) {
-				a.downSince = t
-				m.Faults.Crashes++
-				if tr.Active() {
-					tr.Emit(obs.Event{Type: obs.TypeCrash, Iter: t, Slot: a.id})
-				}
-				continue
-			}
-			kept = append(kept, a)
-		}
-		alive = kept
-		if len(alive) == 0 {
-			// Total population loss: nothing left to run the protocol.
-			dead = true
+		if dead = !d.lifecycle(t, tr); dead {
 			break
 		}
-		live := len(alive)
-
-		// Phase 1: observe.
-		for _, a := range alive {
-			if a.r.Float64() < cfg.Mu {
-				a.observedOption = a.r.Intn(cfg.K)
-				continue
-			}
-			peer := alive[a.r.Intn(live)]
-			switch fault := inj.MessageFault(t, a.id); {
-			case peer == a:
-				a.observedOption = a.choice
-				a.served++ // self-observation still counts as a lookup
-			case fault == faults.MsgDrop:
-				// The query is lost in transit: the peer never sees it and
-				// no reply comes. The observer degrades to re-observing its
-				// own current choice.
-				m.Faults.Injected++
-				m.Faults.MsgDropped++
-				a.observedOption = a.choice
-			default:
-				peer.served++
-				switch fault {
-				case faults.MsgDelay:
-					// Late but within the phase: semantically invisible,
-					// only the ledger notices.
-					m.Faults.Injected++
-					m.Faults.MsgDelayed++
-				case faults.MsgDup:
-					// Duplicated in transit: the peer serves it twice
-					// (congestion doubles on that edge).
-					m.Faults.Injected++
-					m.Faults.MsgDuplicated++
-					peer.served++
-				}
-				a.observedOption = peer.choice
-			}
-		}
-		// Phase 2: evaluate and adopt, then tally the new choices and the
-		// queries each agent answered this iteration.
-		for i := range counts {
-			counts[i] = 0
-		}
-		congestion := 0
-		messages := int64(0)
-		for _, a := range alive {
-			var adopt bool
-			if o.Probe(a.observedOption, a.r) == 1 {
-				adopt = a.r.Float64() < cfg.Beta
-			} else {
-				adopt = a.r.Float64() < cfg.Alpha
-			}
-			if adopt {
-				a.choice = a.observedOption
-			}
-			counts[a.choice]++
-			if a.served > congestion {
-				congestion = a.served
-			}
-			messages += int64(a.served)
-			a.served = 0
-		}
-		m.recordIteration(live, congestion, messages)
+		arms := d.Sample()
+		rewards, _ := ev.probeAll(t, arms)
+		d.Update(arms, rewards)
 		res.Iterations = t
-
-		// Popularity — and the plurality test — run over the survivors:
-		// a crashed agent's vote is gone, not frozen.
-		lead := bestCount(counts)
-		if float64(counts[lead]) >= cfg.Plurality*float64(live) {
-			converged = true
-			res.Converged = true
-		}
+		res.Converged = d.Converged()
 		if tr.Active() {
-			tr.Emit(obs.Event{Type: obs.TypeUpdate, Iter: t, N: int64(live), Value: float64(messages)})
-			e := obs.Event{Type: obs.TypeConv, Iter: t, Leader: lead,
-				Prob: float64(counts[lead]) / float64(live)}
-			if converged {
-				e.Kind = "converged"
+			sampled := tr.Sampled(t)
+			if sampled {
+				emitProbes(tr, t, arms)
+				emitProbeOutcomes(tr, t, arms, rewards, nil, nil, true)
 			}
-			tr.Emit(e)
-			if tr.Sampled(t) {
-				tr.Emit(obs.Event{Type: obs.TypeState, Iter: t, Leader: lead,
-					Prob:    float64(counts[lead]) / float64(live),
-					Entropy: obs.Entropy(counts), Support: obs.Support(counts),
-					Hist: obs.ShareHist(counts), N: int64(live)})
+			emitUpdate(tr, t, rewards, nil)
+			emitConv(tr, t, d, res.Converged)
+			if sampled {
+				emitState(tr, t, d, arms)
 			}
 			tr.Emit(obs.Event{Type: obs.TypeIterEnd, Iter: t})
 		}
 	}
-	lead := bestCount(counts)
-	res.Choice = lead
-	if live := len(alive); live > 0 {
-		res.LeaderProb = float64(counts[lead]) / float64(live)
-	}
-	res.Survivors = len(alive)
-	res.CPUIterations = m.CPUIterations
-	res.Degraded = res.Cancelled || m.Faults.Crashes > 0 || m.Faults.MsgDropped > 0
-	res.Metrics = m
+	res.Choice = d.Leader()
+	res.LeaderProb = d.LeaderProb()
+	res.CPUIterations = d.metrics.CPUIterations
+	res.Degraded = res.Cancelled || d.metrics.Faults.Crashes > 0 || d.metrics.Faults.MsgDropped > 0
+	res.Metrics = d.metrics
+	res.Survivors = len(d.mp.alive)
 	if tr.Active() {
 		kind := runEndKind(res.RunResult)
 		if dead {
@@ -264,12 +132,73 @@ func RunMessagePassing(ctx context.Context, cfg DistributedConfig, o bandit.Orac
 	return res, nil
 }
 
-func bestCount(counts []int) int {
-	best := 0
-	for i, c := range counts {
-		if c > counts[best] {
-			best = i
+// lifecycle applies iteration t's restarts, then its crashes, and reports
+// whether any agent survived. Restart candidates are scanned in agent-ID
+// order, so agents restarting on the same iteration rejoin the peer set
+// in a seed-determined order.
+func (d *Distributed) lifecycle(t int, tr *obs.Tracer) bool {
+	s := d.mp
+	s.iter = t
+	if after := s.inj.Config().RestartAfter; after > 0 {
+		for j, down := range s.downSince {
+			if down > 0 && t-down >= after {
+				// Fresh O(1) state, same identity: the restart is a
+				// reboot, not a reincarnation.
+				s.downSince[j] = 0
+				d.choices[j] = j % d.cfg.K
+				d.counts[d.choices[j]]++
+				d.leaderValid = false
+				s.alive = append(s.alive, j)
+				d.metrics.Faults.Restarts++
+				if tr.Active() {
+					tr.Emit(obs.Event{Type: obs.TypeRestart, Iter: t, Slot: j})
+				}
+			}
 		}
 	}
-	return best
+	kept := s.alive[:0]
+	for _, j := range s.alive {
+		if !s.inj.AgentCrash(j, t) {
+			kept = append(kept, j)
+			continue
+		}
+		s.downSince[j] = t
+		d.counts[d.choices[j]]--
+		d.leaderValid = false
+		d.metrics.Faults.Crashes++
+		if tr.Active() {
+			tr.Emit(obs.Event{Type: obs.TypeCrash, Iter: t, Slot: j})
+		}
+	}
+	s.alive = kept
+	return len(kept) > 0
+}
+
+// deliver carries slot i's observation query to peer slot h. It returns
+// the agent whose choice the observer reads and how many copies of the
+// query that agent serves: a dropped query is never served and the
+// observer re-observes its own choice, a duplicated one is served twice.
+// Self-observation sends no message, so no fault applies to it.
+func (d *Distributed) deliver(i, h int) (int, int32) {
+	s := d.mp
+	a, p := s.alive[i], s.alive[h]
+	if p == a {
+		return a, 1
+	}
+	st := &d.metrics.Faults
+	switch s.inj.MessageFault(s.iter, a) {
+	case faults.MsgDrop:
+		st.Injected++
+		st.MsgDropped++
+		return a, 0
+	case faults.MsgDelay:
+		// Late but within the phase: only the ledger notices.
+		st.Injected++
+		st.MsgDelayed++
+	case faults.MsgDup:
+		st.Injected++
+		st.MsgDuplicated++
+		return p, 2
+	}
+	return p, 1
 }

@@ -1,12 +1,13 @@
 package mwu
 
 import (
+	"bytes"
 	"context"
-
 	"testing"
 
 	"repro/internal/bandit"
 	"repro/internal/dist"
+	"repro/internal/obs"
 	"repro/internal/rng"
 )
 
@@ -82,34 +83,99 @@ func TestMessagePassingMetrics(t *testing.T) {
 	}
 }
 
-func TestMessagePassingMatchesSynchronousStatistically(t *testing.T) {
-	// Both engines implement Fig. 3; on the same problem they should
-	// converge to the same option and in a similar number of update
-	// cycles (not identical — RNG stream structure differs).
-	values := []float64{0.15, 0.15, 0.15, 0.9, 0.15, 0.15, 0.15, 0.15}
-	mkProblem := func(s uint64) *bandit.Problem {
-		return bandit.NewProblem(dist.New("gap", values))
+// TestMessagePassingFaultFreeMatchesSynchronous: with no injector,
+// RunMessagePassing is Run on NewDistributed under the documented seed
+// split (learner first, then probe streams), byte for byte: the same
+// RunResult, the same Metrics field for field, and the same trace — conv
+// and state lines included — apart from run_start's algo. The grid covers
+// converging runs, runs that cannot converge (Plurality > 1) and a run
+// cancelled mid-iteration.
+func TestMessagePassingFaultFreeMatchesSynchronous(t *testing.T) {
+	gap := []float64{0.15, 0.15, 0.15, 0.9, 0.15, 0.15, 0.15, 0.15}
+	cases := []struct {
+		name     string
+		cfg      DistributedConfig
+		values   []float64 // nil: a random problem over cfg.K arms
+		seed     uint64
+		maxIter  int
+		cancelAt int // cancel the context at this probe; 0 never
+		want     string
+	}{
+		{"gap", DistributedConfig{K: 8, PopSize: 400}, gap, 77, 500, 0, "converged"},
+		{"random-default-pop", DistributedConfig{K: 64}, nil, 3, 600, 0, "converged"},
+		{"flat-plurality", DistributedConfig{K: 5, PopSize: 150, Plurality: 1.01},
+			[]float64{0.5, 0.5, 0.5, 0.5, 0.5}, 2, 40, 0, "maxiter"},
+		{"random-plurality", DistributedConfig{K: 8, PopSize: 90, Plurality: 1.5, Beta: 0.8}, nil, 11, 60, 0, "maxiter"},
+		{"cancelled", DistributedConfig{K: 64, PopSize: 500}, nil, 40, 600, 500*7 + 13, "cancelled"},
 	}
-	cfg := DistributedConfig{K: 8, PopSize: 400}
-
-	seed := rng.New(77)
-	sync := mustDistributed(t, cfg, seed.Split())
-	syncRes := Run(context.Background(), sync, mkProblem(1), seed.Split(), RunConfig{MaxIter: 500, Workers: 1})
-
-	mpRes, err := RunMessagePassing(context.Background(), cfg, mkProblem(2), rng.New(78), 500, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !syncRes.Converged || !mpRes.Converged {
-		t.Fatalf("sync converged=%v mp converged=%v", syncRes.Converged, mpRes.Converged)
-	}
-	if syncRes.Choice != 3 || mpRes.Choice != 3 {
-		t.Fatalf("choices: sync=%d mp=%d, want 3", syncRes.Choice, mpRes.Choice)
-	}
-	// Iteration counts should be the same order of magnitude.
-	ratio := float64(syncRes.Iterations) / float64(mpRes.Iterations)
-	if ratio < 0.2 || ratio > 5 {
-		t.Fatalf("iteration counts diverge: sync=%d mp=%d", syncRes.Iterations, mpRes.Iterations)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			run := func(mp bool) (RunResult, Metrics, []byte) {
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				values := dist.Random(c.name, c.cfg.K, rng.New(c.seed+100))
+				if c.values != nil {
+					values = dist.New(c.name, c.values)
+				}
+				p := bandit.NewProblem(values)
+				var o bandit.Oracle = p
+				workers := 3
+				if c.cancelAt > 0 {
+					workers = 1 // the probe count below is sequential
+					probes := 0
+					o = &bandit.FuncOracle{K: c.cfg.K, F: func(arm int, r *rng.RNG) float64 {
+						if probes++; probes == c.cancelAt {
+							cancel()
+						}
+						return p.Probe(arm, r)
+					}}
+				}
+				var buf bytes.Buffer
+				tr := obs.New(obs.NewJSONL(&buf), obs.WithRun(c.name), obs.WithSample(3))
+				seed := rng.New(c.seed)
+				var res RunResult
+				var m Metrics
+				if mp {
+					r, err := RunMessagePassing(ctx, c.cfg, o, seed, c.maxIter, nil, tr)
+					if err != nil {
+						t.Fatal(err)
+					}
+					res, m = r.RunResult, r.Metrics
+				} else {
+					d := mustDistributed(t, c.cfg, seed.Split())
+					res = Run(ctx, d, o, seed.Split(), RunConfig{MaxIter: c.maxIter, Workers: workers, Trace: tr})
+					m = *d.Metrics()
+				}
+				if err := tr.Close(); err != nil {
+					t.Fatal(err)
+				}
+				return res, m, buf.Bytes()
+			}
+			syncRes, syncM, syncTrace := run(false)
+			mpRes, mpM, mpTrace := run(true)
+			if got := runEndKind(syncRes); got != c.want {
+				t.Fatalf("synchronous run ended %q after %d iterations, want %q", got, syncRes.Iterations, c.want)
+			}
+			if mpRes != syncRes {
+				t.Errorf("results differ:\n mp   %+v\n sync %+v", mpRes, syncRes)
+			}
+			if mpM != syncM {
+				t.Errorf("metrics differ:\n mp   %+v\n sync %+v", mpM, syncM)
+			}
+			const mpAlgo, syncAlgo = `"algo":"distributed-mp"`, `"algo":"distributed"`
+			if n := bytes.Count(mpTrace, []byte(mpAlgo)); n != 1 {
+				t.Fatalf("message-passing trace names its algo %d times, want once", n)
+			}
+			mpTrace = bytes.Replace(mpTrace, []byte(mpAlgo), []byte(syncAlgo), 1)
+			if !bytes.Equal(mpTrace, syncTrace) {
+				t.Errorf("traces differ beyond run_start's algo (%d vs %d bytes)", len(mpTrace), len(syncTrace))
+			}
+			for _, typ := range []string{`"type":"conv"`, `"type":"state"`} {
+				if !bytes.Contains(syncTrace, []byte(typ)) {
+					t.Errorf("trace has no %s line to compare", typ)
+				}
+			}
+		})
 	}
 }
 

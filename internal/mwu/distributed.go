@@ -102,8 +102,8 @@ func (e *ErrIntractable) Error() string {
 		e.K, e.PopSize, e.MaxAgents)
 }
 
-// prepare validates and fills the configuration for both engines. It
-// returns *ErrIntractable when the population exceeds maxAgents.
+// prepare validates and fills the configuration. It returns
+// *ErrIntractable when the population exceeds maxAgents.
 func (c *DistributedConfig) prepare() error {
 	if c.K <= 0 {
 		panic("mwu: DistributedConfig.K must be positive")
@@ -131,9 +131,9 @@ func (c *DistributedConfig) prepare() error {
 // agent, which concentrates at Θ(ln n / ln ln n) by the balls-into-bins
 // bound (Sec. II-C, verified in internal/congestion).
 //
-// This type is the synchronous engine used by the experiment harness; the
-// message-passing engine in agents.go computes the same dynamics from
-// per-agent RNG streams and point-to-point queries.
+// It is the one implementation of Fig. 3: Run drives it for the tables and
+// repair jobs, and RunMessagePassing (agents.go) drives it over a survivor
+// set with agent crashes and message faults.
 type Distributed struct {
 	cfg     DistributedConfig
 	choices []int // C_j: current choice of agent j
@@ -148,6 +148,9 @@ type Distributed struct {
 	leader      int
 	leaderValid bool
 	metrics     Metrics
+	// mp is the message-passing survivor set and fault state; nil for the
+	// synchronous learner, whose agents all take part in every cycle.
+	mp *survivors
 }
 
 // NewDistributed creates a Distributed learner. It returns *ErrIntractable
@@ -183,31 +186,47 @@ func (d *Distributed) K() int { return d.cfg.K }
 // Agents implements Learner.
 func (d *Distributed) Agents() int { return d.cfg.PopSize }
 
-// Sample implements Fig. 3 lines 7–15: each agent picks a random option
-// with probability μ, otherwise observes a uniformly random neighbor's
-// current choice. Neighbor queries are messages; the per-iteration
-// congestion (max in-degree) is accumulated into the metrics at Update.
-// The returned slice is freshly allocated and owned by the caller.
+// Sample implements Fig. 3 lines 7–15: each live agent picks a random
+// option with probability μ, otherwise observes a uniformly random live
+// neighbor's current choice. Neighbor queries are messages; the
+// per-iteration congestion (max in-degree) is accumulated into the
+// metrics at Update. The returned slice is freshly allocated and owned by
+// the caller.
 func (d *Distributed) Sample() []int {
 	// Reset per-iteration congestion counters touched last cycle.
 	for _, j := range d.touched {
 		d.queried[j] = 0
 	}
 	d.touched = d.touched[:0]
-	observed := make([]int, d.cfg.PopSize)
-	for j := range observed {
+	observed := make([]int, d.live())
+	for i := range observed {
 		if d.rng.Float64() < d.cfg.Mu {
-			observed[j] = d.rng.Intn(d.cfg.K)
-		} else {
-			h := d.rng.Intn(d.cfg.PopSize)
-			observed[j] = d.choices[h]
-			if d.queried[h] == 0 {
-				d.touched = append(d.touched, int32(h))
-			}
-			d.queried[h]++
+			observed[i] = d.rng.Intn(d.cfg.K)
+			continue
 		}
+		h, served := d.rng.Intn(len(observed)), int32(1)
+		if d.mp != nil {
+			h, served = d.deliver(i, h)
+		}
+		observed[i] = d.choices[h]
+		if served == 0 {
+			continue
+		}
+		if d.queried[h] == 0 {
+			d.touched = append(d.touched, int32(h))
+		}
+		d.queried[h] += served
 	}
 	return observed
+}
+
+// live is the number of agents taking part in a cycle: the survivors
+// under RunMessagePassing, the whole population otherwise.
+func (d *Distributed) live() int {
+	if d.mp != nil {
+		return len(d.mp.alive)
+	}
+	return d.cfg.PopSize
 }
 
 // Update implements Learner: UpdateMissing with every reward arrived.
@@ -221,12 +240,16 @@ func (d *Distributed) Update(arms []int, rewards []float64) { d.UpdateMissing(ar
 // there is no barrier for the failure to wedge.
 func (d *Distributed) UpdateMissing(arms []int, rewards []float64, missing []bool) {
 	checkUpdate(arms, rewards, missing)
-	for j, arm := range arms {
-		if missing != nil && missing[j] {
+	for i, arm := range arms {
+		if missing != nil && missing[i] {
 			continue
 		}
+		j := i
+		if d.mp != nil {
+			j = d.mp.alive[i]
+		}
 		adopt := false
-		if rewards[j] == 1 {
+		if rewards[i] == 1 {
 			adopt = d.rng.Float64() < d.cfg.Beta
 		} else {
 			adopt = d.rng.Float64() < d.cfg.Alpha
@@ -247,7 +270,7 @@ func (d *Distributed) UpdateMissing(arms []int, rewards []float64, missing []boo
 			congestion = c
 		}
 	}
-	d.metrics.recordIteration(d.cfg.PopSize, congestion, messages)
+	d.metrics.recordIteration(len(arms), congestion, messages)
 }
 
 // Autonomous marks the Distributed learner as barrier-free: a silent
@@ -271,16 +294,21 @@ func (d *Distributed) Leader() int {
 	return d.leader
 }
 
-// LeaderProb implements Learner: the leader's popularity fraction.
+// LeaderProb implements Learner: the leader's popularity fraction among
+// the live agents, 0 once none is left.
 func (d *Distributed) LeaderProb() float64 {
-	return float64(d.counts[d.Leader()]) / float64(d.cfg.PopSize)
+	live := d.live()
+	if live == 0 {
+		return 0
+	}
+	return float64(d.counts[d.Leader()]) / float64(live)
 }
 
 // Popularity returns a copy of the per-option holder counts.
 func (d *Distributed) Popularity() []int { return append([]int(nil), d.counts...) }
 
 // Converged implements Learner with the plurality criterion: the run has
-// converged when Plurality of the population holds the same option.
+// converged when Plurality of the live population holds the same option.
 func (d *Distributed) Converged() bool {
 	return d.LeaderProb() >= d.cfg.Plurality
 }

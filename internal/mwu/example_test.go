@@ -33,9 +33,8 @@ func ExampleNewLearner() {
 	// Output: slate slate size: 5
 }
 
-// ExampleRunMessagePassing runs the Distributed variant on its
-// message-passing engine: agents with O(1) state that learn only by
-// querying one another.
+// ExampleRunMessagePassing runs the Distributed variant as message-passing
+// agents with O(1) state that learn only by querying one another.
 func ExampleRunMessagePassing() {
 	problem := bandit.NewProblem(dist.New("demo", []float64{0.05, 0.9, 0.1}))
 	cfg := mwu.DistributedConfig{K: 3, PopSize: 120}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/json"
 	"fmt"
 	"runtime"
 	"testing"
@@ -238,6 +239,79 @@ func TestCrashedAgentAccounting(t *testing.T) {
 	}
 }
 
+// TestCrashLedgerProperties draws random message-passing configurations
+// (population, K, crash rate, RestartAfter, message-fault rate, fault
+// seed) and checks the survivor ledger on each: every crash either left
+// an agent down or was undone by a restart, the leader's share is a
+// probability, a replay reproduces the result and the trace exactly, and a
+// run ends with no survivors exactly when it ends dead, with no leader
+// share.
+func TestCrashLedgerProperties(t *testing.T) {
+	gen := rng.New(0xC4A5)
+	deadRuns := 0
+	for i := 0; i < 40; i++ {
+		pop, k := 10+gen.Intn(150), 2+gen.Intn(15)
+		crash := 0.05 * gen.Float64()
+		if gen.Intn(4) == 0 {
+			crash = 0.2 + 0.8*gen.Float64() // heavy enough to wipe populations out
+		}
+		restart := 0
+		if gen.Intn(3) > 0 {
+			restart = 1 + gen.Intn(30)
+		}
+		msg := 0.4 * gen.Float64()
+		fc := faults.Config{Seed: gen.Uint64(), Crash: crash, RestartAfter: restart,
+			Drop: msg / 2, Delay: msg / 4, Dup: msg / 8}
+		// Plurality 1.01 never converges, so heavy crash rates get the
+		// whole budget to wipe the population out; a survivor set of one
+		// meets any plurality up to 1.
+		cfg := DistributedConfig{K: k, PopSize: pop, Plurality: []float64{0.3, 0.99, 1.01}[gen.Intn(3)]}
+		name := fmt.Sprintf("draw %d (pop %d, k %d, crash %.3f, restart %d, msg %.3f, plurality %g)",
+			i, pop, k, crash, restart, msg, cfg.Plurality)
+		run := func() (MessagePassingResult, []byte) {
+			var buf bytes.Buffer
+			tr := obs.New(obs.NewJSONL(&buf), obs.WithRun("ledger"), obs.WithSample(7))
+			p := bandit.NewProblem(dist.Random("r", k, rng.New(uint64(i)+1)))
+			res, err := RunMessagePassing(context.Background(), cfg, p, rng.New(uint64(i)+500), 60, faults.New(fc), tr)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if err := tr.Close(); err != nil {
+				t.Fatal(err)
+			}
+			return res, buf.Bytes()
+		}
+		res, trace := run()
+		st := res.Metrics.Faults
+		if got := int64(pop-res.Survivors) + st.Restarts; got != st.Crashes {
+			t.Errorf("%s: crashes %d != down %d + restarts %d", name, st.Crashes, pop-res.Survivors, st.Restarts)
+		}
+		if !(res.LeaderProb >= 0 && res.LeaderProb <= 1) {
+			t.Errorf("%s: leader share %v outside [0,1]", name, res.LeaderProb)
+		}
+		if again, traceAgain := run(); again != res || !bytes.Equal(traceAgain, trace) {
+			t.Errorf("%s: replay diverges:\n%+v\n%+v", name, res, again)
+		}
+		lines := bytes.Split(bytes.TrimSpace(trace), []byte("\n"))
+		var last obs.Event
+		if err := json.Unmarshal(lines[len(lines)-1], &last); err != nil || last.Type != obs.TypeRunEnd {
+			t.Fatalf("%s: trace does not end in run_end: %s (%v)", name, lines[len(lines)-1], err)
+		}
+		if dead := last.Kind == "dead"; dead != (res.Survivors == 0) {
+			t.Errorf("%s: run_end kind %q with %d survivors", name, last.Kind, res.Survivors)
+		}
+		if res.Survivors == 0 {
+			deadRuns++
+			if res.LeaderProb != 0 {
+				t.Errorf("%s: dead run reports leader share %v", name, res.LeaderProb)
+			}
+		}
+	}
+	if deadRuns == 0 {
+		t.Fatal("no draw lost its whole population, so the dead-run checks never ran")
+	}
+}
+
 // TestMessagePassingFaultDeterminism: same seed, same fault config →
 // identical result, crash schedule included.
 func TestMessagePassingFaultDeterminism(t *testing.T) {
@@ -279,18 +353,18 @@ func TestMessagePassingFaultGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := MessagePassingResult{
-		RunResult: RunResult{Iterations: 80, Choice: 0, LeaderProb: 0.9214285714285714,
+		RunResult: RunResult{Iterations: 80, Choice: 0, LeaderProb: 0.7928571428571428,
 			CPUIterations: 11527, Degraded: true},
 		Metrics: Metrics{Iterations: 80, Probes: 11527, CPUIterations: 11527,
-			MaxCongestion: 7, SumCongestion: 343, MessagesSent: 10513, MemoryFloats: 1,
-			Faults: faults.Stats{Injected: 959, Crashes: 23, Restarts: 13,
-				MsgDropped: 554, MsgDelayed: 279, MsgDuplicated: 126}},
+			MaxCongestion: 6, SumCongestion: 342, MessagesSent: 10532, MemoryFloats: 1,
+			Faults: faults.Stats{Injected: 965, Crashes: 23, Restarts: 13,
+				MsgDropped: 560, MsgDelayed: 278, MsgDuplicated: 127}},
 		Survivors: 140,
 	}
 	if res != want {
 		t.Errorf("result drifted:\n got %+v\nwant %+v", res, want)
 	}
-	const wantTrace = "05d135aa4c618fc826e7d5445deca8f83c9e0fadfbded87aa1da98db8432c502"
+	const wantTrace = "a88209dfcc2b5bb64984725bc4e94b187d1fc832ee0a10708e83202423cf4f5e"
 	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != wantTrace {
 		t.Errorf("trace drifted: sha256 %s (%d bytes), want %s", got, buf.Len(), wantTrace)
 	}
